@@ -2,7 +2,7 @@
 //!
 //! [`EventBridge`] implements the OODB's invocation hooks — it is the
 //! runtime equivalent of the code the Sentinel post-processor inserts into
-//! wrapper methods: collect the parameter list, `Notify` the local
+//! wrapper methods: collect the parameter list once, `Notify` the local
 //! composite event detector (begin edge before the body, end edge after),
 //! and hand the resulting detections to the rule scheduler, suspending the
 //! caller until immediate rules finish (§3.2.1, Figure 2 steps 1–2, 6).
@@ -15,7 +15,7 @@
 use std::sync::Arc;
 
 use sentinel_detector::{LocalEventDetector, Value};
-use sentinel_oodb::invoke::{InvocationHooks, MethodCall};
+use sentinel_oodb::invoke::{DbResult, InvocationHooks, MethodCall};
 use sentinel_oodb::AttrValue;
 use sentinel_rules::RuleScheduler;
 use sentinel_snoop::ast::EventModifier;
@@ -58,22 +58,18 @@ impl EventBridge {
         EventBridge { detector, scheduler }
     }
 
-    fn notify(&self, call: &MethodCall, edge: EventModifier) {
-        // Parameter collection (the wrapper's PARA_LIST): method arguments
-        // plus the receiver's identity.
-        let params: Vec<(Arc<str>, Value)> =
-            call.args.iter().map(|(n, v)| (Arc::from(n.as_str()), attr_to_value(v))).collect();
+    fn notify(&self, call: &MethodCall, edge: EventModifier, params: &[(Arc<str>, Value)]) {
         // Class-level events declared on an ancestor fire for descendants:
         // notify once per class in the inheritance chain. Each class's
         // primitive-event list filters by signature/edge/instance.
         let mut detections = Vec::new();
-        for class in &call.chain {
+        for class in call.chain.iter() {
             detections.extend(self.detector.notify_method(
                 class,
                 &call.sig,
                 edge,
                 call.oid.0,
-                params.clone(),
+                params.to_vec(),
                 Some(call.txn.0),
             ));
         }
@@ -83,12 +79,19 @@ impl EventBridge {
 }
 
 impl InvocationHooks for EventBridge {
-    fn before(&self, call: &MethodCall) {
-        self.notify(call, EventModifier::Begin);
-    }
-
-    fn after(&self, call: &MethodCall) {
-        self.notify(call, EventModifier::End);
+    fn around(
+        &self,
+        call: &MethodCall,
+        body: &mut dyn FnMut() -> DbResult<AttrValue>,
+    ) -> DbResult<AttrValue> {
+        // Parameter collection (the wrapper's PARA_LIST): the method
+        // arguments, converted once for both edges and every class.
+        let params: Vec<(Arc<str>, Value)> =
+            call.args.iter().map(|(n, v)| (Arc::from(n.as_str()), attr_to_value(v))).collect();
+        self.notify(call, EventModifier::Begin, &params);
+        let result = body()?;
+        self.notify(call, EventModifier::End, &params);
+        Ok(result)
     }
 }
 

@@ -283,13 +283,18 @@ impl Sentinel {
         // Subtransaction-level recovery (the paper's §4 extension): a
         // failing rule body rolls its own writes back to the savepoint
         // taken when it started, leaving the rest of the transaction intact.
+        // The hooks hold the engine weakly: the engine owns the scheduler
+        // (through its `TxnBridge` observer), so a strong reference back
+        // would keep a dropped system alive for ever.
         {
-            let mark_engine = engine.clone();
-            let rollback_engine = engine.clone();
+            let mark_engine = Arc::downgrade(&engine);
+            let rollback_engine = Arc::downgrade(&engine);
             scheduler.set_savepoint_hooks(sentinel_rules::SavepointHooks {
-                mark: Box::new(move |txn| mark_engine.savepoint(TxnId(txn)).ok()),
+                mark: Box::new(move |txn| mark_engine.upgrade()?.savepoint(TxnId(txn)).ok()),
                 rollback: Box::new(move |txn, mark| {
-                    let _ = rollback_engine.rollback_to(TxnId(txn), mark);
+                    if let Some(engine) = rollback_engine.upgrade() {
+                        let _ = engine.rollback_to(TxnId(txn), mark);
+                    }
                 }),
             });
         }
@@ -857,6 +862,17 @@ mod tests {
                 .with("holdings", 1000),
         )
         .unwrap()
+    }
+
+    #[test]
+    fn a_dropped_system_frees_its_engine() {
+        let engine = Arc::new(StorageEngine::in_memory());
+        let weak = Arc::downgrade(&engine);
+        let s = Sentinel::open(engine, SentinelConfig::default()).unwrap();
+        let t = s.begin().unwrap();
+        s.commit(t).unwrap();
+        drop(s);
+        assert!(weak.upgrade().is_none(), "engine -> scheduler -> savepoint hooks -> engine");
     }
 
     #[test]

@@ -18,7 +18,7 @@ use std::path::{Path, PathBuf};
 
 use bytes::Bytes;
 use sentinel_detector::GraphSnapshot;
-use sentinel_storage::crc32;
+use sentinel_storage::{crc32, frame};
 
 const CKPT_MAGIC: &[u8; 4] = b"SCKP";
 const CKPT_VERSION: u32 = 1;
@@ -105,9 +105,8 @@ pub fn write_checkpoint(dir: &Path, tag: u64, snap: &GraphSnapshot) -> io::Resul
     data.extend_from_slice(CKPT_MAGIC);
     data.extend_from_slice(&CKPT_VERSION.to_le_bytes());
     data.extend_from_slice(&tag.to_le_bytes());
-    data.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    data.extend_from_slice(&crc32(&payload).to_le_bytes());
-    data.extend_from_slice(&payload);
+    // The rest of the header is a frame header: payload length, crc32.
+    frame::put_frame(&mut data, |body| body.extend_from_slice(&payload));
 
     let final_path = checkpoint_path(dir, tag);
     let tmp_path = final_path.with_extension("ck.tmp");

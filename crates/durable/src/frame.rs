@@ -5,20 +5,17 @@
 //! frames from the front and stops at the first torn or corrupt one (short
 //! header, short payload, length over the cap, or checksum mismatch) — the
 //! same truncate-at-first-bad-record discipline as `storage::recovery`.
+//! Frames are written by the WAL's frame writer (`storage::frame`).
 
-use sentinel_storage::crc32;
+pub use sentinel_storage::frame::HEADER;
+use sentinel_storage::{crc32, frame};
 
 /// Upper bound on one frame's payload; anything larger is corruption.
 pub const MAX_FRAME: u32 = 16 * 1024 * 1024;
 
-/// Frame header size in bytes.
-pub const HEADER: usize = 8;
-
 /// Serializes one frame into `out`.
 pub fn put_frame(out: &mut Vec<u8>, payload: &[u8]) {
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
+    frame::put_frame(out, |body| body.extend_from_slice(payload));
 }
 
 /// Result of scanning a byte stream for frames.
@@ -81,6 +78,18 @@ mod tests {
         assert_eq!(scan.frames, vec![b"one".to_vec(), b"two two".to_vec()]);
         assert_eq!(scan.valid_len, good_len);
         assert_eq!(scan.truncated(buf.len() as u64), 11);
+    }
+
+    #[test]
+    fn frame_bytes_are_pinned() {
+        // What `put_frame` wrote for this payload before it moved into
+        // `storage::frame` (commit 4427bb8).
+        let payload = b"sentinel journal record \x00\x01\xFE\xFF";
+        let mut buf = Vec::new();
+        put_frame(&mut buf, payload);
+        assert_eq!(buf[..4], 28u32.to_le_bytes());
+        assert_eq!(buf[4..8], [49, 78, 0, 243]);
+        assert_eq!(&buf[8..], payload);
     }
 
     #[test]

@@ -254,25 +254,28 @@ impl TimeSeriesRegistry {
     }
 
     /// Spawns the sampler thread, ticking every resolution interval until
-    /// the returned handle drops.
+    /// the returned handle drops. The first tick comes one interval after
+    /// the start, so a caller's own [`Self::sample_at`] calls are not
+    /// interleaved with a sample taken the moment the thread gets to run.
     pub fn start_sampler(self: &Arc<Self>) -> SamplerHandle {
         let stop = Arc::new(AtomicBool::new(false));
         let registry = self.clone();
         let flag = stop.clone();
         let join = std::thread::Builder::new()
             .name("sentinel-telemetry".into())
-            .spawn(move || {
-                while !flag.load(Ordering::Relaxed) {
-                    registry.sample_now();
-                    // Sleep in small slices so drop doesn't block a full
-                    // interval.
-                    let mut left = registry.resolution;
-                    while !left.is_zero() && !flag.load(Ordering::Relaxed) {
-                        let slice = left.min(Duration::from_millis(50));
-                        std::thread::sleep(slice);
-                        left = left.saturating_sub(slice);
-                    }
+            .spawn(move || loop {
+                // Sleep in small slices so drop doesn't block a full
+                // interval.
+                let mut left = registry.resolution;
+                while !left.is_zero() && !flag.load(Ordering::Relaxed) {
+                    let slice = left.min(Duration::from_millis(50));
+                    std::thread::sleep(slice);
+                    left = left.saturating_sub(slice);
                 }
+                if flag.load(Ordering::Relaxed) {
+                    break;
+                }
+                registry.sample_now();
             })
             .ok();
         SamplerHandle { stop, join }

@@ -8,7 +8,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut};
 
 /// Object identity. Allocated monotonically by the object store; stable
 /// across restarts.
@@ -165,31 +165,53 @@ impl ObjectState {
 
     /// Sets an attribute.
     pub fn set(&mut self, name: &str, value: impl Into<AttrValue>) {
-        self.attrs.insert(name.to_string(), value.into());
+        match self.attrs.get_mut(name) {
+            Some(slot) => *slot = value.into(),
+            None => {
+                self.attrs.insert(name.to_string(), value.into());
+            }
+        }
     }
 
-    /// Encodes into the object-translation format.
-    pub fn encode(&self) -> Bytes {
-        let mut out = BytesMut::new();
-        put_str(&mut out, &self.class);
+    /// Exact length of the object-translation encoding.
+    pub(crate) fn encoded_len(&self) -> usize {
+        let attrs: usize = self
+            .attrs
+            .iter()
+            .map(|(name, value)| {
+                4 + name.len()
+                    + 1
+                    + match value {
+                        AttrValue::Int(_) | AttrValue::Float(_) | AttrValue::Ref(_) => 8,
+                        AttrValue::Bool(_) => 1,
+                        AttrValue::Str(s) => 4 + s.len(),
+                        AttrValue::Null => 0,
+                    }
+            })
+            .sum();
+        4 + self.class.len() + 4 + attrs
+    }
+
+    /// Appends the object-translation encoding to `out`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        put_str(out, &self.class);
         out.put_u32_le(self.attrs.len() as u32);
         for (name, value) in &self.attrs {
-            put_str(&mut out, name);
+            put_str(out, name);
             out.put_u8(value.tag());
             match value {
                 AttrValue::Int(i) => out.put_i64_le(*i),
                 AttrValue::Float(f) => out.put_f64_le(*f),
                 AttrValue::Bool(b) => out.put_u8(u8::from(*b)),
-                AttrValue::Str(s) => put_str(&mut out, s),
+                AttrValue::Str(s) => put_str(out, s),
                 AttrValue::Ref(o) => out.put_u64_le(o.0),
                 AttrValue::Null => {}
             }
         }
-        out.freeze()
     }
 
     /// Decodes from the object-translation format.
-    pub fn decode(mut buf: Bytes) -> Option<Self> {
+    pub fn decode(mut buf: &[u8]) -> Option<Self> {
         let class = get_str(&mut buf)?;
         if buf.remaining() < 4 {
             return None;
@@ -237,12 +259,12 @@ impl ObjectState {
     }
 }
 
-fn put_str(out: &mut BytesMut, s: &str) {
+fn put_str(out: &mut Vec<u8>, s: &str) {
     out.put_u32_le(s.len() as u32);
     out.put_slice(s.as_bytes());
 }
 
-fn get_str(buf: &mut Bytes) -> Option<String> {
+fn get_str(buf: &mut &[u8]) -> Option<String> {
     if buf.remaining() < 4 {
         return None;
     }
@@ -250,8 +272,9 @@ fn get_str(buf: &mut Bytes) -> Option<String> {
     if buf.remaining() < len {
         return None;
     }
-    let raw = buf.split_to(len);
-    String::from_utf8(raw.to_vec()).ok()
+    let (raw, rest) = buf.split_at(len);
+    *buf = rest;
+    std::str::from_utf8(raw).ok().map(str::to_string)
 }
 
 #[cfg(test)]
@@ -268,28 +291,31 @@ mod tests {
             .with("note", AttrValue::Null)
     }
 
+    fn encode(obj: &ObjectState) -> Vec<u8> {
+        let mut out = Vec::new();
+        obj.encode_into(&mut out);
+        assert_eq!(out.len(), obj.encoded_len());
+        out
+    }
+
     #[test]
     fn encode_decode_roundtrip() {
         let obj = sample();
-        let bytes = obj.encode();
-        let back = ObjectState::decode(bytes).unwrap();
+        let back = ObjectState::decode(&encode(&obj)).unwrap();
         assert_eq!(obj, back);
     }
 
     #[test]
     fn empty_object_roundtrip() {
         let obj = ObjectState::new("EMPTY");
-        assert_eq!(ObjectState::decode(obj.encode()).unwrap(), obj);
+        assert_eq!(ObjectState::decode(&encode(&obj)).unwrap(), obj);
     }
 
     #[test]
     fn truncated_bytes_fail_cleanly() {
-        let bytes = sample().encode();
+        let bytes = encode(&sample());
         for cut in [0, 1, 5, bytes.len() - 1] {
-            assert!(
-                ObjectState::decode(bytes.slice(0..cut)).is_none(),
-                "cut at {cut} must not decode"
-            );
+            assert!(ObjectState::decode(&bytes[..cut]).is_none(), "cut at {cut} must not decode");
         }
     }
 
@@ -314,6 +340,6 @@ mod tests {
     #[test]
     fn unicode_strings_survive() {
         let obj = ObjectState::new("Ünïcode").with("名前", "société €");
-        assert_eq!(ObjectState::decode(obj.encode()).unwrap(), obj);
+        assert_eq!(ObjectState::decode(&encode(&obj)).unwrap(), obj);
     }
 }

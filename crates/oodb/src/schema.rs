@@ -199,30 +199,37 @@ impl ClassRegistry {
         })
     }
 
+    /// Checks one attribute value against its declaration on `class` or
+    /// the nearest ancestor that declares it.
+    pub fn check_attr(
+        &self,
+        class: &str,
+        attr: &str,
+        value: &AttrValue,
+    ) -> Result<(), SchemaError> {
+        let mut cur = self.classes.get(class);
+        while let Some(c) = cur {
+            if let Some((_, ty)) = c.attrs.iter().rev().find(|(n, _)| n == attr) {
+                return if ty.admits(value) {
+                    Ok(())
+                } else {
+                    Err(SchemaError::TypeMismatch {
+                        class: class.to_string(),
+                        attr: attr.to_string(),
+                    })
+                };
+            }
+            cur = c.parent.as_deref().and_then(|p| self.classes.get(p));
+        }
+        Err(SchemaError::UnknownAttr { class: class.to_string(), attr: attr.to_string() })
+    }
+
     /// Validates an object's attributes against the schema.
     pub fn validate(&self, obj: &ObjectState) -> Result<(), SchemaError> {
         if !self.classes.contains_key(&obj.class) {
             return Err(SchemaError::UnknownClass(obj.class.clone()));
         }
-        let declared: HashMap<&str, AttrType> = self.all_attrs(&obj.class).into_iter().collect();
-        for (name, value) in &obj.attrs {
-            match declared.get(name.as_str()) {
-                None => {
-                    return Err(SchemaError::UnknownAttr {
-                        class: obj.class.clone(),
-                        attr: name.clone(),
-                    })
-                }
-                Some(ty) if !ty.admits(value) => {
-                    return Err(SchemaError::TypeMismatch {
-                        class: obj.class.clone(),
-                        attr: name.clone(),
-                    })
-                }
-                Some(_) => {}
-            }
-        }
-        Ok(())
+        obj.attrs.iter().try_for_each(|(name, value)| self.check_attr(&obj.class, name, value))
     }
 
     /// Registered class count.
@@ -293,6 +300,23 @@ mod tests {
         assert!(matches!(reg.validate(&bad_attr), Err(SchemaError::UnknownAttr { .. })));
         let bad_class = ObjectState::new("BOND");
         assert!(matches!(reg.validate(&bad_class), Err(SchemaError::UnknownClass(_))));
+    }
+
+    #[test]
+    fn check_attr_uses_the_nearest_declaration() {
+        let mut reg = registry();
+        reg.register(ClassDef::new("BOND_LIKE").extends("STOCK").attr("price", AttrType::Str))
+            .unwrap();
+        reg.check_attr("BOND_LIKE", "price", &"par".into()).unwrap();
+        assert!(matches!(
+            reg.check_attr("BOND_LIKE", "price", &1.5.into()),
+            Err(SchemaError::TypeMismatch { .. })
+        ));
+        reg.check_attr("BOND_LIKE", "symbol", &"T".into()).unwrap();
+        assert!(matches!(
+            reg.check_attr("STOCK", "sector", &"x".into()),
+            Err(SchemaError::UnknownAttr { .. })
+        ));
     }
 
     #[test]

@@ -70,13 +70,12 @@ impl ObjectStore {
         &self.engine
     }
 
-    fn encode_object(oid: Oid, state: &ObjectState) -> Bytes {
-        let payload = state.encode();
-        let mut out = BytesMut::with_capacity(payload.len() + 9);
+    fn encode_object(oid: Oid, state: &ObjectState) -> Vec<u8> {
+        let mut out = Vec::with_capacity(9 + state.encoded_len());
         out.put_u8(TAG_OBJECT);
         out.put_u64_le(oid.0);
-        out.put_slice(&payload);
-        out.freeze()
+        state.encode_into(&mut out);
+        out
     }
 
     /// Creates a new object inside `txn`, returning its identity.
@@ -87,15 +86,14 @@ impl ObjectStore {
         Ok(oid)
     }
 
-    /// Reads an object's state inside `txn`.
+    /// Reads an object's state inside `txn`, decoding it straight from its
+    /// pinned page.
     pub fn get(&self, txn: TxnId, oid: Oid) -> StorageResult<ObjectState> {
         let rid = self.rid_of(oid)?;
-        let record = self.engine.read(txn, rid)?;
-        Self::decode_record(oid, &record)
+        self.engine.read_with(txn, rid, |record| Self::decode_record(oid, record))?
     }
 
-    fn decode_record(oid: Oid, record: &[u8]) -> StorageResult<ObjectState> {
-        let mut buf = Bytes::copy_from_slice(record);
+    fn decode_record(oid: Oid, mut buf: &[u8]) -> StorageResult<ObjectState> {
         if buf.remaining() < 9 || buf.get_u8() != TAG_OBJECT || Oid(buf.get_u64_le()) != oid {
             return Err(StorageError::Corrupt("object record header mismatch"));
         }

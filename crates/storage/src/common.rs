@@ -223,22 +223,6 @@ impl From<std::io::Error> for StorageError {
 /// Convenience result alias for this crate.
 pub type StorageResult<T> = Result<T, StorageError>;
 
-/// CRC-32 (IEEE 802.3 polynomial) used to detect torn WAL records.
-///
-/// Implemented locally to stay within the approved dependency set.
-pub fn crc32(data: &[u8]) -> u32 {
-    const POLY: u32 = 0xEDB8_8320;
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (POLY & mask);
-        }
-    }
-    !crc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -267,21 +251,6 @@ mod tests {
         let rid = Rid::new(PageId(77), 13);
         let packed = rid.as_u64();
         assert_eq!(packed, (77u64 << 16) | 13);
-    }
-
-    #[test]
-    fn crc32_matches_known_vectors() {
-        // Standard test vector for CRC-32/ISO-HDLC.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
-
-    #[test]
-    fn crc32_detects_single_bit_flip() {
-        let mut data = b"sentinel wal record".to_vec();
-        let before = crc32(&data);
-        data[3] ^= 0x01;
-        assert_ne!(before, crc32(&data));
     }
 
     #[test]

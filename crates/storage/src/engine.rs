@@ -9,7 +9,6 @@
 
 use std::sync::Arc;
 
-use bytes::Bytes;
 use sentinel_obs::json;
 
 use crate::buffer::{BufferPool, BufferPoolStats};
@@ -111,16 +110,28 @@ impl StorageEngine {
         self.txns.check_active(txn)?;
         let rid = self.heap.insert(data)?;
         self.locks.lock(txn, rid.as_u64(), LockMode::Exclusive)?;
-        self.wal.append(&LogRecord::Insert { txn, rid, data: Bytes::copy_from_slice(data) })?;
+        self.wal.append_insert(txn, rid, data)?;
         self.txns.push_undo(txn, UndoOp::Insert(rid))?;
         Ok(rid)
     }
 
     /// Reads the record at `rid` under a shared lock.
     pub fn read(&self, txn: TxnId, rid: Rid) -> StorageResult<Vec<u8>> {
+        self.read_with(txn, rid, <[u8]>::to_vec)
+    }
+
+    /// Like [`Self::read`], but hands the record to `f` where it lies in
+    /// its pinned page, without copying it out. `f` runs under the page
+    /// latch and must not call back into the engine.
+    pub fn read_with<R>(
+        &self,
+        txn: TxnId,
+        rid: Rid,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> StorageResult<R> {
         self.txns.check_active(txn)?;
         self.locks.lock(txn, rid.as_u64(), LockMode::Shared)?;
-        self.heap.get(rid)
+        self.heap.read_with(rid, f)
     }
 
     /// Rewrites the record at `rid` under an exclusive lock.
@@ -128,12 +139,7 @@ impl StorageEngine {
         self.txns.check_active(txn)?;
         self.locks.lock(txn, rid.as_u64(), LockMode::Exclusive)?;
         let before = self.heap.update(rid, data)?;
-        self.wal.append(&LogRecord::Update {
-            txn,
-            rid,
-            before: Bytes::from(before.clone()),
-            after: Bytes::copy_from_slice(data),
-        })?;
+        self.wal.append_update(txn, rid, &before, data)?;
         self.txns.push_undo(txn, UndoOp::Update(rid, before))?;
         Ok(())
     }
@@ -143,7 +149,7 @@ impl StorageEngine {
         self.txns.check_active(txn)?;
         self.locks.lock(txn, rid.as_u64(), LockMode::Exclusive)?;
         let before = self.heap.delete(rid)?;
-        self.wal.append(&LogRecord::Delete { txn, rid, data: Bytes::from(before.clone()) })?;
+        self.wal.append_delete(txn, rid, &before)?;
         self.txns.push_undo(txn, UndoOp::Delete(rid, before))?;
         Ok(())
     }
@@ -177,20 +183,15 @@ impl StorageEngine {
             match op {
                 UndoOp::Insert(rid) => {
                     let before = self.heap.delete(rid)?;
-                    self.wal.append(&LogRecord::Delete { txn, rid, data: Bytes::from(before) })?;
+                    self.wal.append_delete(txn, rid, &before)?;
                 }
                 UndoOp::Update(rid, before) => {
                     let current = self.heap.update(rid, &before)?;
-                    self.wal.append(&LogRecord::Update {
-                        txn,
-                        rid,
-                        before: Bytes::from(current),
-                        after: Bytes::from(before),
-                    })?;
+                    self.wal.append_update(txn, rid, &current, &before)?;
                 }
                 UndoOp::Delete(rid, data) => {
                     self.heap.insert_at(rid, &data)?;
-                    self.wal.append(&LogRecord::Insert { txn, rid, data: Bytes::from(data) })?;
+                    self.wal.append_insert(txn, rid, &data)?;
                 }
             }
         }
@@ -500,5 +501,33 @@ mod tests {
         assert_eq!(eng2.read(t, rid).unwrap(), b"pre-ckpt");
         assert_eq!(eng2.read(t, rid2).unwrap(), b"post-ckpt");
         eng2.commit(t).unwrap();
+    }
+
+    #[test]
+    fn log_bytes_of_a_fixed_script_are_pinned() {
+        let (_, log, eng) = engine_with_handles();
+        let t = eng.begin().unwrap();
+        let a = eng.insert(t, b"alpha-object").unwrap();
+        let b = eng.insert(t, &[0x5A; 300]).unwrap();
+        let c = eng.insert(t, b"c").unwrap();
+        eng.update(t, a, b"alpha-object-v2").unwrap();
+        eng.update(t, b, &[0xA5; 280]).unwrap();
+        eng.update(t, a, b"a3").unwrap();
+        eng.update(t, c, b"gamma").unwrap();
+        eng.delete(t, b).unwrap();
+        let sp = eng.savepoint(t).unwrap();
+        eng.update(t, a, b"rule-write").unwrap();
+        eng.insert(t, b"rule-insert").unwrap();
+        eng.rollback_to(t, sp).unwrap();
+        eng.commit(t).unwrap();
+        let t2 = eng.begin().unwrap();
+        eng.insert(t2, b"doomed").unwrap();
+        eng.update(t2, a, b"doomed-update").unwrap();
+        eng.abort(t2).unwrap();
+        // Length and checksum of the log this script wrote before the
+        // table CRC and the one-buffer framing existed (commit 4427bb8).
+        let bytes = log.read_all().unwrap();
+        assert_eq!(bytes.len(), 1843);
+        assert_eq!(crate::crc32(&bytes), 0x717C_302E);
     }
 }

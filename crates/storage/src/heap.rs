@@ -94,14 +94,15 @@ impl HeapFile {
 
     /// Reads the record at `rid`.
     pub fn get(&self, rid: Rid) -> StorageResult<Vec<u8>> {
+        self.read_with(rid, <[u8]>::to_vec)
+    }
+
+    /// Hands the record at `rid` to `f` where it lies in its pinned page.
+    /// `f` runs under the page latch.
+    pub fn read_with<R>(&self, rid: Rid, f: impl FnOnce(&[u8]) -> R) -> StorageResult<R> {
         let guard = self.pool.fetch(rid.page)?;
         let data = guard.read();
-        // SlottedPage wants &mut; read through a local copy of the header
-        // accessor logic instead: cheapest is to clone the page for reads.
-        // To avoid the copy we use a small unsafe-free trick: SlottedPage
-        // only needs &mut for its mutating API, so provide a read path here.
-        let page = ReadPage(&data[..]);
-        page.get(rid.slot).map(<[u8]>::to_vec).ok_or(StorageError::RecordNotFound(rid))
+        ReadPage(&data[..]).get(rid.slot).map(f).ok_or(StorageError::RecordNotFound(rid))
     }
 
     /// Rewrites the record at `rid`; returns the before image.

@@ -13,6 +13,7 @@
 //! * [`page`] — 4 KiB slotted pages holding variable-length records,
 //! * [`buffer`] — a pin-counted LRU buffer pool,
 //! * [`heap`] — heap files addressed by record id ([`common::Rid`]),
+//! * [`frame`] — the checksummed frame every log record is written in,
 //! * [`wal`] — a checksummed write-ahead log,
 //! * [`lock`] — a strict two-phase lock manager with deadlock detection,
 //! * [`txn`] — the top-level transaction manager,
@@ -30,6 +31,7 @@ pub mod buffer;
 pub mod common;
 pub mod disk;
 pub mod engine;
+pub mod frame;
 pub mod heap;
 pub mod iospan;
 pub mod lock;
@@ -38,5 +40,6 @@ pub mod recovery;
 pub mod txn;
 pub mod wal;
 
-pub use common::{crc32, Lsn, PageId, Rid, StorageError, StorageResult, TxnId};
+pub use common::{Lsn, PageId, Rid, StorageError, StorageResult, TxnId};
 pub use engine::{StorageEngine, StorageStats};
+pub use frame::crc32;

@@ -18,12 +18,13 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::Arc;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 use parking_lot::Mutex;
 use sentinel_obs::span::TraceStore;
 use sentinel_obs::{Counter, Field};
 
-use crate::common::{crc32, Lsn, PageId, Rid, StorageError, StorageResult, TxnId};
+use crate::common::{Lsn, PageId, Rid, StorageError, StorageResult, TxnId};
+use crate::frame::{crc32, put_frame};
 use crate::iospan::IoTracer;
 
 /// One logical WAL record.
@@ -90,6 +91,27 @@ pub enum LogRecord {
     },
 }
 
+const TAG_INSERT: u8 = 4;
+const TAG_UPDATE: u8 = 5;
+const TAG_DELETE: u8 = 6;
+
+fn put_rid(out: &mut Vec<u8>, rid: Rid) {
+    out.put_u32_le(rid.page.0);
+    out.put_u16_le(rid.slot);
+}
+
+/// Payload of the three records that carry record images: tag, txn, rid,
+/// then each image length-prefixed.
+fn put_images(out: &mut Vec<u8>, tag: u8, txn: TxnId, rid: Rid, images: &[&[u8]]) {
+    out.put_u8(tag);
+    out.put_u64_le(txn.0);
+    put_rid(out, rid);
+    for image in images {
+        out.put_u32_le(image.len() as u32);
+        out.put_slice(image);
+    }
+}
+
 impl LogRecord {
     /// Transaction this record belongs to, if any.
     pub fn txn(&self) -> Option<TxnId> {
@@ -105,15 +127,7 @@ impl LogRecord {
         }
     }
 
-    fn encode(&self, out: &mut BytesMut) {
-        fn put_bytes(out: &mut BytesMut, b: &Bytes) {
-            out.put_u32_le(b.len() as u32);
-            out.put_slice(b);
-        }
-        fn put_rid(out: &mut BytesMut, rid: Rid) {
-            out.put_u32_le(rid.page.0);
-            out.put_u16_le(rid.slot);
-        }
+    fn encode(&self, out: &mut Vec<u8>) {
         match self {
             LogRecord::Begin { txn } => {
                 out.put_u8(1);
@@ -128,23 +142,13 @@ impl LogRecord {
                 out.put_u64_le(txn.0);
             }
             LogRecord::Insert { txn, rid, data } => {
-                out.put_u8(4);
-                out.put_u64_le(txn.0);
-                put_rid(out, *rid);
-                put_bytes(out, data);
+                put_images(out, TAG_INSERT, *txn, *rid, &[data])
             }
             LogRecord::Update { txn, rid, before, after } => {
-                out.put_u8(5);
-                out.put_u64_le(txn.0);
-                put_rid(out, *rid);
-                put_bytes(out, before);
-                put_bytes(out, after);
+                put_images(out, TAG_UPDATE, *txn, *rid, &[before, after]);
             }
             LogRecord::Delete { txn, rid, data } => {
-                out.put_u8(6);
-                out.put_u64_le(txn.0);
-                put_rid(out, *rid);
-                put_bytes(out, data);
+                put_images(out, TAG_DELETE, *txn, *rid, &[data])
             }
             LogRecord::Checkpoint { active } => {
                 out.put_u8(7);
@@ -363,6 +367,8 @@ pub struct Wal {
     forces: Counter,
     bytes: Counter,
     io: IoTracer,
+    /// The frame under construction, reused by every append.
+    frame: Mutex<Vec<u8>>,
 }
 
 impl Wal {
@@ -375,6 +381,7 @@ impl Wal {
             forces: Counter::new(),
             bytes: Counter::new(),
             io: IoTracer::default(),
+            frame: Mutex::new(Vec::new()),
         }
     }
 
@@ -386,15 +393,39 @@ impl Wal {
 
     /// Appends a record, returning its LSN. Does **not** force.
     pub fn append(&self, rec: &LogRecord) -> StorageResult<Lsn> {
-        let mut payload = BytesMut::new();
-        rec.encode(&mut payload);
-        let mut framed = BytesMut::with_capacity(payload.len() + 8);
-        framed.put_u32_le(payload.len() as u32);
-        framed.put_u32_le(crc32(&payload));
-        framed.put_slice(&payload);
-        let off = self.store.append(&framed)?;
+        self.append_payload(|out| rec.encode(out))
+    }
+
+    /// Appends an [`LogRecord::Insert`] whose after image is borrowed.
+    pub(crate) fn append_insert(&self, txn: TxnId, rid: Rid, data: &[u8]) -> StorageResult<Lsn> {
+        self.append_payload(|out| put_images(out, TAG_INSERT, txn, rid, &[data]))
+    }
+
+    /// Appends an [`LogRecord::Update`] whose images are borrowed.
+    pub(crate) fn append_update(
+        &self,
+        txn: TxnId,
+        rid: Rid,
+        before: &[u8],
+        after: &[u8],
+    ) -> StorageResult<Lsn> {
+        self.append_payload(|out| put_images(out, TAG_UPDATE, txn, rid, &[before, after]))
+    }
+
+    /// Appends a [`LogRecord::Delete`] whose before image is borrowed.
+    pub(crate) fn append_delete(&self, txn: TxnId, rid: Rid, data: &[u8]) -> StorageResult<Lsn> {
+        self.append_payload(|out| put_images(out, TAG_DELETE, txn, rid, &[data]))
+    }
+
+    /// Frames one payload in the reused buffer and hands it to the store
+    /// in a single append.
+    fn append_payload(&self, payload: impl FnOnce(&mut Vec<u8>)) -> StorageResult<Lsn> {
+        let mut frame = self.frame.lock();
+        frame.clear();
+        put_frame(&mut frame, payload);
+        let off = self.store.append(&frame)?;
         self.appends.inc();
-        self.bytes.add(framed.len() as u64);
+        self.bytes.add(frame.len() as u64);
         Ok(Lsn(off))
     }
 
@@ -498,6 +529,19 @@ mod tests {
         }
         let scanned: Vec<_> = w.scan().unwrap().into_iter().map(|(_, r)| r).collect();
         assert_eq!(scanned, recs);
+    }
+
+    #[test]
+    fn borrowed_appenders_write_the_bytes_of_the_owned_records() {
+        let (owned, borrowed) = (wal(), wal());
+        let rid = Rid::new(PageId(3), 4);
+        for r in &sample_records()[1..4] {
+            owned.append(r).unwrap();
+        }
+        borrowed.append_insert(TxnId(1), rid, b"obj-a").unwrap();
+        borrowed.append_update(TxnId(1), rid, b"obj-a", b"obj-b").unwrap();
+        borrowed.append_delete(TxnId(1), rid, b"obj-b").unwrap();
+        assert_eq!(owned.store().read_all().unwrap(), borrowed.store().read_all().unwrap());
     }
 
     #[test]

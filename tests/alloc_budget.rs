@@ -1,0 +1,291 @@
+//! Heap allocations of the object write path, kept under a budget.
+//!
+//! A counting global allocator counts the allocations the test thread makes
+//! (rules run inline, so all of a transaction's work is on it) for one
+//! passive `invoke` and for one scripted STOCK/PORTFOLIO transaction of the
+//! shape the benchmark's `embedded_txn` workload runs: eight `set_price`
+//! invocations, a quarter of which fire an immediate rule that revalues a
+//! portfolio, which fires a rule that sells stock; a deferred audit rule at
+//! pre-commit; a chronicle composite. Measured here at commit 4427bb8,
+//! before the wrapper decoded the receiver once and wrote it back once: 73
+//! and 1 280; after: 25 and 524.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::{Arc, Weak};
+
+use sentinel_core::detector::graph::PrimTarget;
+use sentinel_core::detector::Value;
+use sentinel_core::oodb::schema::{AttrType, ClassDef};
+use sentinel_core::oodb::{AttrValue, ObjectState, Oid};
+use sentinel_core::rules::manager::RuleOptions;
+use sentinel_core::rules::RuleInvocation;
+use sentinel_core::snoop::ast::EventModifier;
+use sentinel_core::snoop::{CouplingMode, ParamContext};
+use sentinel_core::storage::TxnId;
+use sentinel_core::Sentinel;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to the system allocator; the
+// counter is a const-initialised thread-local `Cell`, which neither
+// allocates nor runs a destructor.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations of this thread while `f` runs.
+fn allocations(f: impl FnOnce()) -> u64 {
+    let before = ALLOCATIONS.with(Cell::get);
+    f();
+    ALLOCATIONS.with(Cell::get) - before
+}
+
+const SET_PRICE: &str = "void set_price(float price)";
+const SET_PRICE_QUIET: &str = "void set_price_quiet(float price)";
+const SELL_STOCK: &str = "int sell_stock(int qty)";
+const REVALUE: &str = "void revalue(float delta, int stock)";
+const RECORD: &str = "void record(int n)";
+
+fn float_arg(inv: &RuleInvocation, name: &str) -> f64 {
+    let v = inv.occurrence.params.iter().find(|(n, _)| &**n == name).map(|(_, v)| v);
+    v.and_then(Value::as_f64).unwrap_or(0.0)
+}
+
+struct Market {
+    sentinel: Arc<Sentinel>,
+    stocks: Vec<Oid>,
+}
+
+fn market() -> Market {
+    let s = Sentinel::in_memory();
+    let db = s.db();
+    db.register_class(
+        ClassDef::new("STOCK")
+            .extends("REACTIVE")
+            .attr("symbol", AttrType::Str)
+            .attr("price", AttrType::Float)
+            .attr("holdings", AttrType::Int)
+            .attr("notes", AttrType::Str)
+            .method(SET_PRICE)
+            .method(SET_PRICE_QUIET)
+            .method(SELL_STOCK),
+    )
+    .unwrap();
+    db.register_class(
+        ClassDef::new("PORTFOLIO")
+            .extends("REACTIVE")
+            .attr("value", AttrType::Float)
+            .attr("trades", AttrType::Int)
+            .method(REVALUE),
+    )
+    .unwrap();
+    db.register_class(
+        ClassDef::new("AUDIT")
+            .extends("REACTIVE")
+            .attr("txns", AttrType::Int)
+            .attr("price_changes", AttrType::Int)
+            .method(RECORD),
+    )
+    .unwrap();
+    for sig in [SET_PRICE, SET_PRICE_QUIET] {
+        db.register_method(
+            "STOCK",
+            sig,
+            Arc::new(|ctx| {
+                let p = ctx.arg("price").and_then(AttrValue::as_float).unwrap_or(0.0);
+                ctx.set_attr("price", p)?;
+                Ok(AttrValue::Null)
+            }),
+        );
+    }
+    db.register_method(
+        "STOCK",
+        SELL_STOCK,
+        Arc::new(|ctx| {
+            let q = ctx.arg("qty").and_then(AttrValue::as_int).unwrap_or(0);
+            let h = ctx.get_attr("holdings")?.as_int().unwrap_or(0);
+            ctx.set_attr("holdings", h - q)?;
+            Ok(AttrValue::Int(h - q))
+        }),
+    );
+    db.register_method(
+        "PORTFOLIO",
+        REVALUE,
+        Arc::new(|ctx| {
+            let d = ctx.arg("delta").and_then(AttrValue::as_float).unwrap_or(0.0);
+            let v = ctx.get_attr("value")?.as_float().unwrap_or(0.0);
+            let t = ctx.get_attr("trades")?.as_int().unwrap_or(0);
+            ctx.set_attr("value", v + d)?;
+            ctx.set_attr("trades", t + 1)?;
+            Ok(AttrValue::Null)
+        }),
+    );
+    db.register_method(
+        "AUDIT",
+        RECORD,
+        Arc::new(|ctx| {
+            let n = ctx.arg("n").and_then(AttrValue::as_int).unwrap_or(0);
+            let t = ctx.get_attr("txns")?.as_int().unwrap_or(0);
+            let c = ctx.get_attr("price_changes")?.as_int().unwrap_or(0);
+            ctx.set_attr("txns", t + 1)?;
+            ctx.set_attr("price_changes", c + n)?;
+            Ok(AttrValue::Null)
+        }),
+    );
+    for (name, class, sig) in [
+        ("set_price_ev", "STOCK", SET_PRICE),
+        ("sell_ev", "STOCK", SELL_STOCK),
+        ("revalue_ev", "PORTFOLIO", REVALUE),
+    ] {
+        s.declare_event(name, class, EventModifier::End, sig, PrimTarget::AnyInstance).unwrap();
+    }
+    s.define_event("trade_seq", "set_price_ev ; sell_ev").unwrap();
+
+    let txn = s.begin().unwrap();
+    let notes = "x".repeat(160);
+    let stocks: Vec<Oid> = (0..64)
+        .map(|i| {
+            let state = ObjectState::new("STOCK")
+                .with("symbol", AttrValue::Str(format!("S{i:05}")))
+                .with("price", 100.0)
+                .with("holdings", 1i64 << 40)
+                .with("notes", notes.as_str());
+            s.create_object(txn, &state).unwrap()
+        })
+        .collect();
+    let portfolio = s
+        .create_object(txn, &ObjectState::new("PORTFOLIO").with("value", 0.0).with("trades", 0i64))
+        .unwrap();
+    let audit = s
+        .create_object(
+            txn,
+            &ObjectState::new("AUDIT").with("txns", 0i64).with("price_changes", 0i64),
+        )
+        .unwrap();
+    s.commit(txn).unwrap();
+
+    let weak: Weak<Sentinel> = Arc::downgrade(&s);
+    let w = weak.clone();
+    s.define_rule(
+        "revalue_on_price",
+        "set_price_ev",
+        Arc::new(|inv| (float_arg(inv, "price") * 100.0).round() as i64 % 4 == 0),
+        Arc::new(move |inv| {
+            let (Some(s), Some(txn), Some(stock)) = (w.upgrade(), inv.txn, inv.occurrence.source)
+            else {
+                return;
+            };
+            let args = vec![
+                ("delta".into(), AttrValue::Float(float_arg(inv, "price") * 100.0)),
+                ("stock".into(), AttrValue::Int(stock as i64)),
+            ];
+            s.invoke(TxnId(txn), portfolio, REVALUE, args).unwrap();
+        }),
+        RuleOptions::default().priority(10),
+    )
+    .unwrap();
+    let w = weak.clone();
+    s.define_rule(
+        "sell_on_revalue",
+        "revalue_ev",
+        Arc::new(|_| true),
+        Arc::new(move |inv| {
+            let (Some(s), Some(txn)) = (w.upgrade(), inv.txn) else { return };
+            let stock = inv.occurrence.params.iter().find(|(n, _)| &**n == "stock");
+            let Some(stock) = stock.and_then(|(_, v)| v.as_i64()) else { return };
+            s.invoke(TxnId(txn), Oid(stock as u64), SELL_STOCK, vec![("qty".into(), 1i64.into())])
+                .unwrap();
+        }),
+        RuleOptions::default().priority(20),
+    )
+    .unwrap();
+    let w = weak;
+    s.define_rule(
+        "audit_at_commit",
+        "set_price_ev",
+        Arc::new(|_| true),
+        Arc::new(move |inv| {
+            let (Some(s), Some(txn)) = (w.upgrade(), inv.txn) else { return };
+            let changes = inv
+                .occurrence
+                .param_list()
+                .iter()
+                .filter(|p| &*p.event_name == "set_price_ev")
+                .count();
+            s.invoke(TxnId(txn), audit, RECORD, vec![("n".into(), (changes as i64).into())])
+                .unwrap();
+        }),
+        RuleOptions::default().coupling(CouplingMode::Deferred).context(ParamContext::Cumulative),
+    )
+    .unwrap();
+    s.define_rule(
+        "count_trade_seq",
+        "trade_seq",
+        Arc::new(|_| true),
+        Arc::new(|_| {}),
+        RuleOptions::default().context(ParamContext::Chronicle),
+    )
+    .unwrap();
+    Market { sentinel: s, stocks }
+}
+
+/// Eight `set_price` invocations, the third and the seventh at a price
+/// that fires the immediate rule, then commit.
+fn scripted_txn(sys: &Market, round: usize) {
+    let s = &sys.sentinel;
+    let txn = s.begin().unwrap();
+    for i in 0..8 {
+        let stock = sys.stocks[(round * 8 + i) % sys.stocks.len()];
+        let cents = if i % 4 == 2 { 10_400 } else { 10_401 + i as u32 * 4 };
+        let price = f64::from(cents) / 100.0;
+        s.invoke(txn, stock, SET_PRICE, vec![("price".into(), price.into())]).unwrap();
+    }
+    s.commit(txn).unwrap();
+}
+
+#[test]
+fn the_write_path_stays_within_its_allocation_budget() {
+    let sys = market();
+    let s = &sys.sentinel;
+    // Warm-up: caches filled, vectors and maps grown.
+    for round in 0..8 {
+        scripted_txn(&sys, round);
+    }
+
+    let txn = s.begin().unwrap();
+    let rounds = 32u64;
+    let passive = allocations(|| {
+        for i in 0..rounds {
+            let stock = sys.stocks[i as usize % sys.stocks.len()];
+            s.invoke(txn, stock, SET_PRICE_QUIET, vec![("price".into(), 101.5.into())]).unwrap();
+        }
+    }) / rounds;
+    s.commit(txn).unwrap();
+    assert!(passive <= 40, "{passive} allocations per passive invoke, budget 40");
+
+    let per_txn = allocations(|| {
+        for round in 8..8 + rounds {
+            scripted_txn(&sys, round as usize);
+        }
+    }) / rounds;
+    assert!(per_txn <= 900, "{per_txn} allocations per scripted transaction, budget 900");
+    println!("allocations: {passive} per passive invoke, {per_txn} per scripted transaction");
+}
