@@ -35,14 +35,14 @@
 //! [`FenceKind`] fence through the sink under the quiesce, so a sharded
 //! journal can reconstruct a replay order equivalent to the live
 //! happened-before order (timestamps are the tiebreaker between fences).
-//! Only batch recording ([`LocalEventDetector::start_recording`]) still
-//! switches the detector to *serial mode* — every signal quiesces — so
-//! the in-memory log stays a total order.
+//! Batch recording is such a sink too ([`crate::log::EventRecorder`]), so
+//! a recorded run detects exactly what an unrecorded run and its replay
+//! detect.
 use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::ptr::NonNull;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, MutexGuard, RwLock};
@@ -136,6 +136,14 @@ pub struct Detection {
     pub subscribers: Vec<SubscriberId>,
 }
 
+/// What one signal addresses: a method of a class (routed to the shard
+/// holding the class's leaves) or an explicit leaf (routed to its shard).
+#[derive(Debug, Clone, Copy)]
+enum Signal<'a> {
+    Method { class: &'a str, sig: &'a str, edge: EventModifier, oid: u64 },
+    Explicit { name: &'a str, leaf: EventId },
+}
+
 /// Mutable per-shard detector state: the signal-order guard plus the
 /// shard's alarm heap and occurrence counters, and its observability
 /// counters. Indexed by shard label; labels merged away by DDL leave an
@@ -184,18 +192,11 @@ pub struct LocalEventDetector {
     shards: RwLock<Vec<Arc<ShardState>>>,
     clock: Arc<LogicalClock>,
     app: u32,
-    /// When true every signal quiesces all shards (batch recording on),
-    /// so log order equals timestamp order.
-    serial: AtomicBool,
-    /// Primitive-event log for batch (after-the-fact) detection.
-    log: Mutex<Option<Vec<LoggedEvent>>>,
     /// Optional synchronous observer of accepted primitive events (the
-    /// durable event journal).
+    /// durable event journal, a batch-recording [`crate::log::EventRecorder`]).
     sink: RwLock<Option<Arc<dyn EventSink>>>,
-    /// Serializes sink/log attach and detach, so two administrators
-    /// cannot interleave their drain-install/clear-refresh windows (a
-    /// `take_log` must not clobber a concurrent `start_recording`'s
-    /// serial flag).
+    /// Serializes sink attach and detach, so two administrators cannot
+    /// interleave their drain-and-swap windows.
     sink_admin: Mutex<()>,
     /// Total primitive signals processed.
     signals: AtomicU64,
@@ -363,8 +364,6 @@ impl LocalEventDetector {
             shards: RwLock::new(shards),
             clock,
             app,
-            serial: AtomicBool::new(false),
-            log: Mutex::new(None),
             sink: RwLock::new(None),
             sink_admin: Mutex::new(()),
             signals: AtomicU64::new(0),
@@ -516,18 +515,6 @@ impl LocalEventDetector {
         let prev = QUIESCED.with(|q| q.replace(Some((me, NonNull::from(&*graph).cast()))));
         let _reset = Reset(prev);
         f(&graph, &shards)
-    }
-
-    /// Recomputes serial mode (batch recording on). Sinks no longer force
-    /// serial mode — they are recorded per shard and ordered by fences.
-    fn refresh_serial(&self) {
-        let on = self.log.lock().is_some();
-        self.serial.store(on, Ordering::SeqCst);
-    }
-
-    /// Every currently allocated shard label.
-    fn all_labels(shards: &[Arc<ShardState>]) -> Vec<u32> {
-        (0..shards.len() as u32).collect()
     }
 
     /// Forwards a whole-graph ordering point to the attached sink, if
@@ -794,12 +781,14 @@ impl LocalEventDetector {
         if !self.signaling() {
             return Vec::new();
         }
-        self.signal_method(class, sig, edge, oid, params, txn, None, true)
+        self.signal(Signal::Method { class, sig, edge, oid }, params, txn, None, true)
     }
 
-    /// Method signal with a pre-assigned timestamp (batch replay). Not
-    /// forwarded to the log/sink — replaying a journal must not re-append
-    /// to it.
+    /// Method signal with a pre-assigned timestamp. `live` for pool
+    /// delivery (the timestamp was drawn at submission so queue order
+    /// equals timestamp order; forwarded to the sink like
+    /// [`Self::notify_method`]); not `live` for batch replay (not
+    /// forwarded — replaying a journal must not re-append to it).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn notify_method_at(
         &self,
@@ -810,136 +799,109 @@ impl LocalEventDetector {
         params: Vec<(Arc<str>, Value)>,
         txn: Option<u64>,
         ts: Timestamp,
+        live: bool,
     ) -> Vec<Detection> {
-        self.signal_method(class, sig, edge, oid, params, txn, Some(ts), false)
+        if live && !self.signaling() {
+            return Vec::new();
+        }
+        self.signal(Signal::Method { class, sig, edge, oid }, params, txn, Some(ts), live)
     }
 
-    /// Live method signal with a pre-assigned timestamp (pool delivery:
-    /// the timestamp was drawn at submission so queue order equals
-    /// timestamp order). Forwarded to the log/sink like
-    /// [`Self::notify_method`].
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn notify_method_at_live(
+    /// Signals an explicit/abstract event by name (transaction events,
+    /// user-raised events, forwarded global events). Unknown names are
+    /// declared on the fly.
+    pub fn signal_explicit(
         &self,
-        class: &str,
-        sig: &str,
-        edge: EventModifier,
-        oid: u64,
+        name: &str,
         params: Vec<(Arc<str>, Value)>,
         txn: Option<u64>,
-        ts: Timestamp,
     ) -> Vec<Detection> {
         if !self.signaling() {
             return Vec::new();
         }
-        self.signal_method(class, sig, edge, oid, params, txn, Some(ts), true)
+        self.signal(self.explicit(name), params, txn, None, true)
     }
 
-    /// One method signal: route to the class's shard, timestamp under its
-    /// order lock, record, propagate. In serial mode (batch recording)
-    /// the whole signal runs quiesced instead.
-    #[allow(clippy::too_many_arguments)]
-    fn signal_method(
+    /// Explicit signal with a pre-assigned timestamp: `live` for pool
+    /// delivery, not `live` for batch replay (see
+    /// [`Self::notify_method_at`]).
+    pub(crate) fn signal_explicit_at(
         &self,
-        class: &str,
-        sig: &str,
-        edge: EventModifier,
-        oid: u64,
+        name: &str,
+        params: Vec<(Arc<str>, Value)>,
+        txn: Option<u64>,
+        ts: Timestamp,
+        live: bool,
+    ) -> Vec<Detection> {
+        if live && !self.signaling() {
+            return Vec::new();
+        }
+        self.signal(self.explicit(name), params, txn, Some(ts), live)
+    }
+
+    /// The explicit signal addressing `name`, declaring the event (and
+    /// its shard) if new — a write-lock DDL step taken before routing.
+    fn explicit<'a>(&self, name: &'a str) -> Signal<'a> {
+        if let Some(leaf) = self.graph.read().lookup(name) {
+            return Signal::Explicit { name, leaf };
+        }
+        let mut graph = self.graph.write();
+        let leaf = graph.declare_explicit(name);
+        self.sync_shards(&mut graph);
+        Signal::Explicit { name, leaf }
+    }
+
+    /// The one routing step of every signal, live or replayed: route to
+    /// the signal's shard, take that shard's order lock, draw the
+    /// timestamp, record the signal (live signals only) and propagate it
+    /// on that shard alone.
+    fn signal(
+        &self,
+        target: Signal<'_>,
         params: Vec<(Arc<str>, Value)>,
         txn: Option<u64>,
         at: Option<Timestamp>,
         live: bool,
     ) -> Vec<Detection> {
-        loop {
-            if self.serial.load(Ordering::SeqCst) {
-                return self.quiesce(|graph, shards| {
-                    let label = graph
-                        .class_events(class)
-                        .first()
-                        .map(|&id| graph.shard_of(id))
-                        .unwrap_or(0);
-                    let ts = self.stamp(at);
-                    if live {
-                        self.record(label, Arc::from(class), ts, txn, || LoggedEvent::Method {
-                            class: class.to_string(),
-                            sig: sig.to_string(),
-                            edge,
-                            oid,
-                            params: params.clone(),
-                            txn,
-                            ts,
-                        });
-                    }
-                    let labels = Self::all_labels(shards);
-                    self.method_core(graph, shards, &labels, class, sig, edge, oid, params, txn, ts)
-                });
+        let graph = self.graph.read();
+        let shards = self.shards.read();
+        let label = match target {
+            Signal::Method { class, .. } => {
+                graph.class_events(class).first().map(|&id| graph.shard_of(id))
             }
-            let graph = self.graph.read();
-            let shards = self.shards.read();
-            let Some(&first) = graph.class_events(class).first() else {
-                // No events declared for this class: nothing can match,
-                // but the signal is still timestamped and recorded (the
-                // journal must not drop it).
-                let ts = self.stamp(at);
-                if live {
-                    self.record(0, Arc::from(class), ts, txn, || LoggedEvent::Method {
-                        class: class.to_string(),
-                        sig: sig.to_string(),
-                        edge,
-                        oid,
-                        params: params.clone(),
-                        txn,
-                        ts,
-                    });
-                }
-                self.signals.fetch_add(1, Ordering::Relaxed);
-                return Vec::new();
-            };
-            let label = graph.shard_of(first);
-            let shard = shards[label as usize].clone();
-            let _order = self.lock_shard(&shard);
-            if self.serial.load(Ordering::SeqCst) {
-                // Recording switched on between the check above and the
-                // shard lock: retry through the serial path, so the
-                // drain in `start_recording` cannot miss this signal.
-                continue;
+            Signal::Explicit { leaf, .. } => Some(graph.shard_of(leaf)),
+        };
+        let _order = label.map(|l| self.lock_shard(&shards[l as usize]));
+        let ts = self.stamp(at);
+        if live {
+            self.record(&graph, label.unwrap_or(0), target, &params, txn, ts);
+        }
+        let Some(label) = label else {
+            // No events declared for this class: nothing can match, but
+            // the signal is still timestamped, recorded (the journal must
+            // not drop it) and counted.
+            self.signals.fetch_add(1, Ordering::Relaxed);
+            return Vec::new();
+        };
+        match target {
+            Signal::Method { class, sig, edge, oid } => {
+                self.method_core(&graph, &shards, label, class, sig, edge, oid, params, txn, ts)
             }
-            let ts = self.stamp(at);
-            if live {
-                self.record(label, Arc::from(class), ts, txn, || LoggedEvent::Method {
-                    class: class.to_string(),
-                    sig: sig.to_string(),
-                    edge,
-                    oid,
-                    params: params.clone(),
-                    txn,
-                    ts,
-                });
+            Signal::Explicit { leaf, .. } => {
+                self.explicit_core(&graph, &shards, label, leaf, params, txn, ts)
             }
-            return self.method_core(
-                &graph,
-                &shards,
-                &[label],
-                class,
-                sig,
-                edge,
-                oid,
-                params,
-                txn,
-                ts,
-            );
         }
     }
 
-    /// Propagates one timestamped method signal. Caller holds the graph
-    /// read lock and the order lock of every shard in `fire_labels`
-    /// (which includes the class's shard).
+    /// Propagates one timestamped method signal on shard `label` (the
+    /// class's shard), whose order lock the caller holds together with
+    /// the graph read lock.
     #[allow(clippy::too_many_arguments)]
     fn method_core(
         &self,
         graph: &EventGraph,
         shards: &[Arc<ShardState>],
-        fire_labels: &[u32],
+        label: u32,
         class: &str,
         sig: &str,
         edge: EventModifier,
@@ -949,20 +911,17 @@ impl LocalEventDetector {
         ts: Timestamp,
     ) -> Vec<Detection> {
         self.signals.fetch_add(1, Ordering::Relaxed);
-        if let Some(&first) = graph.class_events(class).first() {
-            shards[graph.shard_of(first) as usize].signals.fetch_add(1, Ordering::Relaxed);
-        }
+        shards[label as usize].signals.fetch_add(1, Ordering::Relaxed);
         let tracer = self.tracer();
         let signal_span = tracer
             .as_deref()
             .map(|s| Self::open_signal_span(s, Arc::from(format!("{class}::{sig}"))));
         let signal_ctx = signal_span.as_ref().map(|h| h.ctx);
-        let mut detections = self.fire_due_alarms(graph, shards, fire_labels, ts);
+        let mut detections = self.fire_due_alarms(graph, shards, label, ts);
         // "When the local event detector is notified of a method invocation
         // for a class, the invocation is propagated only to the primitive
         // events defined for that class" (§3.2).
-        let candidates: Vec<EventId> = graph.class_events(class).to_vec();
-        for leaf in candidates {
+        for &leaf in graph.class_events(class) {
             // The leaf guard must be dropped before propagation (which
             // re-locks the leaf to deliver to its subscribers).
             let (name, prim_ctx) = {
@@ -1039,134 +998,24 @@ impl LocalEventDetector {
         ctx
     }
 
-    /// Signals an explicit/abstract event by name (transaction events,
-    /// user-raised events, forwarded global events). Unknown names are
-    /// declared on the fly.
-    pub fn signal_explicit(
-        &self,
-        name: &str,
-        params: Vec<(Arc<str>, Value)>,
-        txn: Option<u64>,
-    ) -> Vec<Detection> {
-        if !self.signaling() {
-            return Vec::new();
-        }
-        self.signal_explicit_impl(name, params, txn, None, true)
-    }
-
-    /// Explicit signal with a pre-assigned timestamp (batch replay). Not
-    /// forwarded to the log/sink — replaying a journal must not re-append
-    /// to it.
-    pub(crate) fn signal_explicit_at(
-        &self,
-        name: &str,
-        params: Vec<(Arc<str>, Value)>,
-        txn: Option<u64>,
-        ts: Timestamp,
-    ) -> Vec<Detection> {
-        self.signal_explicit_impl(name, params, txn, Some(ts), false)
-    }
-
-    /// Live explicit signal with a pre-assigned timestamp (pool
-    /// delivery). Forwarded to the log/sink like
-    /// [`Self::signal_explicit`].
-    pub(crate) fn signal_explicit_at_live(
-        &self,
-        name: &str,
-        params: Vec<(Arc<str>, Value)>,
-        txn: Option<u64>,
-        ts: Timestamp,
-    ) -> Vec<Detection> {
-        if !self.signaling() {
-            return Vec::new();
-        }
-        self.signal_explicit_impl(name, params, txn, Some(ts), true)
-    }
-
-    /// One explicit signal: ensure the leaf exists (a write-lock DDL step
-    /// when unknown), then route to its shard, timestamp under its order
-    /// lock, record, propagate. In serial mode (batch recording) the
-    /// propagation runs quiesced instead.
-    fn signal_explicit_impl(
-        &self,
-        name: &str,
-        params: Vec<(Arc<str>, Value)>,
-        txn: Option<u64>,
-        at: Option<Timestamp>,
-        live: bool,
-    ) -> Vec<Detection> {
-        let leaf = self.ensure_explicit(name);
-        loop {
-            if self.serial.load(Ordering::SeqCst) {
-                return self.quiesce(|graph, shards| {
-                    let ts = self.stamp(at);
-                    if live {
-                        self.record(graph.shard_of(leaf), graph.name_of(leaf), ts, txn, || {
-                            LoggedEvent::Explicit {
-                                name: name.to_string(),
-                                params: params.clone(),
-                                txn,
-                                ts,
-                            }
-                        });
-                    }
-                    let labels = Self::all_labels(shards);
-                    self.explicit_core(graph, shards, &labels, leaf, params, txn, ts)
-                });
-            }
-            let graph = self.graph.read();
-            let shards = self.shards.read();
-            let label = graph.shard_of(leaf);
-            let shard = shards[label as usize].clone();
-            let _order = self.lock_shard(&shard);
-            if self.serial.load(Ordering::SeqCst) {
-                // Recording switched on between the check above and the
-                // shard lock: retry through the serial path, so the
-                // drain in `start_recording` cannot miss this signal.
-                continue;
-            }
-            let ts = self.stamp(at);
-            if live {
-                self.record(label, graph.name_of(leaf), ts, txn, || LoggedEvent::Explicit {
-                    name: name.to_string(),
-                    params: params.clone(),
-                    txn,
-                    ts,
-                });
-            }
-            return self.explicit_core(&graph, &shards, &[label], leaf, params, txn, ts);
-        }
-    }
-
-    /// Looks up an explicit event, declaring it (and its shard) if new.
-    fn ensure_explicit(&self, name: &str) -> EventId {
-        if let Some(id) = self.graph.read().lookup(name) {
-            return id;
-        }
-        let mut graph = self.graph.write();
-        let id = graph.declare_explicit(name);
-        self.sync_shards(&mut graph);
-        id
-    }
-
-    /// Propagates one timestamped explicit signal. Caller holds the graph
-    /// read lock and the order lock of every shard in `fire_labels`
-    /// (which includes the leaf's shard).
+    /// Propagates one timestamped explicit signal on shard `label` (the
+    /// leaf's shard), whose order lock the caller holds together with the
+    /// graph read lock.
     #[allow(clippy::too_many_arguments)]
     fn explicit_core(
         &self,
         graph: &EventGraph,
         shards: &[Arc<ShardState>],
-        fire_labels: &[u32],
+        label: u32,
         leaf: EventId,
         params: Vec<(Arc<str>, Value)>,
         txn: Option<u64>,
         ts: Timestamp,
     ) -> Vec<Detection> {
         self.signals.fetch_add(1, Ordering::Relaxed);
-        shards[graph.shard_of(leaf) as usize].signals.fetch_add(1, Ordering::Relaxed);
+        shards[label as usize].signals.fetch_add(1, Ordering::Relaxed);
         let tracer = self.tracer();
-        let mut detections = self.fire_due_alarms(graph, shards, fire_labels, ts);
+        let mut detections = self.fire_due_alarms(graph, shards, label, ts);
         let leaf_name = graph.name_of(leaf);
         let signal_span = tracer.as_deref().map(|s| Self::open_signal_span(s, leaf_name.clone()));
         let prim_ctx = match (tracer.as_deref(), signal_span.as_ref()) {
@@ -1190,8 +1039,10 @@ impl LocalEventDetector {
     pub fn advance_time(&self, to: Timestamp) -> Vec<Detection> {
         self.clock.advance_to(to);
         self.quiesce(|graph, shards| {
-            let labels = Self::all_labels(shards);
-            let detections = self.fire_due_alarms(graph, shards, &labels, to);
+            let mut detections = Vec::new();
+            for label in 0..shards.len() as u32 {
+                detections.extend(self.fire_due_alarms(graph, shards, label, to));
+            }
             self.cut_fence(FenceKind::AdvanceTime(to));
             detections
         })
@@ -1390,45 +1241,43 @@ impl LocalEventDetector {
         }
     }
 
-    /// Fires every alarm due at `now` in the given shards (a signal fires
-    /// its own shard's alarms; `advance_time` and serial mode fire all).
+    /// Fires every alarm due at `now` in shard `label` (a signal fires its
+    /// own shard's alarms; `advance_time` fires every shard's).
     fn fire_due_alarms(
         &self,
         graph: &EventGraph,
         shards: &[Arc<ShardState>],
-        labels: &[u32],
+        label: u32,
         now: Timestamp,
     ) -> Vec<Detection> {
         let mut detections = Vec::new();
         let tracer = self.tracer();
-        for &label in labels {
-            let Some(shard) = shards.get(label as usize) else { continue };
-            loop {
-                let next = {
-                    let mut alarms = shard.alarms.lock();
-                    match alarms.peek() {
-                        Some(Reverse((due, _))) if *due <= now => alarms.pop(),
-                        _ => None,
-                    }
-                };
-                let Some(Reverse((_, node_id))) = next else { break };
-                for ctx in ParamContext::ALL {
-                    if !graph.node(node_id).active(ctx) {
-                        continue;
-                    }
-                    let emissions = {
-                        let mut node = graph.node(node_id);
-                        let ems = node.fire_alarms(now, ctx);
-                        node.emitted[ctx.index()] += ems.len() as u64;
-                        ems
-                    };
-                    for em in emissions {
-                        let occ = self.make_occurrence(graph, node_id, em, ctx, tracer.as_deref());
-                        detections.extend(self.propagate(graph, shards, node_id, occ, Some(ctx)));
-                    }
+        let shard = &shards[label as usize];
+        loop {
+            let next = {
+                let mut alarms = shard.alarms.lock();
+                match alarms.peek() {
+                    Some(Reverse((due, _))) if *due <= now => alarms.pop(),
+                    _ => None,
                 }
-                self.reschedule(graph, shards, node_id);
+            };
+            let Some(Reverse((_, node_id))) = next else { break };
+            for ctx in ParamContext::ALL {
+                if !graph.node(node_id).active(ctx) {
+                    continue;
+                }
+                let emissions = {
+                    let mut node = graph.node(node_id);
+                    let ems = node.fire_alarms(now, ctx);
+                    node.emitted[ctx.index()] += ems.len() as u64;
+                    ems
+                };
+                for em in emissions {
+                    let occ = self.make_occurrence(graph, node_id, em, ctx, tracer.as_deref());
+                    detections.extend(self.propagate(graph, shards, node_id, occ, Some(ctx)));
+                }
             }
+            self.reschedule(graph, shards, node_id);
         }
         detections
     }
@@ -1495,35 +1344,7 @@ impl LocalEventDetector {
         })
     }
 
-    // --- batch (event-log) detection -------------------------------------
-
-    /// Starts recording signalled primitive events. Recording switches the
-    /// detector to serial mode so the log order equals timestamp order.
-    pub fn start_recording(&self) {
-        let _admin = self.sink_admin.lock();
-        self.serial.store(true, Ordering::SeqCst);
-        // Quiesce once so every signal already in flight (which loaded
-        // serial=false and already passed its post-lock re-check) drains
-        // before the log is installed.
-        self.quiesce(|_, _| {
-            *self.log.lock() = Some(Vec::new());
-        });
-    }
-
-    /// Stops recording and returns the log.
-    pub fn take_log(&self) -> Vec<LoggedEvent> {
-        let _admin = self.sink_admin.lock();
-        // The serial recomputation happens inside the quiesce: done after
-        // it, a signal could sneak between the take and the store and
-        // miss both the log (gone) and the serial path (flag still on —
-        // harmless) — or, worse, a racing `start_recording` without the
-        // admin lock could have its serial=true clobbered to false.
-        self.quiesce(|_, _| {
-            let log = self.log.lock().take().unwrap_or_default();
-            self.refresh_serial();
-            log
-        })
-    }
+    // --- sinks and batch (event-log) detection -----------------------------
 
     /// Attaches an event sink; every subsequently accepted primitive event
     /// is forwarded to it synchronously (see [`EventSink`]). Signals keep
@@ -1548,19 +1369,23 @@ impl LocalEventDetector {
         });
     }
 
-    /// Records one accepted signal: flight-recorded always (the label is
-    /// an `Arc` clone of an interned name — no allocation), materialized
-    /// into a [`LoggedEvent`] via `make` only when a batch-recording log
-    /// or a durable sink is actually attached. An in-memory system thus
-    /// pays no per-signal string/param clones on the hot path.
+    /// Records one accepted signal on `shard`, whose order lock the
+    /// caller holds: flight-recorded always, materialized into a
+    /// [`LoggedEvent`] only when a sink is attached. An in-memory system
+    /// thus pays no per-signal string/param clones on the hot path.
     fn record(
         &self,
+        graph: &EventGraph,
         shard: u32,
-        label: Arc<str>,
-        ts: Timestamp,
+        target: Signal<'_>,
+        params: &[(Arc<str>, Value)],
         txn: Option<u64>,
-        make: impl FnOnce() -> LoggedEvent,
+        ts: Timestamp,
     ) {
+        let label = match target {
+            Signal::Method { class, .. } => Arc::from(class),
+            Signal::Explicit { leaf, .. } => graph.name_of(leaf),
+        };
         // Flight-record the accepted signal before the sink call: a sink
         // may block on a group commit, and the committer's dump should
         // already see this entry.
@@ -1570,19 +1395,25 @@ impl LocalEventDetector {
             ts,
             txn.unwrap_or(0),
         );
-        if self.log.lock().is_none() && self.sink.read().is_none() {
-            return;
-        }
-        let ev = make();
-        if let Some(log) = self.log.lock().as_mut() {
-            log.push(ev.clone());
-        }
         // Clone the Arc out so the sink lock is not held across the call
         // (the sink may block on a group commit).
-        let sink = self.sink.read().clone();
-        if let Some(sink) = sink {
-            sink.record(self, shard, &ev);
-        }
+        let Some(sink) = self.sink.read().clone() else { return };
+        let params = params.to_vec();
+        let ev = match target {
+            Signal::Method { class, sig, edge, oid } => LoggedEvent::Method {
+                class: class.to_string(),
+                sig: sig.to_string(),
+                edge,
+                oid,
+                params,
+                txn,
+                ts,
+            },
+            Signal::Explicit { name, .. } => {
+                LoggedEvent::Explicit { name: name.to_string(), params, txn, ts }
+            }
+        };
+        sink.record(self, shard, &ev);
     }
 
     /// Runs `f` with signalling quiesced: the graph lock and every shard's
@@ -1694,10 +1525,11 @@ impl LocalEventDetector {
                         params.clone(),
                         *txn,
                         *ts,
+                        false,
                     ));
                 }
                 LoggedEvent::Explicit { name, params, txn, ts } => {
-                    out.extend(self.signal_explicit_at(name, params.clone(), *txn, *ts));
+                    out.extend(self.signal_explicit_at(name, params.clone(), *txn, *ts, false));
                 }
             }
         }
@@ -1709,6 +1541,7 @@ impl LocalEventDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::log::EventRecorder;
     use sentinel_snoop::parse_event_expr;
 
     const SIG_SELL: &str = "int sell_stock(int qty)";
@@ -1948,10 +1781,12 @@ mod tests {
         let expr = parse_event_expr("e1 ^ e2").unwrap();
         let e4 = online.define_named("e4", &expr).unwrap();
         online.subscribe(e4, ParamContext::Chronicle, 1).unwrap();
-        online.start_recording();
+        let recorder = Arc::new(EventRecorder::default());
+        online.set_event_sink(recorder.clone());
         sell(&online, 1, 10, 1);
         let online_dets = set_price(&online, 1, 2.0, 1);
-        let log = online.take_log();
+        online.clear_event_sink();
+        let log = recorder.take();
         assert_eq!(log.len(), 3);
 
         // Batch run over the stored log with the same graph shape.
@@ -2078,13 +1913,11 @@ mod tests {
 
     #[test]
     fn recording_attach_detach_survives_concurrent_signal_bursts() {
-        // Regression: `start_recording` sets serial=true and then drains;
-        // a signal that loaded serial=false before the store must either
-        // complete before the log is installed (the drain waits on its
-        // shard lock) or retry through the serial path (the post-lock
-        // re-check) — so the log only ever sees timestamp-ordered
-        // records. And `take_log` recomputes serial *inside* its quiesce
-        // under the admin lock, so detach can never leave serial stuck on.
+        // Attaching and detaching a recorder drains in-flight signals, and
+        // every record runs under its shard's order lock: whatever the
+        // bursts on two shards do, each shard's stream in the log is in
+        // timestamp order.
+        use std::sync::atomic::AtomicBool;
         let d = Arc::new(LocalEventDetector::new(0));
         d.declare_explicit("a");
         d.declare_explicit("b");
@@ -2102,19 +1935,24 @@ mod tests {
             })
             .collect();
         for _ in 0..50 {
-            d.start_recording();
+            let recorder = Arc::new(EventRecorder::default());
+            d.set_event_sink(recorder.clone());
             std::thread::yield_now();
-            let log = d.take_log();
-            assert!(
-                log.windows(2).all(|w| w[0].ts() < w[1].ts()),
-                "recorded log must be in timestamp order"
-            );
+            d.clear_event_sink();
+            let log = recorder.take();
+            for name in ["a", "b"] {
+                let ts: Vec<Timestamp> = log
+                    .iter()
+                    .filter(|ev| matches!(ev, LoggedEvent::Explicit { name: n, .. } if n == name))
+                    .map(LoggedEvent::ts)
+                    .collect();
+                assert!(ts.windows(2).all(|w| w[0] < w[1]), "shard stream out of order");
+            }
         }
         stop.store(true, Ordering::Relaxed);
         for t in threads {
             t.join().unwrap();
         }
-        assert!(!d.serial.load(Ordering::SeqCst), "serial stuck on after take_log");
     }
 
     #[test]

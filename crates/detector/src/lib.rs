@@ -24,8 +24,8 @@
 //!   removes all buffered occurrences of a transaction so events never cross
 //!   transaction boundaries (§3.2 item 3); it is wired to commit/abort by
 //!   `sentinel-core`.
-//! * **Online and batch detection** — the detector can record a primitive
-//!   event log and replay it over a fresh graph ([`log`]).
+//! * **Online and batch detection** — an [`EventRecorder`] sink records a
+//!   primitive event log that replays over a fresh graph ([`log`]).
 //! * **Detector/application separation** — [`service::DetectorService`] runs
 //!   the detector on its own thread behind a channel, the thread-based
 //!   separation of Figure 2.
@@ -49,6 +49,7 @@ pub use detector::{
     SubscriberId,
 };
 pub use graph::{EventId, GraphError};
+pub use log::EventRecorder;
 pub use occurrence::{Occurrence, Value};
 pub use service::{DetectorPool, DoneCallback, ServiceMetrics};
 pub use snapshot::{GraphSnapshot, NodeSnapshot, RestoreError};

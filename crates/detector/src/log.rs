@@ -2,17 +2,20 @@
 //!
 //! The paper requires the composite event detector to "support detection of
 //! events as they happen (online) when it is coupled to an application or
-//! over a stored event-log (in batch mode)" (§2.1). The detector records
-//! each signalled primitive event as a [`LoggedEvent`]; replaying the log
-//! through a detector with the same event graph reproduces the online
-//! detections exactly (timestamps are preserved).
+//! over a stored event-log (in batch mode)" (§2.1). An attached
+//! [`EventRecorder`] records each signalled primitive event as a
+//! [`LoggedEvent`]; replaying the log through a detector with the same
+//! event graph reproduces the online detections exactly (timestamps are
+//! preserved).
 
 use std::sync::Arc;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
+use parking_lot::Mutex;
 use sentinel_snoop::ast::EventModifier;
 
 use crate::clock::Timestamp;
+use crate::detector::{EventSink, LocalEventDetector};
 use crate::occurrence::Value;
 
 /// One recorded primitive event.
@@ -61,6 +64,30 @@ impl LoggedEvent {
         match self {
             LoggedEvent::Method { txn, .. } | LoggedEvent::Explicit { txn, .. } => *txn,
         }
+    }
+}
+
+/// An [`EventSink`] that keeps the primitive-event log in memory:
+/// attach it with [`LocalEventDetector::set_event_sink`], detach it with
+/// [`LocalEventDetector::clear_event_sink`], then [`Self::take`] the log
+/// for [`LocalEventDetector::replay`]. Each record runs under its shard's
+/// order lock, so every shard's events are in timestamp order; streams of
+/// different shards interleave, which replay tolerates.
+#[derive(Debug, Default)]
+pub struct EventRecorder {
+    log: Mutex<Vec<LoggedEvent>>,
+}
+
+impl EventRecorder {
+    /// Returns the events recorded so far and empties the log.
+    pub fn take(&self) -> Vec<LoggedEvent> {
+        std::mem::take(&mut *self.log.lock())
+    }
+}
+
+impl EventSink for EventRecorder {
+    fn record(&self, _detector: &LocalEventDetector, _shard: u32, ev: &LoggedEvent) {
+        self.log.lock().push(ev.clone());
     }
 }
 
@@ -393,11 +420,13 @@ mod tests {
             .unwrap();
         let seq = online.define_named("mm", &parse_event_expr("(m ; m)").unwrap()).unwrap();
         online.subscribe(seq, ParamContext::Chronicle, 1).unwrap();
-        online.start_recording();
+        let recorder = Arc::new(EventRecorder::default());
+        online.set_event_sink(recorder.clone());
         for _ in 0..4 {
             online.notify_method("C", "void f()", EventModifier::End, 1, Vec::new(), Some(9));
         }
-        let stored = encode_log(&online.take_log());
+        online.clear_event_sink();
+        let stored = encode_log(&recorder.take());
 
         // "Later, elsewhere": decode and replay.
         let restored = decode_log(stored).unwrap();

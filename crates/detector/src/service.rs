@@ -421,13 +421,13 @@ impl DetectorPool {
         match sig {
             Signal::Method { class, sig, edge, oid, params, txn } => match at {
                 // Live even with a pre-assigned timestamp: pool-delivered
-                // signals must reach the log/sink (only journal *replay*
-                // uses the non-live `_at` variants).
-                Some(ts) => det.notify_method_at_live(&class, &sig, edge, oid, params, txn, ts),
+                // signals must reach the sink (only journal *replay* is
+                // not live).
+                Some(ts) => det.notify_method_at(&class, &sig, edge, oid, params, txn, ts, true),
                 None => det.notify_method(&class, &sig, edge, oid, params, txn),
             },
             Signal::Explicit { name, params, txn } => match at {
-                Some(ts) => det.signal_explicit_at_live(&name, params, txn, ts),
+                Some(ts) => det.signal_explicit_at(&name, params, txn, ts, true),
                 None => det.signal_explicit(&name, params, txn),
             },
             // Routed to a barrier by submit(); unreachable on workers.

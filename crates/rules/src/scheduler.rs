@@ -47,6 +47,12 @@ use crate::rule::{RuleId, RuleInvocation};
 /// transaction (e.g. pure temporal events).
 const NO_TXN: u64 = u64::MAX;
 
+/// Deepest nested triggering a dispatch still executes. A rule whose
+/// action re-raises its own event would otherwise recurse until the stack
+/// overflows; firings past this depth are skipped (counted in
+/// `skipped`, traced as `Skipped { reason: "cascade depth limit" }`).
+pub const MAX_CASCADE_DEPTH: u32 = 64;
+
 /// Trace/parent for a rule-body span: the triggering occurrence's
 /// detection span when it has one, else a fresh trace (tracing was
 /// enabled after the occurrence was composed).
@@ -313,6 +319,15 @@ impl RuleScheduler {
         for det in detections {
             for sub in det.subscribers {
                 let rule_id = RuleId(sub);
+                if depth > MAX_CASCADE_DEPTH {
+                    self.metrics.skipped.inc();
+                    self.debugger.record(TraceEvent::Skipped {
+                        rule: rule_id,
+                        reason: "cascade depth limit",
+                        depth,
+                    });
+                    continue;
+                }
                 let info = self.manager.with_rule(rule_id, |r| {
                     (r.enabled, r.accepts(&det.occurrence), r.coupling, r.priority, r.name.clone())
                 });
@@ -768,6 +783,42 @@ mod tests {
         let (triggered, _, actions, _) = fx.sched.debugger().stats();
         // Debugger off by default.
         assert_eq!((triggered, actions), (0, 0));
+    }
+
+    #[test]
+    fn self_triggering_rule_stops_at_the_cascade_depth_limit() {
+        // R's action re-raises R's own event: without the bound the
+        // cascade recurses until the stack overflows.
+        for mode in [ExecutionMode::Inline, ExecutionMode::Threaded { workers: 2 }] {
+            let fx = fixture(mode);
+            let runs = Arc::new(AtomicUsize::new(0));
+            let (det, sched, r) = (fx.det.clone(), fx.sched.clone(), runs.clone());
+            let ev = fx.det.lookup("ev").unwrap();
+            fx.sched
+                .manager()
+                .define_rule(
+                    "again",
+                    ev,
+                    Arc::new(|_| true),
+                    Arc::new(move |_| {
+                        r.fetch_add(1, Ordering::SeqCst);
+                        let dets = det.notify_method(
+                            "C",
+                            "void f()",
+                            EventModifier::End,
+                            1,
+                            Vec::new(),
+                            Some(1),
+                        );
+                        sched.dispatch(dets);
+                    }),
+                    RuleOptions::default(),
+                )
+                .unwrap();
+            fx.signal("void f()");
+            assert_eq!(runs.load(Ordering::SeqCst), MAX_CASCADE_DEPTH as usize + 1, "{mode:?}");
+            assert!(fx.sched.stats().skipped >= 1, "{mode:?}");
+        }
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! §2.1 requirement that the detector support "detection of events as they
 //! happen (online) … or over a stored event-log (in batch mode)".
 //!
-//! An online session records its primitive-event log while detecting
-//! composites live; an auditor later replays the log through a fresh
+//! An online session records its primitive-event log through an
+//! `EventRecorder` sink while detecting composites live; an auditor later replays the log through a fresh
 //! detector with *different* rules (a fraud pattern that was not being
 //! monitored at the time) and finds matches retroactively — with byte-equal
 //! timestamps and parameters.
@@ -13,8 +13,7 @@
 use std::sync::Arc;
 
 use sentinel_core::detector::graph::PrimTarget;
-use sentinel_core::detector::LocalEventDetector;
-use sentinel_core::detector::Value;
+use sentinel_core::detector::{EventRecorder, LocalEventDetector, Value};
 use sentinel_core::snoop::ast::EventModifier;
 use sentinel_core::snoop::{parse_event_expr, ParamContext};
 
@@ -44,7 +43,8 @@ fn main() {
     let big =
         online.define_named("big_withdrawal", &parse_event_expr("withdraw").unwrap()).unwrap();
     online.subscribe(big, ParamContext::Recent, 1).unwrap();
-    online.start_recording();
+    let recorder = Arc::new(EventRecorder::default());
+    online.set_event_sink(recorder.clone());
 
     println!("[online] running the day's workload (recording the event log)…");
     let mut live_alerts = 0;
@@ -67,7 +67,8 @@ fn main() {
             }
         }
     }
-    let log = online.take_log();
+    online.clear_event_sink();
+    let log = recorder.take();
     println!("[online] recorded {} primitive events, {} live alerts", log.len(), live_alerts);
 
     // Persist the stored event log to disk (the paper's "stored event-log")

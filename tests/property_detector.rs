@@ -2,23 +2,41 @@
 //! consumption invariants, online/batch equivalence, and flush soundness,
 //! under arbitrary interleavings of primitive events.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 use sentinel_core::detector::graph::PrimTarget;
 use sentinel_core::detector::snapshot::{GraphSnapshot, VERSION_PRE_SHARD};
-use sentinel_core::detector::{Detection, LocalEventDetector};
+use sentinel_core::detector::{Detection, EventRecorder, LocalEventDetector};
 use sentinel_core::snoop::ast::EventModifier;
 use sentinel_core::snoop::{parse_event_expr, ParamContext};
 
 const SIG_A: &str = "void a()";
 const SIG_B: &str = "void b()";
+const SIG_C: &str = "void c()";
+const SIG_D: &str = "void d()";
 
-/// A detector with independent leaves `a` (class CA) and `b` (class CB).
+/// A detector with independent leaves `a` (class CA) and `b` (class CB)
+/// and the event `x = expr` subscribed in `ctx`.
 fn detector(expr: &str, ctx: ParamContext) -> LocalEventDetector {
+    detector_with(expr, None, ctx)
+}
+
+/// [`detector`] plus leaves `c` and `d` (class CC) and, when `temporal`
+/// is given, the event `y = temporal` over them, also subscribed in
+/// `ctx`. `y` lives in a shard of its own, apart from `x`'s.
+fn detector_with(expr: &str, temporal: Option<&str>, ctx: ParamContext) -> LocalEventDetector {
     let d = LocalEventDetector::new(0);
     d.declare_primitive("a", "CA", EventModifier::End, SIG_A, PrimTarget::AnyInstance).unwrap();
     d.declare_primitive("b", "CB", EventModifier::End, SIG_B, PrimTarget::AnyInstance).unwrap();
+    d.declare_primitive("c", "CC", EventModifier::End, SIG_C, PrimTarget::AnyInstance).unwrap();
+    d.declare_primitive("d", "CC", EventModifier::End, SIG_D, PrimTarget::AnyInstance).unwrap();
     let id = d.define_named("x", &parse_event_expr(expr).unwrap()).unwrap();
     d.subscribe(id, ctx, 1).unwrap();
+    if let Some(temporal) = temporal {
+        let id = d.define_named("y", &parse_event_expr(temporal).unwrap()).unwrap();
+        d.subscribe(id, ctx, 2).unwrap();
+    }
     d
 }
 
@@ -27,6 +45,8 @@ fn detector(expr: &str, ctx: ParamContext) -> LocalEventDetector {
 enum Step {
     A(u8),
     B(u8),
+    C(u8),
+    D(u8),
     FlushTxn(u8),
 }
 
@@ -38,33 +58,55 @@ fn step_strategy() -> impl Strategy<Value = Step> {
     ]
 }
 
-fn run(d: &LocalEventDetector, steps: &[Step], record: bool) -> Vec<Detection> {
-    if record {
-        d.start_recording();
-    }
+/// Steps over all four leaves and no flushes: the alarms of `y`'s shard
+/// come due while `x`'s shard is being signalled.
+fn leaf_step_strategy() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        (0u8..3).prop_map(Step::A),
+        (0u8..3).prop_map(Step::B),
+        (0u8..3).prop_map(Step::C),
+        (0u8..3).prop_map(Step::D),
+    ]
+}
+
+fn run(d: &LocalEventDetector, steps: &[Step]) -> Vec<Detection> {
     let mut out = Vec::new();
     for s in steps {
-        match s {
-            Step::A(t) => out.extend(d.notify_method(
-                "CA",
-                SIG_A,
-                EventModifier::End,
-                1,
-                Vec::new(),
-                Some(u64::from(*t)),
-            )),
-            Step::B(t) => out.extend(d.notify_method(
-                "CB",
-                SIG_B,
-                EventModifier::End,
-                1,
-                Vec::new(),
-                Some(u64::from(*t)),
-            )),
-            Step::FlushTxn(t) => d.flush_txn(u64::from(*t)),
-        }
+        let (class, sig, t) = match *s {
+            Step::A(t) => ("CA", SIG_A, t),
+            Step::B(t) => ("CB", SIG_B, t),
+            Step::C(t) => ("CC", SIG_C, t),
+            Step::D(t) => ("CC", SIG_D, t),
+            Step::FlushTxn(t) => {
+                d.flush_txn(u64::from(t));
+                continue;
+            }
+        };
+        out.extend(d.notify_method(
+            class,
+            sig,
+            EventModifier::End,
+            1,
+            Vec::new(),
+            Some(u64::from(t)),
+        ));
     }
     out
+}
+
+/// Two detection lists are identical: same count, and pairwise the same
+/// event, context, occurrence time and constituent timestamps.
+fn same_detections(left: &[Detection], right: &[Detection]) -> Result<(), TestCaseError> {
+    prop_assert_eq!(left.len(), right.len());
+    for (l, r) in left.iter().zip(right) {
+        prop_assert_eq!(l.event, r.event);
+        prop_assert_eq!(l.context, r.context);
+        prop_assert_eq!(l.occurrence.at, r.occurrence.at);
+        let lts: Vec<_> = l.occurrence.param_list().iter().map(|p| p.at).collect();
+        let rts: Vec<_> = r.occurrence.param_list().iter().map(|p| p.at).collect();
+        prop_assert_eq!(lts, rts);
+    }
+    Ok(())
 }
 
 fn count(steps: &[Step], f: impl Fn(&Step) -> bool) -> usize {
@@ -80,7 +122,7 @@ proptest! {
         let steps: Vec<Step> =
             steps.into_iter().filter(|s| !matches!(s, Step::FlushTxn(_))).collect();
         let d = detector("a ^ b", ParamContext::Chronicle);
-        let dets = run(&d, &steps, false);
+        let dets = run(&d, &steps);
         let na = count(&steps, |s| matches!(s, Step::A(_)));
         let nb = count(&steps, |s| matches!(s, Step::B(_)));
         prop_assert_eq!(dets.len(), na.min(nb));
@@ -102,7 +144,7 @@ proptest! {
         let steps: Vec<Step> =
             steps.into_iter().filter(|s| !matches!(s, Step::FlushTxn(_))).collect();
         let d = detector("a ^ b", ParamContext::Cumulative);
-        let dets = run(&d, &steps, false);
+        let dets = run(&d, &steps);
         let mut seen = std::collections::HashSet::new();
         for det in &dets {
             let prims = det.occurrence.param_list();
@@ -124,7 +166,7 @@ proptest! {
         let steps: Vec<Step> =
             steps.into_iter().filter(|s| !matches!(s, Step::FlushTxn(_))).collect();
         let d = detector("a | b", ctx);
-        let dets = run(&d, &steps, false);
+        let dets = run(&d, &steps);
         prop_assert_eq!(dets.len(), steps.len());
     }
 
@@ -136,7 +178,7 @@ proptest! {
         ctx in prop::sample::select(&ParamContext::ALL[..]),
     ) {
         let d = detector("(a ; b)", ctx);
-        let dets = run(&d, &steps, false);
+        let dets = run(&d, &steps);
         for det in dets {
             let prims = det.occurrence.param_list();
             for w in prims.windows(2) {
@@ -155,48 +197,45 @@ proptest! {
         let d = detector("a ^ b", ParamContext::Chronicle);
         let mut flushed_t: Vec<(u64, u64)> = Vec::new(); // (txn, flush time)
         for s in &steps {
-            match s {
-                Step::FlushTxn(t) => {
-                    d.flush_txn(u64::from(*t));
-                    flushed_t.push((u64::from(*t), d.clock().peek()));
-                }
-                Step::A(t) => {
-                    for det in d.notify_method("CA", SIG_A, EventModifier::End, 1, Vec::new(), Some(u64::from(*t))) {
-                        check_no_flushed(&det, &flushed_t)?;
-                    }
-                }
-                Step::B(t) => {
-                    for det in d.notify_method("CB", SIG_B, EventModifier::End, 1, Vec::new(), Some(u64::from(*t))) {
-                        check_no_flushed(&det, &flushed_t)?;
-                    }
-                }
+            let dets = run(&d, std::slice::from_ref(s));
+            if let Step::FlushTxn(t) = s {
+                flushed_t.push((u64::from(*t), d.clock().peek()));
+            }
+            for det in dets {
+                check_no_flushed(&det, &flushed_t)?;
             }
         }
     }
 
     /// Online and batch detection agree exactly (same composites, same
-    /// occurrence times) for arbitrary workloads and contexts.
+    /// occurrence times) for arbitrary workloads and contexts: the
+    /// unrecorded online run, the same run recorded through an
+    /// [`EventRecorder`], and the replay of that recording. The second
+    /// graph input adds a temporal operator (`PLUS` or `P`) in a shard of
+    /// its own, whose alarms come due while the `a ^ b` shard is
+    /// signalled — recording must not change which alarms a signal fires.
     #[test]
     fn online_equals_batch(
-        steps in prop::collection::vec(step_strategy(), 0..40),
+        steps in prop::collection::vec(leaf_step_strategy(), 0..40),
         ctx in prop::sample::select(&ParamContext::ALL[..]),
+        temporal in prop::sample::select(&[None, Some("PLUS(c, 3)"), Some("P(c, 2, d)")][..]),
     ) {
-        let steps: Vec<Step> =
-            steps.into_iter().filter(|s| !matches!(s, Step::FlushTxn(_))).collect();
-        let online = detector("a ^ b", ctx);
-        let online_dets = run(&online, &steps, true);
-        let log = online.take_log();
+        let plain = detector_with("a ^ b", temporal, ctx);
+        prop_assert_ne!(plain.shard_of_class("CA"), plain.shard_of_class("CC"));
+        let plain_dets = run(&plain, &steps);
 
-        let batch = detector("a ^ b", ctx);
+        let online = detector_with("a ^ b", temporal, ctx);
+        let recorder = Arc::new(EventRecorder::default());
+        online.set_event_sink(recorder.clone());
+        let online_dets = run(&online, &steps);
+        online.clear_event_sink();
+        let log = recorder.take();
+        prop_assert_eq!(log.len(), steps.len());
+
+        let batch = detector_with("a ^ b", temporal, ctx);
         let batch_dets = batch.replay(&log);
-        prop_assert_eq!(online_dets.len(), batch_dets.len());
-        for (o, b) in online_dets.iter().zip(&batch_dets) {
-            prop_assert_eq!(o.occurrence.at, b.occurrence.at);
-            prop_assert_eq!(o.context, b.context);
-            let ots: Vec<_> = o.occurrence.param_list().iter().map(|p| p.at).collect();
-            let bts: Vec<_> = b.occurrence.param_list().iter().map(|p| p.at).collect();
-            prop_assert_eq!(ots, bts);
-        }
+        same_detections(&plain_dets, &online_dets)?;
+        same_detections(&online_dets, &batch_dets)?;
     }
 }
 
