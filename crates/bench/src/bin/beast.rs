@@ -1,9 +1,10 @@
 //! The BEAST harness binary: regenerates every quantitative table of
 //! EXPERIMENTS.md in one run.
 //!
-//! Unlike the criterion benches (statistically rigorous, per-experiment),
-//! this binary prints compact tables for the whole evaluation — the rows
-//! recorded in EXPERIMENTS.md. Run with:
+//! It prints compact tables for the whole evaluation — the rows recorded
+//! in EXPERIMENTS.md (E1–E3, R1–R2, ABL-1..3). Per-layer costs with
+//! repeat statistics come from the benchmark's ladder in `benchmark/`.
+//! Run with:
 //!
 //! ```text
 //! cargo run --release -p sentinel-bench --bin beast

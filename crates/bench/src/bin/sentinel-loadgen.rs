@@ -38,29 +38,6 @@
 //!                       read-only replica into a writable primary
 //!   --repl-status       print the node's replication stats JSON and exit
 //!                       (`role`, `tip`, follower lags / applied watermark)
-//!
-//!   --sweep             run the embedded detector-sharding sweep instead
-//!                       of the TCP workload (no server needed): disjoint
-//!                       composite components fed by concurrent threads
-//!                       through a DetectorPool at each worker count
-//!   --detector-threads <LIST>  comma-separated worker counts to sweep
-//!                       (default 1,2,4,8)
-//!   --components <N>    disjoint components in the sweep graph (default 64)
-//!   --pairs <N>         a;b pairs signalled per component (default 1500)
-//!   --feeders <N>       concurrent feeder threads (default 8)
-//!   --hold-us <N>       simulated downstream cost per signal (rule-action
-//!                       dispatch), held on the processing worker; 0 for a
-//!                       pure-CPU sweep (default 20)
-//!   --sweep-out <PATH>  where to write the sweep report
-//!                       (default BENCH_detector.json)
-//!   --durable-dir <DIR> journal the sweep: each worker-count run attaches
-//!                       a durable engine over a fresh subdirectory of DIR
-//!                       (per-shard streams + group commit), so the sweep
-//!                       measures detection parallelism *with* durability
-//!   --durable-fsync <P> fsync policy for `--durable-dir`: `always`
-//!                       (default), `every=N`, or `never`
-//!   --group-window-us <N>  group-commit accumulation window for
-//!                       `--durable-dir` (default 100)
 //! ```
 //!
 //! The workload: explicit events `seq_a`, `seq_b`, `cascade`; composite
@@ -75,18 +52,13 @@
 
 use std::collections::VecDeque;
 use std::net::TcpStream;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use sentinel_core::durable_store::{DurableEngine, DurableOptions, FsyncPolicy};
-use sentinel_core::JournalSink;
-use sentinel_detector::service::Signal;
-use sentinel_detector::{DetectorPool, LocalEventDetector};
+use sentinel_core::detector::Value;
+use sentinel_core::obs::{json, Histogram};
 use sentinel_net::{ClientCodec, ClientError, RuleSpec, SentinelClient};
-use sentinel_obs::{json, Histogram};
-use sentinel_snoop::{parse_event_expr, ParamContext};
 
 struct Args {
     addr: String,
@@ -101,30 +73,6 @@ struct Args {
     shutdown: bool,
     promote: bool,
     repl_status: bool,
-    sweep: bool,
-    detector_threads: Vec<usize>,
-    components: usize,
-    pairs: usize,
-    feeders: usize,
-    hold_us: u64,
-    sweep_out: String,
-    durable_dir: Option<PathBuf>,
-    durable_fsync: FsyncPolicy,
-    group_window_us: u64,
-}
-
-fn parse_fsync(spec: &str) -> FsyncPolicy {
-    match spec {
-        "always" => FsyncPolicy::Always,
-        "never" => FsyncPolicy::Never,
-        other => match other.strip_prefix("every=").and_then(|n| n.parse().ok()) {
-            Some(n) => FsyncPolicy::EveryN(n),
-            None => {
-                eprintln!("--durable-fsync wants `always`, `never`, or `every=N`");
-                std::process::exit(2);
-            }
-        },
-    }
 }
 
 fn parse_args() -> Args {
@@ -141,16 +89,6 @@ fn parse_args() -> Args {
         shutdown: false,
         promote: false,
         repl_status: false,
-        sweep: false,
-        detector_threads: vec![1, 2, 4, 8],
-        components: 64,
-        pairs: 1500,
-        feeders: 8,
-        hold_us: 20,
-        sweep_out: "BENCH_detector.json".to_string(),
-        durable_dir: None,
-        durable_fsync: FsyncPolicy::Always,
-        group_window_us: 100,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -190,37 +128,12 @@ fn parse_args() -> Args {
             "--shutdown" => args.shutdown = true,
             "--promote" => args.promote = true,
             "--repl-status" => args.repl_status = true,
-            "--sweep" => args.sweep = true,
-            "--detector-threads" => {
-                args.detector_threads = value("--detector-threads")
-                    .split(',')
-                    .map(|w| w.trim().parse().expect("--detector-threads N[,N...]"))
-                    .collect();
-                assert!(!args.detector_threads.is_empty(), "--detector-threads needs counts");
-            }
-            "--components" => {
-                args.components = value("--components").parse().expect("--components <N>");
-            }
-            "--pairs" => args.pairs = value("--pairs").parse().expect("--pairs <N>"),
-            "--feeders" => args.feeders = value("--feeders").parse().expect("--feeders <N>"),
-            "--hold-us" => args.hold_us = value("--hold-us").parse().expect("--hold-us <N>"),
-            "--sweep-out" => args.sweep_out = value("--sweep-out"),
-            "--durable-dir" => args.durable_dir = Some(PathBuf::from(value("--durable-dir"))),
-            "--durable-fsync" => args.durable_fsync = parse_fsync(&value("--durable-fsync")),
-            "--group-window-us" => {
-                args.group_window_us =
-                    value("--group-window-us").parse().expect("--group-window-us <N>");
-            }
             "--help" | "-h" => {
                 println!(
                     "sentinel-loadgen [--addr HOST:PORT] [--clients N] [--iters N] \
                      [--codec auto|json|binary] [--batch B] [--pipeline P] \
                      [--c10k N,N,...] [--net-out PATH] \
-                     [--traced] [--shutdown] [--promote] [--repl-status] \
-                     [--sweep] [--detector-threads N,N,...] \
-                     [--components N] [--pairs N] [--feeders N] [--hold-us N] \
-                     [--sweep-out PATH] [--durable-dir DIR] \
-                     [--durable-fsync always|never|every=N] [--group-window-us N]"
+                     [--traced] [--shutdown] [--promote] [--repl-status]"
                 );
                 std::process::exit(0);
             }
@@ -261,6 +174,16 @@ fn series_values(series: &json::Value, name: &str) -> Vec<u64> {
         return Vec::new();
     };
     points.iter().filter_map(|p| p.as_arr()?.get(1)?.as_u64()).collect()
+}
+
+/// p99 over raw gauge samples (nearest-rank; 0 when empty).
+fn samples_p99(mut samples: Vec<u64>) -> u64 {
+    if samples.is_empty() {
+        return 0;
+    }
+    samples.sort_unstable();
+    let rank = ((0.99 * samples.len() as f64).ceil() as usize).clamp(1, samples.len());
+    samples[rank - 1]
 }
 
 /// Final telemetry snapshot for the TCP bench line, folded from one
@@ -326,292 +249,6 @@ fn signal_retry(
             other => return other,
         }
     }
-}
-
-/// One row of the `--sweep` report: the same fixed workload replayed
-/// through a [`DetectorPool`] of `workers` detector threads.
-struct SweepRun {
-    workers: usize,
-    signals: u64,
-    detections: u64,
-    expected: u64,
-    elapsed_ms: f64,
-    throughput_sps: f64,
-    p50_us: f64,
-    p95_us: f64,
-    p99_us: f64,
-    /// Final telemetry snapshot for this run: per-shard queue-depth p99
-    /// (sampled every [`QUEUE_SAMPLE_INTERVAL`] while the run drains),
-    /// pool drain p99, and — when durable — the fsync/group-commit flush
-    /// p99.
-    telemetry: json::Value,
-}
-
-/// How often the sweep's sampler thread polls per-shard queue depths.
-const QUEUE_SAMPLE_INTERVAL: Duration = Duration::from_millis(5);
-
-/// p99 over raw gauge samples (nearest-rank; 0 when empty).
-fn samples_p99(mut samples: Vec<u64>) -> u64 {
-    if samples.is_empty() {
-        return 0;
-    }
-    samples.sort_unstable();
-    let rank = ((0.99 * samples.len() as f64).ceil() as usize).clamp(1, samples.len());
-    samples[rank - 1]
-}
-
-/// Builds the sweep graph: `components` disjoint operator-DAG components,
-/// each holding `seq{i} = a{i} ; b{i}` and `or{i} = a{i} | b{i}`
-/// subscribed in all four parameter contexts. Disjoint components land in
-/// disjoint shards, so added workers buy real concurrency.
-fn sweep_detector(components: usize) -> Arc<LocalEventDetector> {
-    let det = Arc::new(LocalEventDetector::new(1));
-    for i in 0..components {
-        let (a, b) = (format!("a{i}"), format!("b{i}"));
-        det.declare_explicit(&a);
-        det.declare_explicit(&b);
-        let seq = det
-            .define_named(&format!("seq{i}"), &parse_event_expr(&format!("{a} ; {b}")).unwrap())
-            .unwrap();
-        let or = det
-            .define_named(&format!("or{i}"), &parse_event_expr(&format!("{a} | {b}")).unwrap())
-            .unwrap();
-        for (xi, &ctx) in ParamContext::ALL.iter().enumerate() {
-            det.subscribe(seq, ctx, (1000 + i * 8 + xi) as u64).unwrap();
-            det.subscribe(or, ctx, (1000 + i * 8 + 4 + xi) as u64).unwrap();
-        }
-    }
-    det
-}
-
-/// Replays the fixed workload at one worker count. Each feeder owns the
-/// components `i ≡ f (mod feeders)` and alternates `a{i}`, `b{i}`
-/// strictly, so per component every pair closes `seq{i}` exactly once per
-/// context (4 detections) and `or{i}` once per constituent per context
-/// (8 more): the exact-count oracle is `components × pairs × 12`.
-fn run_sweep_once(args: &Args, workers: usize) -> SweepRun {
-    let det = sweep_detector(args.components);
-    // `--durable-dir`: journal this run through the sharded durable engine
-    // (fresh subdirectory per worker count so every run recovers nothing
-    // and measures steady-state appends, not replay).
-    let engine = args.durable_dir.as_ref().map(|dir| {
-        let sub = dir.join(format!("w{workers}"));
-        let _ = std::fs::remove_dir_all(&sub);
-        let opts = DurableOptions {
-            fsync: args.durable_fsync,
-            group_window_us: args.group_window_us,
-            checkpoint_every: 0,
-            ..DurableOptions::default()
-        };
-        let (engine, _report) = DurableEngine::open(&sub, opts).expect("durable engine");
-        det.set_event_sink(Arc::new(JournalSink::new(engine.clone())));
-        engine
-    });
-    let pool = DetectorPool::spawn(Arc::clone(&det), workers);
-    // Telemetry sampler: polls per-shard queue depths while the run
-    // drains, so the report carries queue-pressure percentiles rather
-    // than a single end-of-run reading (which is always zero after the
-    // barrier).
-    let sampler_stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let sampler = {
-        let det = Arc::clone(&det);
-        let stop = Arc::clone(&sampler_stop);
-        std::thread::spawn(move || {
-            let mut depths: std::collections::BTreeMap<u32, Vec<u64>> =
-                std::collections::BTreeMap::new();
-            while !stop.load(Ordering::Relaxed) {
-                for shard in det.stats().shards {
-                    depths.entry(shard.shard).or_default().push(shard.queue_depth);
-                }
-                std::thread::sleep(QUEUE_SAMPLE_INTERVAL);
-            }
-            depths
-        })
-    };
-    let signals = (args.components * args.pairs * 2) as u64;
-    // Per-request latency: submit → detection-done callback, recorded as
-    // exact samples (the open-loop feeders flood the queues, so latency
-    // is dominated by queue wait and spans seconds — far past any
-    // bounded histogram's resolution). The done callback runs on the
-    // processing worker right after detection (and after the journal
-    // append is durable under `always`), *before* the simulated
-    // rule-action hold — so percentiles measure queueing + detection +
-    // durability, not the modelled downstream cost.
-    let lat = Arc::new(std::sync::Mutex::new(Vec::<u64>::with_capacity(signals as usize)));
-
-    let t0 = Instant::now();
-    std::thread::scope(|s| {
-        for f in 0..args.feeders {
-            let pool = &pool;
-            let lat = &lat;
-            let (components, pairs, feeders) = (args.components, args.pairs, args.feeders);
-            let hold_us = args.hold_us;
-            s.spawn(move || {
-                for _ in 0..pairs {
-                    for i in (f..components).step_by(feeders.max(1)) {
-                        for name in [format!("a{i}"), format!("b{i}")] {
-                            let sig = Signal::Explicit { name, params: Vec::new(), txn: None };
-                            let submitted = Instant::now();
-                            let lat = Arc::clone(lat);
-                            // Hold the worker after detection, modelling
-                            // rule-action dispatch cost: disjoint shards
-                            // overlap their holds, same-shard signals
-                            // stay strictly FIFO.
-                            pool.signal_async_done(
-                                sig,
-                                Box::new(move || {
-                                    let ns = submitted.elapsed().as_nanos() as u64;
-                                    lat.lock().unwrap().push(ns);
-                                    if hold_us > 0 {
-                                        std::thread::sleep(Duration::from_micros(hold_us));
-                                    }
-                                }),
-                            );
-                        }
-                    }
-                }
-            });
-        }
-    });
-    // Barrier: every queued signal fully detected before the clock stops.
-    pool.barrier(|_| {});
-    let elapsed = t0.elapsed();
-
-    sampler_stop.store(true, Ordering::Relaxed);
-    let queue_samples = sampler.join().expect("sampler thread");
-    let shard_queue_p99 = json::Value::Arr(
-        queue_samples
-            .into_iter()
-            .map(|(shard, samples)| {
-                let max = samples.iter().copied().max().unwrap_or(0);
-                json::Value::obj([
-                    ("shard", json::Value::UInt(u64::from(shard))),
-                    ("queue_depth_p99", json::Value::UInt(samples_p99(samples))),
-                    ("queue_depth_max", json::Value::UInt(max)),
-                ])
-            })
-            .collect(),
-    );
-    let drain_p99_ns = pool.metrics().drain_latency_ns.snapshot().p99_ns();
-    let telemetry = json::Value::obj([
-        ("shard_queue", shard_queue_p99),
-        ("drain_p99_ns", json::Value::UInt(drain_p99_ns)),
-        (
-            "fsync_p99_ns",
-            engine.as_ref().map_or(json::Value::Null, |e| {
-                json::Value::UInt(e.metrics().group_commit_flush.snapshot().p99_ns())
-            }),
-        ),
-        (
-            "group_commits",
-            engine
-                .as_ref()
-                .map_or(json::Value::Null, |e| json::Value::UInt(e.metrics().group_commits.get())),
-        ),
-    ]);
-
-    let detections = pool.detections().try_iter().count() as u64;
-    let mut samples = std::mem::take(&mut *lat.lock().unwrap());
-    samples.sort_unstable();
-    let pct = |q: f64| -> f64 {
-        if samples.is_empty() {
-            return 0.0;
-        }
-        let rank = ((q * samples.len() as f64).ceil() as usize).clamp(1, samples.len());
-        samples[rank - 1] as f64 / 1e3
-    };
-    SweepRun {
-        workers,
-        signals,
-        detections,
-        expected: (args.components * args.pairs * 12) as u64,
-        elapsed_ms: elapsed.as_secs_f64() * 1e3,
-        throughput_sps: signals as f64 / elapsed.as_secs_f64().max(1e-9),
-        p50_us: pct(0.50),
-        p95_us: pct(0.95),
-        p99_us: pct(0.99),
-        telemetry,
-    }
-}
-
-/// `--sweep`: embedded sharding benchmark over the worker counts in
-/// `--detector-threads`. Writes the report to `--sweep-out` and exits
-/// non-zero if any run's detection count misses the oracle — which also
-/// proves every worker count produced the identical occurrence total.
-fn run_sweep(args: &Args) -> ! {
-    let runs: Vec<SweepRun> = args
-        .detector_threads
-        .iter()
-        .map(|&w| {
-            let run = run_sweep_once(args, w);
-            eprintln!(
-                "sweep: workers={} detections={}/{} throughput={:.0}/s p99={:.1}us",
-                run.workers, run.detections, run.expected, run.throughput_sps, run.p99_us
-            );
-            run
-        })
-        .collect();
-
-    let base = runs.first().map(|r| r.throughput_sps).unwrap_or(0.0);
-    let report = json::Value::obj([
-        ("bench", json::Value::str("detector_sweep")),
-        ("components", json::Value::UInt(args.components as u64)),
-        ("pairs", json::Value::UInt(args.pairs as u64)),
-        ("feeders", json::Value::UInt(args.feeders as u64)),
-        ("hold_us", json::Value::UInt(args.hold_us)),
-        ("durable", json::Value::Bool(args.durable_dir.is_some())),
-        (
-            "fsync",
-            json::Value::Str(match args.durable_fsync {
-                FsyncPolicy::Always => "always".to_string(),
-                FsyncPolicy::EveryN(n) => format!("every={n}"),
-                FsyncPolicy::Never => "never".to_string(),
-            }),
-        ),
-        ("group_window_us", json::Value::UInt(args.group_window_us)),
-        (
-            "runs",
-            json::Value::Arr(
-                runs.iter()
-                    .map(|r| {
-                        json::Value::obj([
-                            ("workers", json::Value::UInt(r.workers as u64)),
-                            ("signals", json::Value::UInt(r.signals)),
-                            ("detections", json::Value::UInt(r.detections)),
-                            ("expected", json::Value::UInt(r.expected)),
-                            ("elapsed_ms", json::Value::Float(r.elapsed_ms)),
-                            ("throughput_sps", json::Value::Float(r.throughput_sps)),
-                            (
-                                "speedup_vs_first",
-                                json::Value::Float(r.throughput_sps / base.max(1e-9)),
-                            ),
-                            ("p50_us", json::Value::Float(r.p50_us)),
-                            ("p95_us", json::Value::Float(r.p95_us)),
-                            ("p99_us", json::Value::Float(r.p99_us)),
-                            ("telemetry", r.telemetry.clone()),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ]);
-    if let Err(e) = std::fs::write(&args.sweep_out, format!("{report}\n")) {
-        eprintln!("cannot write {}: {e}", args.sweep_out);
-        std::process::exit(1);
-    }
-    println!("bench{report}");
-
-    let bad: Vec<&SweepRun> = runs.iter().filter(|r| r.detections != r.expected).collect();
-    if !bad.is_empty() {
-        for r in bad {
-            eprintln!(
-                "FAILED: workers={} detected {} occurrences, oracle says {}",
-                r.workers, r.detections, r.expected
-            );
-        }
-        std::process::exit(1);
-    }
-    std::process::exit(0);
 }
 
 struct ClientOutcome {
@@ -698,7 +335,7 @@ fn run_client_batched(
     hist: &Histogram,
     busy: &AtomicU64,
 ) -> ClientOutcome {
-    const NO_PARAMS: &[(Arc<str>, sentinel_detector::Value)] = &[];
+    const NO_PARAMS: &[(Arc<str>, Value)] = &[];
     let signals: Vec<sentinel_net::BatchSignal<'_>> = (0..args.batch)
         .flat_map(|_| [("seq_a", NO_PARAMS, None), ("seq_b", NO_PARAMS, None)])
         .collect();
@@ -756,9 +393,6 @@ fn run_client_batched(
 
 fn main() {
     let args = parse_args();
-    if args.sweep {
-        run_sweep(&args);
-    }
 
     let admin = match SentinelClient::connect_with_backoff(
         &args.addr,

@@ -9,8 +9,7 @@
 //!                           raise well past 10000 for C10K runs — the
 //!                           reactor holds idle connections for free)
 //!   --event-loops <N>       epoll event loops serving sockets
-//!                           (default 2; 0 selects the portable
-//!                           thread-per-connection reference backend)
+//!                           (default 2; at least one runs)
 //!   --codec <V>             newest wire codec to grant at Hello:
 //!                           `v2` (default; binary payload bodies) or
 //!                           `v1` (JSON only — emulates an old server
@@ -61,7 +60,7 @@
 //! ```
 //!
 //! The process serves until a client sends a `Shutdown` frame (e.g.
-//! `sentinel-loadgen --shutdown`), then drains the detector service and
+//! `sentinel-loadgen --shutdown`), then drains the detector pool and
 //! exits — with `--data-dir`, shutdown also flushes the journal and cuts
 //! a final checkpoint. The line `listening on <addr>` on stdout marks
 //! readiness; a durable start first prints one `recovered ...` line

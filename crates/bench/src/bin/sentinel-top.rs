@@ -18,8 +18,8 @@
 
 use std::time::Duration;
 
+use sentinel_core::obs::json;
 use sentinel_net::SentinelClient;
-use sentinel_obs::json;
 
 struct Args {
     addr: String,

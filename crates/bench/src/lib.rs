@@ -1,5 +1,4 @@
-//! Benchmark support library: shared workload generators for the BEAST-style
-//! benches (see `benches/`) and the `beast` binary that prints the
-//! EXPERIMENTS.md tables.
+//! Benchmark support library: shared workload generators for the `beast`
+//! binary that prints the EXPERIMENTS.md tables.
 
 pub mod workload;

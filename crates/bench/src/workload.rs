@@ -5,8 +5,7 @@
 //! (primitive, composite per operator, per context) and rule management /
 //! execution overhead (firing, multiple rules, nested cascades). The
 //! builders here assemble Sentinel systems and detectors for each of those
-//! measurement classes so the criterion benches and the `beast` binary
-//! share identical setups.
+//! measurement classes for the `beast` binary.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;

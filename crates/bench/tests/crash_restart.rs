@@ -9,8 +9,8 @@ use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
 use std::time::Duration;
 
+use sentinel_core::obs::json;
 use sentinel_net::client::{RuleSpec, SentinelClient};
-use sentinel_obs::json;
 
 fn tmp(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("sentinel-crash-{tag}-{}", std::process::id()));

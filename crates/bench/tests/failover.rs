@@ -12,8 +12,8 @@ use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use sentinel_core::obs::json;
 use sentinel_net::client::{ClientError, RuleSpec, SentinelClient};
-use sentinel_obs::json;
 
 fn tmp(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("sentinel-failover-{tag}-{}", std::process::id()));

@@ -741,7 +741,7 @@ impl ServeHandle {
     }
 
     /// Dispatches externally produced detections (e.g. drained from a
-    /// [`sentinel_detector::DetectorService`]) to the rule scheduler.
+    /// [`sentinel_detector::DetectorPool`]) to the rule scheduler.
     pub fn dispatch(&self, detections: Vec<Detection>) {
         self.inner.scheduler.dispatch(detections);
     }

@@ -26,8 +26,8 @@
 //!   `sentinel-core`.
 //! * **Online and batch detection** — an [`EventRecorder`] sink records a
 //!   primitive event log that replays over a fresh graph ([`log`]).
-//! * **Detector/application separation** — [`service::DetectorService`] runs
-//!   the detector on its own thread behind a channel, the thread-based
+//! * **Detector/application separation** — [`DetectorPool`] runs the
+//!   detector on worker threads behind channels, the thread-based
 //!   separation of Figure 2.
 
 #![warn(missing_docs)]

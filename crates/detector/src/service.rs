@@ -1,28 +1,29 @@
-//! Detector service: the thread-based separation of composite event
+//! Detector worker pool: the thread-based separation of composite event
 //! detection from application execution (Figure 2).
 //!
 //! The paper separates the local composite event detector from the
 //! application using threads because "threads communicate via shared memory
 //! …, the overhead involved in creating threads and inter-task communication
 //! is low, and it is easy to control the scheduling" (§2.3). Here the
-//! detector runs on its own thread behind a crossbeam channel:
+//! detector runs on worker threads behind crossbeam channels:
 //!
-//! * [`DetectorService::signal_sync`] mirrors the immediate-mode protocol —
+//! * [`DetectorPool::signal_sync`] mirrors the immediate-mode protocol —
 //!   "when a primitive event occurs it is sent to the local composite event
 //!   detector and the application waits for the signaling of a composite
 //!   event that is detected in the immediate mode";
-//! * [`DetectorService::signal_async`] queues the event and returns; the
-//!   detections are delivered on [`DetectorService::detections`] (used by
-//!   batch feeds and the global event detector).
+//! * [`DetectorPool::signal_async`] queues the event and returns; the
+//!   detections are delivered on [`DetectorPool::detections`] (used by
+//!   batch feeds and the network server's pump).
 //!
-//! [`DetectorPool`] scales the same protocol across shards: N worker
-//! threads, each owning the FIFO queue of the shard labels hashed to it,
-//! so signals of one shard are processed in submission order while
-//! disjoint shards propagate concurrently. Whole-graph operations
-//! (transaction flushes, time advances, DDL, checkpoint pauses) run at a
-//! rendezvous barrier: every worker parks after draining its queue, the
-//! submitting thread performs the operation against the quiesced
-//! detector, and the workers resume.
+//! [`DetectorPool::spawn`]`(det, 1)` is the paper's single detector
+//! thread; more workers scale the same protocol across shards, each
+//! owning the FIFO queue of the shard labels hashed to it, so signals of
+//! one shard are processed in submission order while disjoint shards
+//! propagate concurrently. Whole-graph operations (transaction flushes,
+//! time advances, DDL, checkpoint pauses) run at a rendezvous barrier:
+//! every worker parks after draining its queue, the submitting thread
+//! performs the operation against the quiesced detector, and the workers
+//! resume.
 
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -84,20 +85,20 @@ impl Rendezvous {
     }
 }
 
-/// Counters for the service's signal queue: depth (with high-watermark),
+/// Counters for the pool's signal queues: depth (with high-watermark),
 /// signals processed, and the latency from enqueue to the end of
-/// processing on the detector thread.
+/// processing on a worker.
 #[derive(Debug, Default)]
 pub struct ServiceMetrics {
     /// Request-queue depth, sampled on every enqueue/dequeue.
     pub queue_depth: Gauge,
-    /// Requests fully processed by the service thread.
+    /// Requests fully processed by the workers.
     pub processed: Counter,
     /// Enqueue-to-processed latency per request, ns.
     pub drain_latency_ns: Histogram,
 }
 
-/// A primitive-event signal sent to the service.
+/// A primitive-event signal sent to the pool.
 #[derive(Debug)]
 pub enum Signal {
     /// Wrapper-method notification.
@@ -128,169 +129,6 @@ pub enum Signal {
     FlushTxn(u64),
     /// Advance logical time (fires temporal alarms).
     AdvanceTime(Timestamp),
-}
-
-enum Request {
-    /// Process and reply with the detections (immediate-mode rendezvous).
-    /// Carries the enqueue instant for drain-latency accounting and the
-    /// caller's span context, so provenance survives the thread hop.
-    Sync(Signal, Sender<Vec<Detection>>, Instant, Option<SpanContext>),
-    /// Process; detections go to the async detections channel.
-    Async(Signal, Instant, Option<SpanContext>),
-    /// Park at a rendezvous (checkpoint pause): the FIFO queue guarantees
-    /// everything enqueued earlier has been fully processed first.
-    Park(Arc<Rendezvous>),
-    /// Stop the service thread.
-    Shutdown,
-}
-
-/// Handle to a detector running on its own thread.
-pub struct DetectorService {
-    detector: Arc<LocalEventDetector>,
-    requests: Sender<Request>,
-    detections: Receiver<Detection>,
-    metrics: Arc<ServiceMetrics>,
-    thread: Option<JoinHandle<()>>,
-}
-
-impl DetectorService {
-    /// Spawns the service thread around `detector`.
-    pub fn spawn(detector: Arc<LocalEventDetector>) -> Self {
-        let (req_tx, req_rx) = unbounded::<Request>();
-        let (det_tx, det_rx) = unbounded::<Detection>();
-        let det = detector.clone();
-        let metrics = Arc::new(ServiceMetrics::default());
-        let m = metrics.clone();
-        let thread = std::thread::Builder::new()
-            .name(format!("sentinel-detector-{}", detector.app()))
-            .spawn(move || {
-                while let Ok(req) = req_rx.recv() {
-                    m.queue_depth.set(req_rx.len() as u64);
-                    let enqueued = match req {
-                        Request::Sync(sig, reply, enqueued, span) => {
-                            let dets = Self::process(&det, sig, span);
-                            // Receiver may have given up; ignore send errors.
-                            let _ = reply.send(dets);
-                            enqueued
-                        }
-                        Request::Async(sig, enqueued, span) => {
-                            for d in Self::process(&det, sig, span) {
-                                let _ = det_tx.send(d);
-                            }
-                            enqueued
-                        }
-                        Request::Park(rz) => {
-                            rz.arrive();
-                            continue;
-                        }
-                        Request::Shutdown => break,
-                    };
-                    m.processed.inc();
-                    m.drain_latency_ns.record_duration(enqueued.elapsed());
-                }
-            })
-            .expect("spawn detector thread");
-        DetectorService {
-            detector,
-            requests: req_tx,
-            detections: det_rx,
-            metrics,
-            thread: Some(thread),
-        }
-    }
-
-    fn process(det: &LocalEventDetector, sig: Signal, span: Option<SpanContext>) -> Vec<Detection> {
-        // Re-install the enqueuing thread's span so a traced signal keeps
-        // its trace id across the queue hop.
-        let _guard = span.map(span::push_current);
-        match sig {
-            Signal::Method { class, sig, edge, oid, params, txn } => {
-                det.notify_method(&class, &sig, edge, oid, params, txn)
-            }
-            Signal::Explicit { name, params, txn } => det.signal_explicit(&name, params, txn),
-            Signal::FlushTxn(txn) => {
-                det.flush_txn(txn);
-                Vec::new()
-            }
-            Signal::AdvanceTime(ts) => det.advance_time(ts),
-        }
-    }
-
-    /// The shared detector (for definitions and subscriptions, which are
-    /// safe from any thread).
-    pub fn detector(&self) -> &Arc<LocalEventDetector> {
-        &self.detector
-    }
-
-    /// Sends a signal and waits for its detections (immediate mode).
-    pub fn signal_sync(&self, sig: Signal) -> Vec<Detection> {
-        let (tx, rx) = bounded(1);
-        let req = Request::Sync(sig, tx, Instant::now(), span::current());
-        if self.requests.send(req).is_err() {
-            return Vec::new();
-        }
-        self.metrics.queue_depth.set(self.requests.len() as u64);
-        rx.recv().unwrap_or_default()
-    }
-
-    /// Queues a signal; detections arrive on [`Self::detections`].
-    pub fn signal_async(&self, sig: Signal) {
-        if self.requests.send(Request::Async(sig, Instant::now(), span::current())).is_ok() {
-            self.metrics.queue_depth.set(self.requests.len() as u64);
-        }
-    }
-
-    /// Stream of detections from async signals.
-    pub fn detections(&self) -> &Receiver<Detection> {
-        &self.detections
-    }
-
-    /// Queue/latency counters for this service.
-    pub fn metrics(&self) -> &Arc<ServiceMetrics> {
-        &self.metrics
-    }
-
-    /// Runs `f` with the service drained and signalling paused: a park
-    /// request is queued behind every already-submitted signal, the
-    /// service thread processes them all and parks, and only then does
-    /// `f` run under [`LocalEventDetector::with_signals_paused`]. Unlike
-    /// calling `with_signals_paused` directly, async deliveries sitting
-    /// in the service queue cannot race the closure — the checkpoint cut
-    /// lands on a drain point.
-    pub fn with_paused<R>(&self, f: impl FnOnce() -> R) -> R {
-        let rz = Arc::new(Rendezvous::new(1));
-        if self.requests.send(Request::Park(rz.clone())).is_err() {
-            // Service already shut down: the queue is gone, a plain
-            // detector pause is already race-free.
-            return self.detector.with_signals_paused(f);
-        }
-        rz.wait_all_arrived();
-        let out = self.detector.with_signals_paused(f);
-        rz.release();
-        out
-    }
-
-    /// Stops the service thread after draining every queued signal.
-    ///
-    /// The request channel is FIFO, so the `Shutdown` request enqueued here
-    /// sorts behind everything already queued: the thread processes all
-    /// pending signals (their detections still reach
-    /// [`Self::detections`]) and only then exits. Idempotent; `Drop`
-    /// delegates here, but callers that need a deterministic drain point —
-    /// e.g. a network server's graceful shutdown — should call it
-    /// explicitly rather than rely on drop order.
-    pub fn shutdown(&mut self) {
-        let _ = self.requests.send(Request::Shutdown);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-impl Drop for DetectorService {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
 }
 
 // --- sharded worker pool ------------------------------------------------
@@ -615,11 +453,12 @@ mod tests {
     use crate::graph::PrimTarget;
     use sentinel_snoop::{parse_event_expr, ParamContext};
 
-    fn service() -> DetectorService {
+    /// One worker: the paper's single detector thread.
+    fn service() -> DetectorPool {
         let det = Arc::new(LocalEventDetector::new(1));
         det.declare_primitive("ev", "C", EventModifier::End, "void f()", PrimTarget::AnyInstance)
             .unwrap();
-        DetectorService::spawn(det)
+        DetectorPool::spawn(det, 1)
     }
 
     fn method_signal(txn: u64) -> Signal {

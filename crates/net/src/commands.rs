@@ -1,12 +1,10 @@
-//! The server's command layer, shared by both transports.
+//! The server's command layer.
 //!
 //! [`execute`] maps one decoded request [`Frame`] to an [`Outcome`]
-//! without touching a socket, so the thread-per-connection backend and
-//! the epoll reactor run the *same* command set, session rules, and
-//! backpressure decisions — the conformance suite in
-//! `tests/net_loopback.rs` exercises every case against both. The HTTP
-//! sniffing helpers for the `/metrics` side door live here for the same
-//! reason.
+//! without touching a socket: the command set, session rules and
+//! backpressure decisions the reactor applies, exercised case by case by
+//! the conformance suite in `tests/net_loopback.rs`. The HTTP sniffing
+//! helpers for the `/metrics` side door live here too.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

@@ -13,12 +13,11 @@
 //!   compact binary bodies ([`codec`]); strict size limits, total
 //!   (never-panicking) decoding;
 //! * [`codec`] — the CBOR-style binary payload codec v2 frames carry;
-//! * [`server`] — [`server::NetServer`] wrapping a
-//!   [`sentinel_core::ServeHandle`] behind either transport backend:
-//!   the default epoll [`reactor`] (nonblocking sockets, bounded write
-//!   queues, stall eviction) or the portable thread-per-connection
-//!   reference path — named sessions, the full command set,
-//!   per-session/global backpressure, graceful drain-on-shutdown;
+//! * [`server`] — [`server::NetServer`] serving a
+//!   [`sentinel_core::ServeHandle`] from an epoll [`reactor`]
+//!   (nonblocking sockets, bounded write queues, stall eviction) — named
+//!   sessions, the full command set, per-session/global backpressure,
+//!   graceful drain-on-shutdown;
 //! * [`client`] — blocking [`client::SentinelClient`] with request
 //!   pipelining by request id, per-connection request-id spaces,
 //!   codec negotiation at `Hello`, reconnect-with-backoff, and typed

@@ -27,10 +27,9 @@
 //!   are never evicted, which is what makes 10k+ mostly-idle
 //!   connections cheap (the C10K sweep in `sentinel-loadgen`).
 //!
-//! Command execution is shared with the thread-per-connection backend
-//! ([`crate::commands`]): sync signals run inline on the loop, async
-//! signals enter the pump queue, and the HTTP `/metrics` sniff works
-//! byte-for-byte the same.
+//! Commands run through [`crate::commands`]: sync signals inline on the
+//! loop, async signals into the pump queue; a plain HTTP request on the
+//! same port is sniffed and answered (`/metrics`).
 
 use std::collections::HashMap;
 use std::io::{Read as _, Write as _};
@@ -339,8 +338,7 @@ impl Conn {
     }
 
     /// Encodes a response in the request's wire version and queues it.
-    /// An oversized body degrades to an error frame, like the threaded
-    /// backend's `send`.
+    /// An oversized body degrades to an error frame.
     fn enqueue_frame(
         &mut self,
         state: &Arc<State>,

@@ -1,19 +1,11 @@
 //! The Sentinel network server: many clients, one shared active DBMS.
 //!
-//! Two interchangeable transport backends serve the same command set
-//! (shared via [`crate::commands`]) behind one [`NetServer`] front:
+//! Sockets are served by an epoll reactor: [`ServerConfig::event_loops`]
+//! event loops multiplexing nonblocking sockets — see [`crate::reactor`].
+//! Connections cost a few KiB of buffers, not a thread. The command set
+//! lives in [`crate::commands`], apart from any socket.
 //!
-//! * **epoll reactor** (default, [`ServerConfig::event_loops`] > 0):
-//!   a small fixed set of event loops multiplexing nonblocking sockets —
-//!   see [`crate::reactor`]. This is the C10K path: connections cost a
-//!   few KiB of buffers, not a thread.
-//! * **thread-per-connection** (`event_loops = 0`): one acceptor thread
-//!   and one OS thread per connection (bounded by
-//!   [`ServerConfig::max_connections`]), kept as the portable reference
-//!   implementation; the conformance suite in `tests/net_loopback.rs`
-//!   runs against both.
-//!
-//! Either way, one *async pump* thread routes queued signals into a
+//! One *async pump* thread routes queued signals into a
 //! [`DetectorPool`] of [`ServerConfig::detector_threads`] workers — the
 //! paper's Figure 2 separation of detection from application execution,
 //! applied at the network boundary and scaled across event-graph shards.
@@ -38,19 +30,17 @@
 //!   queue is a global `Busy`, and each session is further capped at
 //!   [`ServerConfig::max_inflight_per_session`] queued signals
 //!   (`Busy {"scope": "session"}`);
-//! * the reactor additionally bounds each connection's **write queue**
-//!   ([`ServerConfig::max_write_queue`]) and evicts peers that stall
-//!   mid-frame or mid-write past [`ServerConfig::stall_timeout`].
+//! * each connection's **write queue** is bounded
+//!   ([`ServerConfig::max_write_queue`]), and peers that stall mid-frame
+//!   or mid-write past [`ServerConfig::stall_timeout`] are evicted.
 //!
 //! Graceful shutdown (client `Shutdown` frame or [`NetServer::shutdown`])
-//! stops accepting, winds down the backend (joining connection threads or
-//! event loops), closes the async queue so the pump drains it, and
-//! finally calls [`DetectorPool::shutdown`], which processes everything
-//! still queued on every worker before joining them (and the dispatcher
-//! drains the last detections).
+//! stops accepting, joins the event loops, closes the async queue so the
+//! pump drains it, and finally calls [`DetectorPool::shutdown`], which
+//! processes everything still queued on every worker before joining them
+//! (and the dispatcher drains the last detections).
 
-use std::io::Read;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -66,8 +56,7 @@ use sentinel_obs::timeseries::Sample;
 use sentinel_obs::trace::Field;
 use sentinel_obs::NetMetrics;
 
-use crate::commands::{self, Outcome, Session};
-use crate::protocol::{self, Frame, WireError};
+use crate::protocol;
 use crate::reactor::Reactor;
 
 /// Server tuning knobs.
@@ -83,16 +72,11 @@ pub struct ServerConfig {
     pub max_inflight_per_session: usize,
     /// Global cap on in-flight signals (inline sync + queued async).
     pub max_inflight_global: usize,
-    /// Socket read timeout — the granularity at which *threaded*
-    /// connection threads notice a shutdown (unused by the reactor,
-    /// which is woken by eventfd).
-    pub read_timeout: Duration,
     /// Detector worker threads behind the async pump. Signals of one
     /// event-graph shard always run FIFO on one worker; more threads let
     /// disjoint shards detect concurrently.
     pub detector_threads: usize,
-    /// Reactor event loops; `0` selects the thread-per-connection
-    /// backend instead.
+    /// Reactor event loops (at least one runs).
     pub event_loops: usize,
     /// Highest wire version this server accepts and advertises
     /// ([`protocol::VERSION`] = JSON only, [`protocol::VERSION_BINARY`]
@@ -115,7 +99,6 @@ impl Default for ServerConfig {
             max_connections: 64,
             max_inflight_per_session: 128,
             max_inflight_global: 1024,
-            read_timeout: Duration::from_millis(50),
             detector_threads: 1,
             event_loops: 2,
             max_codec_version: protocol::VERSION_MAX,
@@ -135,7 +118,7 @@ pub(crate) struct AsyncJob {
     pub(crate) session_inflight: Arc<AtomicU64>,
 }
 
-/// State shared by every server thread (both backends and the pump).
+/// State shared by every server thread (event loops and the pump).
 pub(crate) struct State {
     pub(crate) handle: ServeHandle,
     pub(crate) cfg: ServerConfig,
@@ -152,17 +135,11 @@ pub(crate) struct State {
     pub(crate) shutdown_tx: Sender<()>,
 }
 
-/// The transport actually serving sockets.
-enum Backend {
-    Threaded { acceptor: JoinHandle<()>, conns: Arc<Mutex<Vec<JoinHandle<()>>>> },
-    Reactor(Reactor),
-}
-
 /// A running server; dropping it shuts it down.
 pub struct NetServer {
     state: Arc<State>,
     local_addr: SocketAddr,
-    backend: Mutex<Option<Backend>>,
+    reactor: Mutex<Option<Reactor>>,
     pump: Mutex<Option<JoinHandle<()>>>,
     shutdown_rx: Receiver<()>,
 }
@@ -232,23 +209,12 @@ impl NetServer {
             .spawn(move || pump_loop(pool, async_rx, pump_state))
             .expect("spawn pump thread");
 
-        let backend = if state.cfg.event_loops == 0 {
-            let conn_threads = Arc::new(Mutex::new(Vec::new()));
-            let accept_state = state.clone();
-            let accept_conns = conn_threads.clone();
-            let acceptor = std::thread::Builder::new()
-                .name("sentinel-net-accept".into())
-                .spawn(move || accept_loop(listener, accept_state, accept_conns))
-                .expect("spawn acceptor thread");
-            Backend::Threaded { acceptor, conns: conn_threads }
-        } else {
-            Backend::Reactor(Reactor::start(listener, state.clone())?)
-        };
+        let reactor = Reactor::start(listener, state.clone())?;
 
         Ok(NetServer {
             state,
             local_addr,
-            backend: Mutex::new(Some(backend)),
+            reactor: Mutex::new(Some(reactor)),
             pump: Mutex::new(Some(pump)),
             shutdown_rx,
         })
@@ -270,27 +236,15 @@ impl NetServer {
         self.shutdown();
     }
 
-    /// Graceful shutdown: stop accepting, wind the backend down, drain
-    /// the async queue and the detector service. Idempotent.
+    /// Graceful shutdown: stop accepting, join the event loops, drain
+    /// the async queue and the detector pool. Idempotent.
     pub fn shutdown(&self) {
         self.state.shutdown.store(true, Ordering::SeqCst);
-        if let Some(backend) = self.backend.lock().take() {
-            match backend {
-                Backend::Threaded { acceptor, conns } => {
-                    // Unblock the acceptor's `incoming()` with a throwaway
-                    // connect.
-                    let _ = TcpStream::connect(self.local_addr);
-                    let _ = acceptor.join();
-                    let threads: Vec<_> = conns.lock().drain(..).collect();
-                    for t in threads {
-                        let _ = t.join();
-                    }
-                }
-                Backend::Reactor(reactor) => reactor.shutdown(),
-            }
+        if let Some(reactor) = self.reactor.lock().take() {
+            reactor.shutdown();
         }
         // Closing the queue lets the pump drain what is left, shut the
-        // detector service down (which drains *its* queue), and exit.
+        // detector pool down (which drains *its* queues), and exit.
         *self.state.async_tx.lock() = None;
         if let Some(t) = self.pump.lock().take() {
             let _ = t.join();
@@ -361,151 +315,4 @@ fn pump_loop(mut pool: DetectorPool, rx: Receiver<AsyncJob>, state: Arc<State>) 
     pool.shutdown();
     drop(pool);
     let _ = dispatcher.join();
-}
-
-fn accept_loop(listener: TcpListener, state: Arc<State>, conns: Arc<Mutex<Vec<JoinHandle<()>>>>) {
-    for stream in listener.incoming() {
-        if state.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        let active = state.active_conns.load(Ordering::SeqCst);
-        if active >= state.cfg.max_connections as u64 {
-            state.metrics.connections_refused.inc();
-            let _ = protocol::write_frame(
-                &mut &stream,
-                &commands::err_frame(0, "connection-limit", "server connection limit reached"),
-            );
-            continue; // dropping the stream closes it
-        }
-        state.metrics.connections_opened.inc();
-        let n = state.active_conns.fetch_add(1, Ordering::SeqCst) + 1;
-        state.metrics.connections_active.set(n);
-        let conn_state = state.clone();
-        let t = std::thread::Builder::new()
-            .name("sentinel-net-conn".into())
-            .spawn(move || {
-                handle_conn(&stream, &conn_state);
-                let n = conn_state.active_conns.fetch_sub(1, Ordering::SeqCst) - 1;
-                conn_state.metrics.connections_active.set(n);
-            })
-            .expect("spawn connection thread");
-        conns.lock().push(t);
-    }
-}
-
-/// Serves one connection until EOF, a protocol error, or server shutdown
-/// (thread-per-connection backend).
-fn handle_conn(stream: &TcpStream, state: &Arc<State>) {
-    let _ = stream.set_read_timeout(Some(state.cfg.read_timeout));
-    let _ = stream.set_nodelay(true);
-    let mut session: Option<Session> = None;
-    let mut buf: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 16 * 1024];
-    'conn: loop {
-        // A plain HTTP GET/HEAD (e.g. `curl /metrics`) shares the port
-        // with the frame protocol: the method token can never open a
-        // valid frame (magic "SN"), so sniff it before frame-decoding,
-        // serve one response, and close (`Connection: close` — scrapers
-        // reconnect per poll).
-        if commands::is_http_prefix(&buf) {
-            if let Some(end) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
-                use std::io::Write as _;
-                let resp = commands::http_response(state, &buf[..end]);
-                if (&mut &*stream).write_all(&resp).is_ok() {
-                    state.metrics.bytes_out.add(resp.len() as u64);
-                }
-                break 'conn;
-            }
-            if buf.len() > 16 * 1024 {
-                break 'conn; // runaway header block
-            }
-        } else {
-            // Handle every complete frame already buffered, answering
-            // each in the wire version it arrived in.
-            loop {
-                match protocol::decode_with(&buf, state.cfg.max_codec_version) {
-                    Ok(Some((frame, wire, used))) => {
-                        buf.drain(..used);
-                        state.metrics.frames_in.inc();
-                        match commands::execute(state, &mut session, frame) {
-                            Outcome::Reply(f) => {
-                                if !send(stream, state, &f, wire) {
-                                    break 'conn;
-                                }
-                            }
-                            Outcome::ReplyClose(f) => {
-                                send(stream, state, &f, wire);
-                                break 'conn;
-                            }
-                            Outcome::ReplyShutdown(f) => {
-                                let ok = send(stream, state, &f, wire);
-                                let _ = state.shutdown_tx.send(());
-                                if !ok {
-                                    break 'conn;
-                                }
-                            }
-                        }
-                    }
-                    Ok(None) => break,
-                    Err(e) => {
-                        // Corrupt stream: report once, then hang up —
-                        // resync inside a length-prefixed stream is
-                        // impossible.
-                        state.metrics.decode_errors.inc();
-                        send(
-                            stream,
-                            state,
-                            &commands::err_frame(0, "decode", &e.to_string()),
-                            protocol::VERSION,
-                        );
-                        break 'conn;
-                    }
-                }
-            }
-        }
-        if state.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        match (&mut &*stream).read(&mut chunk) {
-            Ok(0) => break, // client hung up
-            Ok(n) => {
-                state.metrics.bytes_in.add(n as u64);
-                buf.extend_from_slice(&chunk[..n]);
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue; // timeout tick: re-check the shutdown flag
-            }
-            Err(_) => break,
-        }
-    }
-}
-
-/// Writes a response in `wire` version, counting frames/bytes. An
-/// oversized body degrades to an error frame; a transport failure closes
-/// the connection.
-fn send(stream: &TcpStream, state: &Arc<State>, frame: &Frame, wire: u8) -> bool {
-    match protocol::write_frame_with(&mut &*stream, frame, wire) {
-        Ok(n) => {
-            state.metrics.frames_out.inc();
-            state.metrics.bytes_out.add(n as u64);
-            true
-        }
-        Err(WireError::Encode(_)) => {
-            let fallback =
-                commands::err_frame(frame.request_id, "oversized", "response exceeds frame limit");
-            match protocol::write_frame_with(&mut &*stream, &fallback, wire) {
-                Ok(n) => {
-                    state.metrics.frames_out.inc();
-                    state.metrics.bytes_out.add(n as u64);
-                    true
-                }
-                Err(_) => false,
-            }
-        }
-        Err(_) => false,
-    }
 }

@@ -1,8 +1,8 @@
 //! Network-layer observability: counters for the `sentinel-net`
 //! client/server subsystem.
 //!
-//! The server owns one [`NetMetrics`] and bumps it from every connection
-//! thread (all counters are relaxed atomics, same discipline as the rest
+//! The server owns one [`NetMetrics`] and bumps it from every event
+//! loop (all counters are relaxed atomics, same discipline as the rest
 //! of this crate); [`NetMetrics::snapshot`] produces the plain-data
 //! [`NetStats`] that the server merges into the `SentinelStats` JSON as a
 //! `net` section.
@@ -32,7 +32,7 @@ pub struct NetMetrics {
     pub decode_errors: Counter,
     /// Signals rejected with a `Busy` frame by backpressure limits.
     pub busy_rejections: Counter,
-    /// Event loops the reactor backend runs (0 under thread-per-connection).
+    /// Event loops the reactor runs.
     pub event_loops: Gauge,
     /// `epoll_wait` returns across all reactor loops.
     pub epoll_wakeups: Counter,

@@ -15,8 +15,8 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use sentinel_core::detector::graph::PrimTarget;
-use sentinel_core::detector::service::{DetectorService, Signal};
-use sentinel_core::detector::LocalEventDetector;
+use sentinel_core::detector::service::Signal;
+use sentinel_core::detector::{DetectorPool, LocalEventDetector};
 use sentinel_core::oodb::schema::{AttrType, ClassDef};
 use sentinel_core::oodb::{AttrValue, ObjectState, Oid};
 use sentinel_core::rules::manager::RuleOptions;
@@ -230,7 +230,7 @@ fn iv_detector_separated_from_application() {
         .define_named("evseq", &sentinel_core::snoop::parse_event_expr("(ev ; ev)").unwrap())
         .unwrap();
     det.subscribe(seq, ParamContext::Chronicle, 1).unwrap();
-    let svc = DetectorService::spawn(det);
+    let svc = DetectorPool::spawn(det, 1);
     let sig = || Signal::Method {
         class: "C".into(),
         sig: "void f()".into(),

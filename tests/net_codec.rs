@@ -260,9 +260,9 @@ fn truncation_at_every_byte_never_panics() {
 // Live-server pillar: negotiation matrix + differential replies.
 // ---------------------------------------------------------------------------
 
-fn start_server(max_codec_version: u8, event_loops: usize) -> (Arc<Sentinel>, NetServer, String) {
+fn start_server(max_codec_version: u8) -> (Arc<Sentinel>, NetServer, String) {
     let sentinel = Sentinel::in_memory();
-    let cfg = ServerConfig { max_codec_version, event_loops, ..ServerConfig::default() };
+    let cfg = ServerConfig { max_codec_version, event_loops: 2, ..ServerConfig::default() };
     let server = NetServer::start(sentinel.serve_handle(), cfg).expect("bind loopback");
     let addr = server.local_addr().to_string();
     (sentinel, server, addr)
@@ -334,35 +334,33 @@ fn run_full_command_set(client: &SentinelClient, tag: &str) {
 }
 
 /// Pillar 4: every pairing of server version ceiling × client codec
-/// lands on the correct wire version, on both transport backends.
+/// lands on the correct wire version.
 #[test]
 fn version_negotiation_matrix() {
-    for event_loops in [2usize, 0] {
-        // v2-capable server.
-        let (_s, _server, addr) = start_server(protocol::VERSION_MAX, event_loops);
-        let auto = SentinelClient::connect_with(&addr, "auto", ClientCodec::Auto).unwrap();
-        assert_eq!(auto.negotiated_version(), protocol::VERSION_BINARY);
-        let jsonc = SentinelClient::connect_with(&addr, "json", ClientCodec::Json).unwrap();
-        assert_eq!(jsonc.negotiated_version(), protocol::VERSION);
-        let binc = SentinelClient::connect_with(&addr, "bin", ClientCodec::Binary).unwrap();
-        assert_eq!(binc.negotiated_version(), protocol::VERSION_BINARY);
-        for c in [&auto, &jsonc, &binc] {
-            let echo = json::Value::obj([("loops", json::Value::UInt(event_loops as u64))]);
-            assert_eq!(c.ping(echo.clone()).unwrap(), echo);
-        }
-
-        // v1-only server (an old build, emulated by the version ceiling).
-        let (_s1, _server1, addr1) = start_server(protocol::VERSION, event_loops);
-        let auto1 = SentinelClient::connect_with(&addr1, "auto", ClientCodec::Auto).unwrap();
-        assert_eq!(
-            auto1.negotiated_version(),
-            protocol::VERSION,
-            "v2 client must downgrade to a v1 server"
-        );
-        auto1.ping(json::Value::obj([("ok", json::Value::Bool(true))])).unwrap();
-        let bin1 = SentinelClient::connect_with(&addr1, "bin", ClientCodec::Binary);
-        assert!(bin1.is_err(), "pinned-binary client must refuse a v1-only server");
+    // v2-capable server.
+    let (_s, _server, addr) = start_server(protocol::VERSION_MAX);
+    let auto = SentinelClient::connect_with(&addr, "auto", ClientCodec::Auto).unwrap();
+    assert_eq!(auto.negotiated_version(), protocol::VERSION_BINARY);
+    let jsonc = SentinelClient::connect_with(&addr, "json", ClientCodec::Json).unwrap();
+    assert_eq!(jsonc.negotiated_version(), protocol::VERSION);
+    let binc = SentinelClient::connect_with(&addr, "bin", ClientCodec::Binary).unwrap();
+    assert_eq!(binc.negotiated_version(), protocol::VERSION_BINARY);
+    for c in [&auto, &jsonc, &binc] {
+        let echo = json::Value::obj([("loops", json::Value::UInt(2))]);
+        assert_eq!(c.ping(echo.clone()).unwrap(), echo);
     }
+
+    // v1-only server (an old build, emulated by the version ceiling).
+    let (_s1, _server1, addr1) = start_server(protocol::VERSION);
+    let auto1 = SentinelClient::connect_with(&addr1, "auto", ClientCodec::Auto).unwrap();
+    assert_eq!(
+        auto1.negotiated_version(),
+        protocol::VERSION,
+        "v2 client must downgrade to a v1 server"
+    );
+    auto1.ping(json::Value::obj([("ok", json::Value::Bool(true))])).unwrap();
+    let bin1 = SentinelClient::connect_with(&addr1, "bin", ClientCodec::Binary);
+    assert!(bin1.is_err(), "pinned-binary client must refuse a v1-only server");
 }
 
 /// Pillar 4's acceptance bar: a v1 JSON client completes the full
@@ -370,7 +368,7 @@ fn version_negotiation_matrix() {
 /// completes the same set on the same server.
 #[test]
 fn v1_client_completes_full_command_set_against_reactor() {
-    let (_sentinel, _server, addr) = start_server(protocol::VERSION_MAX, 2);
+    let (_sentinel, _server, addr) = start_server(protocol::VERSION_MAX);
     let v1 = SentinelClient::connect_with(&addr, "legacy", ClientCodec::Json).unwrap();
     assert_eq!(v1.negotiated_version(), protocol::VERSION);
     run_full_command_set(&v1, "v1");
@@ -383,7 +381,7 @@ fn v1_client_completes_full_command_set_against_reactor() {
 /// issuing the same requests observe identical results.
 #[test]
 fn json_and_binary_clients_observe_identical_replies() {
-    let (_sentinel, _server, addr) = start_server(protocol::VERSION_MAX, 2);
+    let (_sentinel, _server, addr) = start_server(protocol::VERSION_MAX);
     let jsonc = SentinelClient::connect_with(&addr, "j", ClientCodec::Json).unwrap();
     let binc = SentinelClient::connect_with(&addr, "b", ClientCodec::Binary).unwrap();
 

@@ -2,10 +2,7 @@
 //! loopback sockets: concurrent clients with exact signal accounting,
 //! pipelining, malformed-input robustness, backpressure, the async signal
 //! path, graceful shutdown draining, and cross-process trace stitching.
-//!
-//! Every case runs against **both transport backends** — the epoll
-//! reactor and the thread-per-connection reference path — so the two
-//! stay behaviorally identical (one conformance suite, two transports).
+//! Every case runs on a reactor with two event loops.
 
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -17,33 +14,9 @@ use sentinel_net::{ClientError, NetServer, RuleSpec, SentinelClient, ServerConfi
 use sentinel_obs::json;
 use sentinel_obs::span::REMOTE_TRACE_BIT;
 
-/// Which transport serves the sockets in a test run.
-#[derive(Clone, Copy, Debug)]
-enum Backend {
-    /// Epoll event loops (the default in production).
-    Reactor,
-    /// One OS thread per connection (the portable reference path).
-    Threaded,
-}
-
-const BACKENDS: [Backend; 2] = [Backend::Reactor, Backend::Threaded];
-
-impl Backend {
-    fn apply(self, cfg: &mut ServerConfig) {
-        cfg.event_loops = match self {
-            Backend::Reactor => 2,
-            Backend::Threaded => 0,
-        };
-    }
-}
-
-fn start_server(
-    backend: Backend,
-    configure: impl FnOnce(&mut ServerConfig),
-) -> (Arc<Sentinel>, NetServer, String) {
+fn start_server(configure: impl FnOnce(&mut ServerConfig)) -> (Arc<Sentinel>, NetServer, String) {
     let sentinel = Sentinel::in_memory();
-    let mut cfg = ServerConfig::default();
-    backend.apply(&mut cfg);
+    let mut cfg = ServerConfig { event_loops: 2, ..ServerConfig::default() };
     configure(&mut cfg);
     let server = NetServer::start(sentinel.serve_handle(), cfg).expect("bind loopback");
     let addr = server.local_addr().to_string();
@@ -80,15 +53,9 @@ fn define_pair_workload(admin: &SentinelClient) {
 /// exactly what the clients sent.
 #[test]
 fn eight_concurrent_clients_lose_no_signals() {
-    for backend in BACKENDS {
-        eight_concurrent_clients_case(backend);
-    }
-}
-
-fn eight_concurrent_clients_case(backend: Backend) {
     const CLIENTS: usize = 8;
     const ITERS: usize = 40;
-    let (_sentinel, server, addr) = start_server(backend, |_| {});
+    let (_sentinel, server, addr) = start_server(|_| {});
     let admin = SentinelClient::connect(&addr, "admin").unwrap();
     define_pair_workload(&admin);
 
@@ -111,7 +78,7 @@ fn eight_concurrent_clients_case(backend: Backend) {
     let pairs_observed: u64 = threads.into_iter().map(|t| t.join().unwrap()).sum();
 
     let expected = (CLIENTS * ITERS) as u64;
-    assert_eq!(pairs_observed, expected, "[{backend:?}] every seq_b must close exactly one pair");
+    assert_eq!(pairs_observed, expected, "every seq_b must close exactly one pair");
     let stats = admin.stats().unwrap();
     // pair_watch + cascade_count both fire once per pair.
     assert_eq!(stat_u64(&stats, &["scheduler", "fired", "immediate"]), 2 * expected);
@@ -126,20 +93,18 @@ fn eight_concurrent_clients_case(backend: Backend) {
 /// by request id no matter the order `wait` is called in.
 #[test]
 fn pipelined_requests_resolve_by_id() {
-    for backend in BACKENDS {
-        let (_sentinel, _server, addr) = start_server(backend, |_| {});
-        let client = SentinelClient::connect(&addr, "pipeliner").unwrap();
-        let pendings: Vec<_> = (0..16u64)
-            .map(|i| {
-                let payload = json::Value::obj([("n", json::Value::UInt(i))]);
-                (i, client.send(Opcode::Ping, payload).unwrap())
-            })
-            .collect();
-        // Wait newest-first to prove matching is by id, not arrival order.
-        for (i, pending) in pendings.into_iter().rev() {
-            let reply = pending.wait().unwrap();
-            assert_eq!(reply.get("n").and_then(json::Value::as_u64), Some(i), "[{backend:?}]");
-        }
+    let (_sentinel, _server, addr) = start_server(|_| {});
+    let client = SentinelClient::connect(&addr, "pipeliner").unwrap();
+    let pendings: Vec<_> = (0..16u64)
+        .map(|i| {
+            let payload = json::Value::obj([("n", json::Value::UInt(i))]);
+            (i, client.send(Opcode::Ping, payload).unwrap())
+        })
+        .collect();
+    // Wait newest-first to prove matching is by id, not arrival order.
+    for (i, pending) in pendings.into_iter().rev() {
+        let reply = pending.wait().unwrap();
+        assert_eq!(reply.get("n").and_then(json::Value::as_u64), Some(i));
     }
 }
 
@@ -147,13 +112,7 @@ fn pipelined_requests_resolve_by_id() {
 /// server neither panics nor stalls, and keeps serving other clients.
 #[test]
 fn malformed_frames_get_error_and_hangup() {
-    for backend in BACKENDS {
-        malformed_frames_case(backend);
-    }
-}
-
-fn malformed_frames_case(backend: Backend) {
-    let (_sentinel, server, addr) = start_server(backend, |_| {});
+    let (_sentinel, server, addr) = start_server(|_| {});
 
     // Corrupt magic.
     let mut raw = TcpStream::connect(&addr).unwrap();
@@ -185,7 +144,7 @@ fn malformed_frames_case(backend: Backend) {
     // The server is still healthy for well-behaved clients.
     let client = SentinelClient::connect(&addr, "survivor").unwrap();
     client.ping(json::Value::Null).unwrap();
-    assert!(server.metrics().snapshot().decode_errors >= 2, "[{backend:?}]");
+    assert!(server.metrics().snapshot().decode_errors >= 2);
 }
 
 /// Backpressure is explicit: a zero-length session queue answers every
@@ -193,40 +152,32 @@ fn malformed_frames_case(backend: Backend) {
 /// refuses extra clients outright.
 #[test]
 fn backpressure_and_connection_limits() {
-    for backend in BACKENDS {
-        let (_sentinel, server, addr) = start_server(backend, |cfg| {
-            cfg.max_inflight_per_session = 0;
-            cfg.max_connections = 2;
-        });
-        let admin = SentinelClient::connect(&addr, "admin").unwrap();
-        admin.define_event("tick", None).unwrap();
+    let (_sentinel, server, addr) = start_server(|cfg| {
+        cfg.max_inflight_per_session = 0;
+        cfg.max_connections = 2;
+    });
+    let admin = SentinelClient::connect(&addr, "admin").unwrap();
+    admin.define_event("tick", None).unwrap();
 
-        match admin.signal_async("tick", &[], None) {
-            Err(ClientError::Busy { scope }) => assert_eq!(scope, "session"),
-            other => panic!("[{backend:?}] expected session Busy, got {other:?}"),
-        }
-        // Sync signals bypass the session queue entirely.
-        admin.signal_sync("tick", &[], None).unwrap();
-
-        let _second = SentinelClient::connect(&addr, "second").unwrap();
-        let third = SentinelClient::connect(&addr, "third");
-        assert!(third.is_err(), "[{backend:?}] connection over the cap must be refused");
-        assert!(server.metrics().snapshot().connections_refused >= 1);
+    match admin.signal_async("tick", &[], None) {
+        Err(ClientError::Busy { scope }) => assert_eq!(scope, "session"),
+        other => panic!("expected session Busy, got {other:?}"),
     }
+    // Sync signals bypass the session queue entirely.
+    admin.signal_sync("tick", &[], None).unwrap();
+
+    let _second = SentinelClient::connect(&addr, "second").unwrap();
+    let third = SentinelClient::connect(&addr, "third");
+    assert!(third.is_err(), "connection over the cap must be refused");
+    assert!(server.metrics().snapshot().connections_refused >= 1);
 }
 
 /// The async path delivers every accepted signal through the detector
-/// service pump — eventually, but exactly once.
+/// pool pump — eventually, but exactly once.
 #[test]
 fn async_signals_all_reach_rules() {
-    for backend in BACKENDS {
-        async_signals_case(backend);
-    }
-}
-
-fn async_signals_case(backend: Backend) {
     const PER_CLIENT: usize = 50;
-    let (_sentinel, _server, addr) = start_server(backend, |_| {});
+    let (_sentinel, _server, addr) = start_server(|_| {});
     let admin = SentinelClient::connect(&addr, "admin").unwrap();
     admin.define_event("tick", None).unwrap();
     admin.define_rule(&RuleSpec::count("tick_count", "tick")).unwrap();
@@ -262,8 +213,8 @@ fn async_signals_case(backend: Backend) {
         if hits == expected {
             break;
         }
-        assert!(hits < expected, "[{backend:?}] over-delivery: {hits} > {expected}");
-        assert!(Instant::now() < deadline, "[{backend:?}] async pump stalled at {hits}/{expected}");
+        assert!(hits < expected, "over-delivery: {hits} > {expected}");
+        assert!(Instant::now() < deadline, "async pump stalled at {hits}/{expected}");
         std::thread::sleep(Duration::from_millis(5));
     }
 }
@@ -272,72 +223,57 @@ fn async_signals_case(backend: Backend) {
 /// async signals are processed before the server's threads join.
 #[test]
 fn graceful_shutdown_drains_accepted_signals() {
-    for backend in BACKENDS {
-        const QUEUED: usize = 64;
-        let (sentinel, server, addr) = start_server(backend, |_| {});
-        let admin = SentinelClient::connect(&addr, "admin").unwrap();
-        admin.define_event("tick", None).unwrap();
-        admin.define_rule(&RuleSpec::count("tick_count", "tick")).unwrap();
-        for _ in 0..QUEUED {
-            admin.signal_async("tick", &[], None).unwrap();
-        }
-        admin.shutdown_server().unwrap();
-        server.wait_for_shutdown();
-
-        // All accepted signals went through the rule scheduler before join.
-        let stats = sentinel.serve_handle().stats_json();
-        assert_eq!(
-            stat_u64(&stats, &["scheduler", "fired", "immediate"]),
-            QUEUED as u64,
-            "[{backend:?}]"
-        );
+    const QUEUED: usize = 64;
+    let (sentinel, server, addr) = start_server(|_| {});
+    let admin = SentinelClient::connect(&addr, "admin").unwrap();
+    admin.define_event("tick", None).unwrap();
+    admin.define_rule(&RuleSpec::count("tick_count", "tick")).unwrap();
+    for _ in 0..QUEUED {
+        admin.signal_async("tick", &[], None).unwrap();
     }
+    admin.shutdown_server().unwrap();
+    server.wait_for_shutdown();
+
+    // All accepted signals went through the rule scheduler before join.
+    let stats = sentinel.serve_handle().stats_json();
+    assert_eq!(stat_u64(&stats, &["scheduler", "fired", "immediate"]), QUEUED as u64);
 }
 
 /// A trace id stamped on a signal frame shows up server-side as a remote
 /// trace (high bit set) whose spans cover the detector work.
 #[test]
 fn remote_trace_ids_stitch_into_server_traces() {
-    for backend in BACKENDS {
-        let (sentinel, _server, addr) = start_server(backend, |_| {});
-        sentinel.set_tracing(true);
-        let client = SentinelClient::connect(&addr, "tracer").unwrap();
-        client.define_event("tick", None).unwrap();
-        client.signal_sync_traced("tick", &[], None, 42).unwrap();
+    let (sentinel, _server, addr) = start_server(|_| {});
+    sentinel.set_tracing(true);
+    let client = SentinelClient::connect(&addr, "tracer").unwrap();
+    client.define_event("tick", None).unwrap();
+    client.signal_sync_traced("tick", &[], None, 42).unwrap();
 
-        let reply = client.trace_summaries().unwrap();
-        let traces = reply.get("traces").and_then(json::Value::as_arr).expect("traces array");
-        let stitched = traces
-            .iter()
-            .find(|t| t.get("trace").and_then(json::Value::as_u64) == Some(42 | REMOTE_TRACE_BIT))
-            .expect("remote trace adopted server-side");
-        assert!(stat_u64(stitched, &["spans"]) >= 1, "[{backend:?}]");
-        // The Chrome export carries the same spans for offline viewing.
-        let chrome = client.export_chrome_trace().unwrap();
-        assert!(chrome.contains("net_signal"));
-    }
+    let reply = client.trace_summaries().unwrap();
+    let traces = reply.get("traces").and_then(json::Value::as_arr).expect("traces array");
+    let stitched = traces
+        .iter()
+        .find(|t| t.get("trace").and_then(json::Value::as_u64) == Some(42 | REMOTE_TRACE_BIT))
+        .expect("remote trace adopted server-side");
+    assert!(stat_u64(stitched, &["spans"]) >= 1);
+    // The Chrome export carries the same spans for offline viewing.
+    let chrome = client.export_chrome_trace().unwrap();
+    assert!(chrome.contains("net_signal"));
 }
 
-/// The telemetry scrape works over both transports on one port: the
+/// The telemetry scrape works over two protocols on one port: the
 /// `MetricsScrape` opcode returns `{prom, telemetry}`, and a plain HTTP
 /// `GET /metrics` (sniffed before frame decoding) serves the same
 /// exposition text for `curl`/Prometheus.
 #[test]
 fn metrics_scrape_over_opcode_and_http() {
-    for backend in BACKENDS {
-        metrics_scrape_case(backend);
-    }
-}
-
-fn metrics_scrape_case(backend: Backend) {
     use std::io::{Read as _, Write as _};
 
     let sentinel = Sentinel::in_memory();
     // Telemetry must be on before the server starts so the net/service
     // sources register into the same registry.
     let registry = sentinel.start_telemetry(Duration::from_secs(3600), 64);
-    let mut cfg = ServerConfig::default();
-    backend.apply(&mut cfg);
+    let cfg = ServerConfig { event_loops: 2, ..ServerConfig::default() };
     let server = NetServer::start(sentinel.serve_handle(), cfg).expect("bind loopback");
     let addr = server.local_addr().to_string();
 
@@ -363,11 +299,7 @@ fn metrics_scrape_case(backend: Backend) {
     http.write_all(b"GET /metrics HTTP/1.1\r\nHost: test\r\n\r\n").unwrap();
     let mut body = String::new();
     http.read_to_string(&mut body).unwrap();
-    assert!(
-        body.starts_with("HTTP/1.1 200 OK"),
-        "[{backend:?}] got: {}",
-        &body[..body.len().min(80)]
-    );
+    assert!(body.starts_with("HTTP/1.1 200 OK"), "got: {}", &body[..body.len().min(80)]);
     assert!(body.contains("Connection: close"));
     assert!(body.contains("sentinel_signals_total"));
 

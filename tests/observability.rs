@@ -5,8 +5,8 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use sentinel_core::detector::service::{DetectorService, Signal};
-use sentinel_core::detector::LocalEventDetector;
+use sentinel_core::detector::service::Signal;
+use sentinel_core::detector::{DetectorPool, LocalEventDetector};
 use sentinel_core::rules::manager::RuleOptions;
 use sentinel_core::rules::ExecutionMode;
 use sentinel_core::sentinel::SentinelConfig;
@@ -67,20 +67,21 @@ fn async_burst_registers_queue_depth_and_latency() {
         sentinel_core::detector::graph::PrimTarget::AnyInstance,
     )
     .unwrap();
-    let svc = DetectorService::spawn(det);
+    let svc = DetectorPool::spawn(det, 1);
+    let signal = || Signal::Method {
+        class: "C".into(),
+        sig: "void f()".into(),
+        edge: EventModifier::End,
+        oid: 1,
+        params: Vec::new(),
+        txn: Some(1),
+    };
     for _ in 0..BURST {
-        svc.signal_async(Signal::Method {
-            class: "C".into(),
-            sig: "void f()".into(),
-            edge: EventModifier::End,
-            oid: 1,
-            params: Vec::new(),
-            txn: Some(1),
-        });
+        svc.signal_async(signal());
     }
     // Sync rendezvous: the reply arrives after every queued async signal
     // was handled, but the final counter bump races the reply — wait it out.
-    svc.signal_sync(Signal::FlushTxn(1));
+    svc.signal_sync(signal());
     let m = svc.metrics();
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
     while m.processed.get() < BURST + 1 && std::time::Instant::now() < deadline {

@@ -7,8 +7,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use sentinel_core::detector::graph::PrimTarget;
-use sentinel_core::detector::service::{DetectorService, Signal};
-use sentinel_core::detector::LocalEventDetector;
+use sentinel_core::detector::service::Signal;
+use sentinel_core::detector::{DetectorPool, LocalEventDetector};
 use sentinel_core::obs::json::Value;
 use sentinel_core::obs::span::{self, SpanRecord, TraceStore};
 use sentinel_core::rules::manager::RuleOptions;
@@ -110,7 +110,7 @@ fn seq_rule_fires_with_full_provenance_chain() {
 }
 
 /// A trace started on the application thread must survive the detector
-/// service's queue hop: detections coming back over the async channel
+/// pool's queue hop: detections coming back over the async channel
 /// carry the enqueuing thread's trace id.
 #[test]
 fn trace_id_survives_threaded_detector_queue() {
@@ -118,7 +118,7 @@ fn trace_id_survives_threaded_detector_queue() {
     det.declare_primitive("ev", "C", EventModifier::End, SIG, PrimTarget::AnyInstance).unwrap();
     let seq = det.define_named("evev", &parse_event_expr("ev ; ev").unwrap()).unwrap();
     det.subscribe(seq, ParamContext::Chronicle, 1).unwrap();
-    let svc = DetectorService::spawn(det);
+    let svc = DetectorPool::spawn(det, 1);
 
     // Ambient span on the caller thread, as a rule action would have.
     let trace = store.new_trace();
@@ -144,7 +144,7 @@ fn trace_id_survives_threaded_detector_queue() {
         .recv_timeout(std::time::Duration::from_secs(5))
         .expect("composite detection");
     let occ_span = d.occurrence.span.expect("occurrence traced");
-    assert_eq!(occ_span.trace, trace, "trace id crossed the service queue");
+    assert_eq!(occ_span.trace, trace, "trace id crossed the pool queue");
 
     // Both signal spans processed on the worker thread are children of the
     // caller's root span.

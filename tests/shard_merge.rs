@@ -8,13 +8,18 @@
 //! contexts, and after the merge the bridge must detect across the (now
 //! single) shard. A second test cuts snapshots with
 //! [`DetectorPool::with_paused`] while feeders blast signals, proving the
-//! pause quiesces every shard *and* drains every worker queue first.
+//! pause quiesces every shard *and* drains every worker queue first. A
+//! third feeds many disjoint components from concurrent threads at every
+//! worker count, with and without a journal, against an exact-count
+//! oracle.
 
 use std::sync::Arc;
 
 use sentinel_core::detector::service::Signal;
 use sentinel_core::detector::{Detection, DetectorPool, EventId, LocalEventDetector};
+use sentinel_core::durable_store::{DurableEngine, DurableOptions, FsyncPolicy};
 use sentinel_core::snoop::{parse_event_expr, ParamContext};
+use sentinel_core::JournalSink;
 
 fn explicit(name: &str) -> Signal {
     Signal::Explicit { name: name.into(), params: Vec::new(), txn: None }
@@ -157,5 +162,91 @@ fn checkpoint_cuts_are_clean_under_async_burst() {
         let n = |ev: EventId| dets.iter().filter(|d| d.event == ev && d.context == ctx).count();
         assert_eq!(n(sx), PAIRS, "sx count wrong in {ctx:?} after paused cuts");
         assert_eq!(n(sy), PAIRS, "sy count wrong in {ctx:?} after paused cuts");
+    }
+}
+
+/// Disjoint components, each with `seq{i} = a{i} ; b{i}` and
+/// `or{i} = a{i} | b{i}` subscribed in all four contexts.
+fn disjoint_components(components: usize) -> Arc<LocalEventDetector> {
+    let det = Arc::new(LocalEventDetector::new(1));
+    for i in 0..components {
+        let (a, b) = (format!("a{i}"), format!("b{i}"));
+        det.declare_explicit(&a);
+        det.declare_explicit(&b);
+        let define = |name: String, expr: String| {
+            det.define_named(&name, &parse_event_expr(&expr).unwrap()).unwrap()
+        };
+        let seq = define(format!("seq{i}"), format!("{a} ; {b}"));
+        let or = define(format!("or{i}"), format!("{a} | {b}"));
+        for (xi, &ctx) in ParamContext::ALL.iter().enumerate() {
+            det.subscribe(seq, ctx, (1000 + i * 8 + xi) as u64).unwrap();
+            det.subscribe(or, ctx, (1000 + i * 8 + 4 + xi) as u64).unwrap();
+        }
+    }
+    det
+}
+
+/// Concurrent feeders into a pool, plain and journaled. Feeder `f` owns
+/// the components `i ≡ f (mod FEEDERS)` and strictly alternates `a{i}`,
+/// `b{i}`, so every pair closes `seq{i}` once per context (4 detections)
+/// and `or{i}` once per constituent per context (8 more): exactly
+/// `components × pairs × 12` detections at every worker count. Journaled
+/// through a durable engine (`fsync = always`, a group-commit window), the
+/// directory must reopen to exactly one record per signal.
+#[test]
+fn concurrent_feeders_detect_exactly_at_every_worker_count() {
+    const COMPONENTS: usize = 16;
+    const PAIRS: usize = 50;
+    const FEEDERS: usize = 4;
+    let opts = DurableOptions {
+        fsync: FsyncPolicy::Always,
+        group_window_us: 100,
+        checkpoint_every: 0,
+        ..DurableOptions::default()
+    };
+    for workers in [1, 2, 4, 8] {
+        for journaled in [false, true] {
+            let det = disjoint_components(COMPONENTS);
+            let dir = std::env::temp_dir()
+                .join(format!("sentinel-feeders-w{workers}-{}", std::process::id()));
+            if journaled {
+                let _ = std::fs::remove_dir_all(&dir);
+                let (engine, _) = DurableEngine::open(&dir, opts).expect("open durable engine");
+                det.set_event_sink(Arc::new(JournalSink::new(engine)));
+            }
+            let pool = DetectorPool::spawn(det, workers);
+            std::thread::scope(|s| {
+                for f in 0..FEEDERS {
+                    let pool = &pool;
+                    s.spawn(move || {
+                        for _ in 0..PAIRS {
+                            for i in (f..COMPONENTS).step_by(FEEDERS) {
+                                pool.signal_async(explicit(&format!("a{i}")));
+                                pool.signal_async(explicit(&format!("b{i}")));
+                            }
+                        }
+                    });
+                }
+            });
+            pool.barrier(|_| {});
+            let detections = pool.detections().try_iter().count();
+            assert_eq!(
+                detections,
+                COMPONENTS * PAIRS * 12,
+                "{workers} workers, journaled={journaled}: lost or doubled detections"
+            );
+            // Dropping the pool drops the detector, its sink and the engine.
+            drop(pool);
+            if journaled {
+                let (_engine, rec) =
+                    DurableEngine::open(&dir, opts).expect("reopen durable engine");
+                assert_eq!(
+                    rec.events.len(),
+                    COMPONENTS * PAIRS * 2,
+                    "{workers} workers: journal must recover one record per signal"
+                );
+                let _ = std::fs::remove_dir_all(&dir);
+            }
+        }
     }
 }
