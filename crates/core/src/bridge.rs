@@ -12,9 +12,12 @@
 //! `commit-transaction` / `abort-transaction` system events (§3.2's
 //! reactive system class), then finishes the rule-subtransaction tree.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
-use sentinel_detector::{LocalEventDetector, Value};
+use parking_lot::RwLock;
+
+use sentinel_detector::{LocalEventDetector, MethodRoute, Value};
 use sentinel_oodb::invoke::{DbResult, InvocationHooks, MethodCall};
 use sentinel_oodb::AttrValue;
 use sentinel_rules::RuleScheduler;
@@ -46,34 +49,81 @@ pub fn value_to_attr(v: &Value) -> AttrValue {
     }
 }
 
+/// A wrapper's cached route. Holding the wrapper's interned class and
+/// signature keeps their addresses, the cache key, from being reused.
+struct CachedRoute {
+    class: Arc<str>,
+    _sig: Arc<str>,
+    route: Arc<MethodRoute>,
+}
+
 /// Method-invocation → primitive-event bridge.
 pub struct EventBridge {
     detector: Arc<LocalEventDetector>,
     scheduler: Arc<RuleScheduler>,
+    /// One route per wrapper, keyed by the addresses of the `MethodCall`'s
+    /// interned `class` and `sig`.
+    routes: RwLock<HashMap<(usize, usize), CachedRoute>>,
 }
 
 impl EventBridge {
     /// A bridge feeding `detector` and dispatching through `scheduler`.
     pub fn new(detector: Arc<LocalEventDetector>, scheduler: Arc<RuleScheduler>) -> Self {
-        EventBridge { detector, scheduler }
+        EventBridge { detector, scheduler, routes: RwLock::new(HashMap::new()) }
     }
 
-    fn notify(&self, call: &MethodCall, edge: EventModifier, params: &[(Arc<str>, Value)]) {
-        // Class-level events declared on an ancestor fire for descendants:
-        // notify once per class in the inheritance chain. Each class's
-        // primitive-event list filters by signature/edge/instance.
+    /// The wrapper's route: cached, or resolved and cached when missing or
+    /// older than the detector's DDL generation.
+    fn route(&self, call: &MethodCall) -> Arc<MethodRoute> {
+        let key = (call.class.as_ptr() as usize, call.sig.as_ptr() as usize);
+        if let Some(cached) = self.routes.read().get(&key) {
+            if cached.route.generation == self.detector.route_generation() {
+                return cached.route.clone();
+            }
+        }
+        let route = Arc::new(self.detector.method_route(&call.chain, &call.sig));
+        let mut routes = self.routes.write();
+        // Entries whose wrapper the database dropped can never be hit.
+        routes.retain(|_, c| Arc::strong_count(&c.class) > 1);
+        let cached =
+            CachedRoute { class: call.class.clone(), _sig: call.sig.clone(), route: route.clone() };
+        routes.insert(key, cached);
+        route
+    }
+
+    /// One wrapper edge: `Notify` each class the route names for it — none
+    /// is no detector work at all — then run the immediate rules while the
+    /// invoking application waits. `params` is converted on first use.
+    fn notify(
+        &self,
+        call: &MethodCall,
+        edge: EventModifier,
+        route: &mut Arc<MethodRoute>,
+        params: &mut Option<Vec<(Arc<str>, Value)>>,
+    ) {
+        if route.generation != self.detector.route_generation() {
+            *route = self.route(call);
+        }
+        let classes = route.classes(edge);
+        if classes.is_empty() {
+            return;
+        }
+        // Parameter collection (the wrapper's PARA_LIST): the method
+        // arguments, converted once for both edges and every class.
+        let params = params.get_or_insert_with(|| {
+            call.args.iter().map(|(n, v)| (Arc::from(n.as_str()), attr_to_value(v))).collect()
+        });
         let mut detections = Vec::new();
-        for class in call.chain.iter() {
+        for class in classes {
             detections.extend(self.detector.notify_method(
                 class,
                 &call.sig,
                 edge,
                 call.oid.0,
-                params.to_vec(),
+                &params[..],
                 Some(call.txn.0),
             ));
         }
-        // Immediate rules execute now; the invoking application waits.
         self.scheduler.dispatch(detections);
     }
 }
@@ -84,13 +134,11 @@ impl InvocationHooks for EventBridge {
         call: &MethodCall,
         body: &mut dyn FnMut() -> DbResult<AttrValue>,
     ) -> DbResult<AttrValue> {
-        // Parameter collection (the wrapper's PARA_LIST): the method
-        // arguments, converted once for both edges and every class.
-        let params: Vec<(Arc<str>, Value)> =
-            call.args.iter().map(|(n, v)| (Arc::from(n.as_str()), attr_to_value(v))).collect();
-        self.notify(call, EventModifier::Begin, &params);
+        let mut route = self.route(call);
+        let mut params = None;
+        self.notify(call, EventModifier::Begin, &mut route, &mut params);
         let result = body()?;
-        self.notify(call, EventModifier::End, &params);
+        self.notify(call, EventModifier::End, &mut route, &mut params);
         Ok(result)
     }
 }

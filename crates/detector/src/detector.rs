@@ -38,6 +38,19 @@
 //! Batch recording is such a sink too ([`crate::log::EventRecorder`]), so
 //! a recorded run detects exactly what an unrecorded run and its replay
 //! detect.
+//!
+//! # Method routes
+//!
+//! The post-processor inserts `Notify` only into the wrapper edges the
+//! class's event interface declares (§3.2.1). The runtime counterpart is
+//! the *route*: a class-edge is a primitive event iff the class has a
+//! leaf on the method's signature whose modifier matches the edge
+//! ([`LocalEventDetector::method_route`]). Every method signal goes
+//! through that test first; a class-edge it rejects is no event at all —
+//! not stamped, journalled, flight-recorded or counted, and it fires no
+//! alarms. Wrappers cache their route and re-resolve it when
+//! [`LocalEventDetector::route_generation`] moves.
+use std::borrow::Cow;
 use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -136,6 +149,41 @@ pub struct Detection {
     pub subscribers: Vec<SubscriberId>,
 }
 
+/// The `Notify` calls of one wrapper: for each edge, the classes of its
+/// inheritance chain that have a primitive event on its signature (chain
+/// order). An edge with no class is not signalled at all.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct MethodRoute {
+    /// The [`LocalEventDetector::route_generation`] it was resolved at.
+    pub generation: u64,
+    /// Classes with a leaf matching the begin edge.
+    pub begin: Vec<Arc<str>>,
+    /// Classes with a leaf matching the end edge.
+    pub end: Vec<Arc<str>>,
+}
+
+impl MethodRoute {
+    /// The classes `edge` signals.
+    pub fn classes(&self, edge: EventModifier) -> &[Arc<str>] {
+        if edge == EventModifier::Begin {
+            &self.begin
+        } else {
+            &self.end
+        }
+    }
+}
+
+/// Whether a class's `leaves` include one on `sig` whose modifier matches
+/// `edge` — the one definition of a method signal. Instance-targeted
+/// leaves count; the oid filter runs at propagation.
+fn routes(graph: &EventGraph, leaves: &[EventId], sig: &str, edge: EventModifier) -> bool {
+    leaves.iter().any(|&leaf| {
+        matches!(&graph.node(leaf).kind, crate::graph::NodeKind::Primitive {
+            modifier, sig: Some(s), ..
+        } if &**s == sig && modifier.matches(edge))
+    })
+}
+
 /// What one signal addresses: a method of a class (routed to the shard
 /// holding the class's leaves) or an explicit leaf (routed to its shard).
 #[derive(Debug, Clone, Copy)]
@@ -200,6 +248,12 @@ pub struct LocalEventDetector {
     sink_admin: Mutex<()>,
     /// Total primitive signals processed.
     signals: AtomicU64,
+    /// Moves whenever a method route may have changed. Only
+    /// [`Self::declare_primitive`] adds a method leaf, and nothing replaces
+    /// the graph (recovery and replica bootstrap declare through it too),
+    /// so it is bumped there, with `Release` after the leaf is in, under
+    /// the graph write lock; read with `Acquire`.
+    route_generation: AtomicU64,
     /// Transaction flushes performed ([`Self::flush_txn`] calls).
     flush_calls: Counter,
     /// Buffered occurrences dropped by transaction flushes.
@@ -367,6 +421,7 @@ impl LocalEventDetector {
             sink: RwLock::new(None),
             sink_admin: Mutex::new(()),
             signals: AtomicU64::new(0),
+            route_generation: AtomicU64::new(0),
             flush_calls: Counter::new(),
             flushed: Counter::new(),
             trace: RwLock::new(None),
@@ -591,8 +646,33 @@ impl LocalEventDetector {
     ) -> Result<EventId, GraphError> {
         let mut graph = self.graph.write();
         let id = graph.declare_primitive(name, class, modifier, sig, target)?;
+        self.route_generation.fetch_add(1, Ordering::Release);
         self.sync_shards(&mut graph);
         Ok(id)
+    }
+
+    /// Resolves the route of a wrapper for `sig` on a receiver whose
+    /// class chain (concrete class first) is `chain`: which classes have
+    /// a primitive event the begin and the end edge signal.
+    pub fn method_route(&self, chain: &[Arc<str>], sig: &str) -> MethodRoute {
+        let graph = self.graph.read();
+        let mut route =
+            MethodRoute { generation: self.route_generation(), ..MethodRoute::default() };
+        for class in chain {
+            let leaves = graph.class_events(class);
+            if routes(&graph, leaves, sig, EventModifier::Begin) {
+                route.begin.push(class.clone());
+            }
+            if routes(&graph, leaves, sig, EventModifier::End) {
+                route.end.push(class.clone());
+            }
+        }
+        route
+    }
+
+    /// The generation a cached [`MethodRoute`] must carry to be current.
+    pub fn route_generation(&self) -> u64 {
+        self.route_generation.load(Ordering::Acquire)
     }
 
     /// Declares an explicit (name-matched) event.
@@ -768,20 +848,23 @@ impl LocalEventDetector {
 
     /// Wrapper-method notification: a method of `class` on object `oid` was
     /// invoked; `edge` says whether this is the before- or after-call.
-    /// Returns all detections this signal completed.
+    /// Returns all detections this signal completed. A class-edge no leaf
+    /// routes (see [`Self::method_route`]) is no event and does nothing.
+    /// `params` is borrowed: each matching leaf's occurrence clones it.
     pub fn notify_method(
         &self,
         class: &str,
         sig: &str,
         edge: EventModifier,
         oid: u64,
-        params: Vec<(Arc<str>, Value)>,
+        params: impl AsRef<[(Arc<str>, Value)]>,
         txn: Option<u64>,
     ) -> Vec<Detection> {
         if !self.signaling() {
             return Vec::new();
         }
-        self.signal(Signal::Method { class, sig, edge, oid }, params, txn, None, true)
+        let target = Signal::Method { class, sig, edge, oid };
+        self.signal(target, Cow::Borrowed(params.as_ref()), txn, None, true)
     }
 
     /// Method signal with a pre-assigned timestamp. `live` for pool
@@ -796,7 +879,7 @@ impl LocalEventDetector {
         sig: &str,
         edge: EventModifier,
         oid: u64,
-        params: Vec<(Arc<str>, Value)>,
+        params: &[(Arc<str>, Value)],
         txn: Option<u64>,
         ts: Timestamp,
         live: bool,
@@ -804,7 +887,8 @@ impl LocalEventDetector {
         if live && !self.signaling() {
             return Vec::new();
         }
-        self.signal(Signal::Method { class, sig, edge, oid }, params, txn, Some(ts), live)
+        let target = Signal::Method { class, sig, edge, oid };
+        self.signal(target, Cow::Borrowed(params), txn, Some(ts), live)
     }
 
     /// Signals an explicit/abstract event by name (transaction events,
@@ -819,7 +903,7 @@ impl LocalEventDetector {
         if !self.signaling() {
             return Vec::new();
         }
-        self.signal(self.explicit(name), params, txn, None, true)
+        self.signal(self.explicit(name), Cow::Owned(params), txn, None, true)
     }
 
     /// Explicit signal with a pre-assigned timestamp: `live` for pool
@@ -836,7 +920,7 @@ impl LocalEventDetector {
         if live && !self.signaling() {
             return Vec::new();
         }
-        self.signal(self.explicit(name), params, txn, Some(ts), live)
+        self.signal(self.explicit(name), Cow::Owned(params), txn, Some(ts), live)
     }
 
     /// The explicit signal addressing `name`, declaring the event (and
@@ -851,67 +935,68 @@ impl LocalEventDetector {
         Signal::Explicit { name, leaf }
     }
 
-    /// The one routing step of every signal, live or replayed: route to
-    /// the signal's shard, take that shard's order lock, draw the
-    /// timestamp, record the signal (live signals only) and propagate it
-    /// on that shard alone.
+    /// The one routing step of every signal, live or replayed: drop a
+    /// method class-edge no leaf routes, route to the signal's shard, take
+    /// that shard's order lock, draw the timestamp, record the signal
+    /// (live signals only) and propagate it on that shard alone.
     fn signal(
         &self,
         target: Signal<'_>,
-        params: Vec<(Arc<str>, Value)>,
+        params: Cow<'_, [(Arc<str>, Value)]>,
         txn: Option<u64>,
         at: Option<Timestamp>,
         live: bool,
     ) -> Vec<Detection> {
         let graph = self.graph.read();
-        let shards = self.shards.read();
-        let label = match target {
-            Signal::Method { class, .. } => {
-                graph.class_events(class).first().map(|&id| graph.shard_of(id))
+        // `name` is the graph's interned class or leaf name (the flight
+        // label); `leaves` the class's primitive leaves.
+        let (label, name, leaves) = match target {
+            Signal::Method { class, sig, edge, .. } => {
+                let Some((name, leaves)) = graph.class_entry(class) else { return Vec::new() };
+                if !routes(&graph, leaves, sig, edge) {
+                    return Vec::new();
+                }
+                (graph.shard_of(leaves[0]), name.clone(), leaves)
             }
-            Signal::Explicit { leaf, .. } => Some(graph.shard_of(leaf)),
+            Signal::Explicit { leaf, .. } => (graph.shard_of(leaf), graph.name_of(leaf), &[][..]),
         };
-        let _order = label.map(|l| self.lock_shard(&shards[l as usize]));
+        let shards = self.shards.read();
+        let _order = self.lock_shard(&shards[label as usize]);
         let ts = self.stamp(at);
         if live {
-            self.record(&graph, label.unwrap_or(0), target, &params, txn, ts);
+            self.record(label, target, name.clone(), &params, txn, ts);
         }
-        let Some(label) = label else {
-            // No events declared for this class: nothing can match, but
-            // the signal is still timestamped, recorded (the journal must
-            // not drop it) and counted.
-            self.signals.fetch_add(1, Ordering::Relaxed);
-            return Vec::new();
-        };
+        self.signals.fetch_add(1, Ordering::Relaxed);
+        shards[label as usize].signals.fetch_add(1, Ordering::Relaxed);
         match target {
-            Signal::Method { class, sig, edge, oid } => {
-                self.method_core(&graph, &shards, label, class, sig, edge, oid, params, txn, ts)
-            }
+            Signal::Method { class, sig, edge, oid } => self.method_core(
+                &graph, &shards, label, leaves, class, sig, edge, oid, &params, txn, ts,
+            ),
             Signal::Explicit { leaf, .. } => {
-                self.explicit_core(&graph, &shards, label, leaf, params, txn, ts)
+                self.explicit_core(&graph, &shards, label, leaf, name, params.into_owned(), txn, ts)
             }
         }
     }
 
-    /// Propagates one timestamped method signal on shard `label` (the
-    /// class's shard), whose order lock the caller holds together with
-    /// the graph read lock.
+    /// Propagates one timestamped method signal to the class's `leaves`
+    /// that match it, on the class's shard `label`, whose order lock the
+    /// caller holds together with the graph read lock. `params` is cloned
+    /// once per matching leaf.
     #[allow(clippy::too_many_arguments)]
     fn method_core(
         &self,
         graph: &EventGraph,
         shards: &[Arc<ShardState>],
         label: u32,
+        leaves: &[EventId],
         class: &str,
         sig: &str,
         edge: EventModifier,
         oid: u64,
-        params: Vec<(Arc<str>, Value)>,
+        params: &[(Arc<str>, Value)],
         txn: Option<u64>,
         ts: Timestamp,
     ) -> Vec<Detection> {
-        self.signals.fetch_add(1, Ordering::Relaxed);
-        shards[label as usize].signals.fetch_add(1, Ordering::Relaxed);
         let tracer = self.tracer();
         let signal_span = tracer
             .as_deref()
@@ -921,7 +1006,7 @@ impl LocalEventDetector {
         // "When the local event detector is notified of a method invocation
         // for a class, the invocation is propagated only to the primitive
         // events defined for that class" (§3.2).
-        for &leaf in graph.class_events(class) {
+        for &leaf in leaves {
             // The leaf guard must be dropped before propagation (which
             // re-locks the leaf to deliver to its subscribers).
             let (name, prim_ctx) = {
@@ -964,7 +1049,7 @@ impl LocalEventDetector {
                 txn,
                 self.app,
                 Some(oid),
-                params.clone(),
+                params.to_vec(),
                 prim_ctx,
             );
             detections.extend(self.propagate(graph, shards, leaf, occ, None));
@@ -1008,15 +1093,13 @@ impl LocalEventDetector {
         shards: &[Arc<ShardState>],
         label: u32,
         leaf: EventId,
+        leaf_name: Arc<str>,
         params: Vec<(Arc<str>, Value)>,
         txn: Option<u64>,
         ts: Timestamp,
     ) -> Vec<Detection> {
-        self.signals.fetch_add(1, Ordering::Relaxed);
-        shards[label as usize].signals.fetch_add(1, Ordering::Relaxed);
         let tracer = self.tracer();
         let mut detections = self.fire_due_alarms(graph, shards, label, ts);
-        let leaf_name = graph.name_of(leaf);
         let signal_span = tracer.as_deref().map(|s| Self::open_signal_span(s, leaf_name.clone()));
         let prim_ctx = match (tracer.as_deref(), signal_span.as_ref()) {
             (Some(s), Some(h)) => {
@@ -1373,19 +1456,17 @@ impl LocalEventDetector {
     /// caller holds: flight-recorded always, materialized into a
     /// [`LoggedEvent`] only when a sink is attached. An in-memory system
     /// thus pays no per-signal string/param clones on the hot path.
+    /// `label` is the graph's interned class (method) or leaf (explicit)
+    /// name.
     fn record(
         &self,
-        graph: &EventGraph,
         shard: u32,
         target: Signal<'_>,
+        label: Arc<str>,
         params: &[(Arc<str>, Value)],
         txn: Option<u64>,
         ts: Timestamp,
     ) {
-        let label = match target {
-            Signal::Method { class, .. } => Arc::from(class),
-            Signal::Explicit { leaf, .. } => graph.name_of(leaf),
-        };
         // Flight-record the accepted signal before the sink call: a sink
         // may block on a group commit, and the committer's dump should
         // already see this entry.
@@ -1517,16 +1598,9 @@ impl LocalEventDetector {
             max_ts = max_ts.max(ev.ts());
             match ev {
                 LoggedEvent::Method { class, sig, edge, oid, params, txn, ts } => {
-                    out.extend(self.notify_method_at(
-                        class,
-                        sig,
-                        *edge,
-                        *oid,
-                        params.clone(),
-                        *txn,
-                        *ts,
-                        false,
-                    ));
+                    out.extend(
+                        self.notify_method_at(class, sig, *edge, *oid, params, *txn, *ts, false),
+                    );
                 }
                 LoggedEvent::Explicit { name, params, txn, ts } => {
                     out.extend(self.signal_explicit_at(name, params.clone(), *txn, *ts, false));

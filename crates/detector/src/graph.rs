@@ -353,6 +353,11 @@ impl EventGraph {
         self.by_class.get(class).map_or(&[], |v| v.as_slice())
     }
 
+    /// The interned name of `class` and its primitive leaves, if it has any.
+    pub fn class_entry(&self, class: &str) -> Option<(&Arc<str>, &[EventId])> {
+        self.by_class.get_key_value(class).map(|(k, v)| (k, v.as_slice()))
+    }
+
     fn push_node(&mut self, name: Arc<str>, kind: NodeKind) -> EventId {
         let id = EventId(self.nodes.len() as u32);
         let children = kind.children();

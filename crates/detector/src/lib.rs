@@ -45,8 +45,8 @@ pub mod viz;
 
 pub use clock::LogicalClock;
 pub use detector::{
-    Detection, DetectorStats, EventSink, FenceKind, LocalEventDetector, NodeStats, ShardStats,
-    SubscriberId,
+    Detection, DetectorStats, EventSink, FenceKind, LocalEventDetector, MethodRoute, NodeStats,
+    ShardStats, SubscriberId,
 };
 pub use graph::{EventId, GraphError};
 pub use log::EventRecorder;

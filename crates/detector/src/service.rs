@@ -261,8 +261,8 @@ impl DetectorPool {
                 // Live even with a pre-assigned timestamp: pool-delivered
                 // signals must reach the sink (only journal *replay* is
                 // not live).
-                Some(ts) => det.notify_method_at(&class, &sig, edge, oid, params, txn, ts, true),
-                None => det.notify_method(&class, &sig, edge, oid, params, txn),
+                Some(ts) => det.notify_method_at(&class, &sig, edge, oid, &params, txn, ts, true),
+                None => det.notify_method(&class, &sig, edge, oid, &params, txn),
             },
             Signal::Explicit { name, params, txn } => match at {
                 Some(ts) => det.signal_explicit_at(&name, params, txn, ts, true),

@@ -8,6 +8,7 @@
 //! text tree.
 
 use std::fmt::Write as _;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use crossbeam::channel::Receiver;
@@ -79,7 +80,7 @@ impl TraceEvent {
 #[derive(Debug, Default)]
 pub struct RuleDebugger {
     trace: Mutex<Vec<TraceEvent>>,
-    enabled: Mutex<bool>,
+    enabled: AtomicBool,
     /// Structured trace stream attached via [`Self::attach_stream`]
     /// (subscription to a `sentinel_obs::TraceBus`).
     stream: Mutex<Option<Receiver<Arc<TraceRecord>>>>,
@@ -97,12 +98,12 @@ impl RuleDebugger {
 
     /// Turns tracing on or off.
     pub fn set_enabled(&self, on: bool) {
-        *self.enabled.lock() = on;
+        self.enabled.store(on, Ordering::Relaxed);
     }
 
     /// Whether tracing is on.
     pub fn enabled(&self) -> bool {
-        *self.enabled.lock()
+        self.enabled.load(Ordering::Relaxed)
     }
 
     /// Records one entry (no-op while disabled).

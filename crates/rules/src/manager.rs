@@ -91,6 +91,10 @@ impl RuleOptions {
 pub struct RuleManager {
     detector: Arc<LocalEventDetector>,
     next: AtomicU64,
+    /// Rules deleted so far (see [`Self::deletions`]): bumped with
+    /// `Release` after the removal, read with `Acquire`, so a reader that
+    /// sees the bump sees the rule gone.
+    deletions: AtomicU64,
     rules: RwLock<HashMap<RuleId, Rule>>,
     by_name: RwLock<HashMap<Arc<str>, RuleId>>,
     /// Named, totally ordered priority classes (name -> level).
@@ -103,6 +107,7 @@ impl RuleManager {
         RuleManager {
             detector,
             next: AtomicU64::new(1),
+            deletions: AtomicU64::new(0),
             rules: RwLock::new(HashMap::new()),
             by_name: RwLock::new(HashMap::new()),
             priority_classes: RwLock::new(HashMap::new()),
@@ -227,11 +232,18 @@ impl RuleManager {
     pub fn delete(&self, id: RuleId) -> Result<(), RuleError> {
         let mut rules = self.rules.write();
         let rule = rules.remove(&id).ok_or(RuleError::Unknown(id))?;
+        self.deletions.fetch_add(1, Ordering::Release);
         if rule.enabled {
             self.detector.unsubscribe(rule.subscribed_event, rule.context, id.0)?;
         }
         self.by_name.write().remove(&rule.name);
         Ok(())
+    }
+
+    /// How many rules have been deleted: a caller holding what it read of
+    /// a rule knows the rule still exists while this has not moved.
+    pub(crate) fn deletions(&self) -> u64 {
+        self.deletions.load(Ordering::Acquire)
     }
 
     /// Changes a rule's priority class at run time ("this approach allows

@@ -41,7 +41,7 @@ use sentinel_txn::{NestedTxnManager, PriorityPool, SubTxnId};
 
 use crate::debugger::{RuleDebugger, TraceEvent};
 use crate::manager::RuleManager;
-use crate::rule::{RuleId, RuleInvocation};
+use crate::rule::{ActionFn, CondFn, RuleId, RuleInvocation};
 
 /// Pseudo-transaction id used to anchor rules fired outside any
 /// transaction (e.g. pure temporal events).
@@ -89,6 +89,45 @@ pub struct DetachedRequest {
 struct Frame {
     sub: SubTxnId,
     depth: u32,
+}
+
+/// One rule firing on a dispatch's agenda, with everything it runs read
+/// from the rule table in the dispatch's one lookup.
+#[derive(Clone)]
+struct Firing {
+    rule: RuleId,
+    name: Arc<str>,
+    priority: u32,
+    condition: CondFn,
+    action: ActionFn,
+    occurrence: Arc<Occurrence>,
+}
+
+/// What every firing of one dispatch shares, read once per dispatch.
+#[derive(Clone)]
+struct DispatchCtx {
+    /// Nesting depth of the firings.
+    depth: u32,
+    /// The rule manager's deletion count before the rule table was read:
+    /// a firing re-checks its rule only if it has moved since.
+    deletions: u64,
+    /// The trace bus, when it has subscribers.
+    bus: Option<Arc<TraceBus>>,
+    /// The span store, when it is enabled.
+    tracer: Option<Arc<TraceStore>>,
+    savepoints: Option<Arc<SavepointHooks>>,
+    /// Whether the rule debugger records.
+    debug: bool,
+}
+
+impl DispatchCtx {
+    /// Emits a trace record; `fields` is only built when the bus has
+    /// subscribers.
+    fn trace(&self, event: &'static str, fields: impl FnOnce() -> Vec<(&'static str, Field)>) {
+        if let Some(bus) = &self.bus {
+            bus.emit("scheduler", event, fields());
+        }
+    }
 }
 
 thread_local! {
@@ -244,15 +283,24 @@ impl RuleScheduler {
         *self.span_store.lock() = Some(store);
     }
 
-    fn tracer(&self) -> Option<Arc<TraceStore>> {
-        self.span_store.lock().clone().filter(|s| s.is_enabled())
+    /// Reads the observability handles and the deletion count for one
+    /// dispatch at `depth`.
+    fn dispatch_ctx(&self, depth: u32) -> DispatchCtx {
+        DispatchCtx {
+            depth,
+            deletions: self.manager.deletions(),
+            bus: self.trace.lock().clone().filter(|b| b.is_active()),
+            tracer: self.span_store.lock().clone().filter(|s| s.is_enabled()),
+            savepoints: self.savepoints.lock().clone(),
+            debug: self.debugger.enabled(),
+        }
     }
 
-    /// Emits a trace record; `fields` is only built when a bus with
-    /// subscribers is attached.
-    fn trace(&self, event: &'static str, fields: impl FnOnce() -> Vec<(&'static str, Field)>) {
-        if let Some(bus) = self.trace.lock().as_deref().filter(|b| b.is_active()) {
-            bus.emit("scheduler", event, fields());
+    /// Counts a skipped firing and tells the debugger why.
+    fn skip(&self, ctx: &DispatchCtx, rule: RuleId, reason: &'static str) {
+        self.metrics.skipped.inc();
+        if ctx.debug {
+            self.debugger.record(TraceEvent::Skipped { rule, reason, depth: ctx.depth });
         }
     }
 
@@ -311,68 +359,63 @@ impl RuleScheduler {
             return;
         }
         let frame = FRAME.with(|f| f.borrow().last().map(|fr| (fr.sub, fr.depth)));
-        // Collect (rule, occurrence) pairs that survive the filters,
-        // grouped by priority class (descending).
-        let mut classes: BTreeMap<std::cmp::Reverse<u32>, Vec<(RuleId, Arc<Occurrence>)>> =
-            BTreeMap::new();
-        let depth = frame.map_or(0, |(_, d)| d + 1);
+        let ctx = self.dispatch_ctx(frame.map_or(0, |(_, d)| d + 1));
+        let depth = ctx.depth;
+        // The firings that survive the filters, in detection order.
+        let mut agenda: Vec<Firing> = Vec::new();
         for det in detections {
             for sub in det.subscribers {
                 let rule_id = RuleId(sub);
                 if depth > MAX_CASCADE_DEPTH {
-                    self.metrics.skipped.inc();
-                    self.debugger.record(TraceEvent::Skipped {
-                        rule: rule_id,
-                        reason: "cascade depth limit",
-                        depth,
-                    });
+                    self.skip(&ctx, rule_id, "cascade depth limit");
                     continue;
                 }
-                let info = self.manager.with_rule(rule_id, |r| {
-                    (r.enabled, r.accepts(&det.occurrence), r.coupling, r.priority, r.name.clone())
+                let looked = self.manager.with_rule(rule_id, |r| {
+                    if !r.enabled {
+                        return Err("disabled");
+                    }
+                    if !r.accepts(&det.occurrence) {
+                        return Err("trigger mode NOW: pre-definition constituents");
+                    }
+                    let firing = Firing {
+                        rule: rule_id,
+                        name: r.name.clone(),
+                        priority: r.priority,
+                        condition: r.condition.clone(),
+                        action: r.action.clone(),
+                        occurrence: det.occurrence.clone(),
+                    };
+                    Ok((r.coupling, firing))
                 });
-                let Ok((enabled, accepts, coupling, priority, name)) = info else {
-                    continue; // rule deleted concurrently
+                let (coupling, firing) = match looked {
+                    Ok(Ok(found)) => found,
+                    Ok(Err(reason)) => {
+                        self.skip(&ctx, rule_id, reason);
+                        continue;
+                    }
+                    Err(_) => continue, // rule deleted concurrently
                 };
-                if !enabled {
-                    self.metrics.skipped.inc();
-                    self.debugger.record(TraceEvent::Skipped {
-                        rule: rule_id,
-                        reason: "disabled",
-                        depth,
-                    });
-                    continue;
-                }
-                if !accepts {
-                    self.metrics.skipped.inc();
-                    self.debugger.record(TraceEvent::Skipped {
-                        rule: rule_id,
-                        reason: "trigger mode NOW: pre-definition constituents",
-                        depth,
-                    });
-                    continue;
-                }
+                let (name, priority) = (&firing.name, firing.priority);
+                *self.metrics.per_rule.lock().entry(name.clone()).or_default() += 1;
                 if coupling == CouplingMode::Detached {
                     // Queue for the detached executor; runs in its own
                     // top-level transaction.
                     self.metrics.queued_detached.inc();
-                    *self.metrics.per_rule.lock().entry(name.clone()).or_default() += 1;
                     sentinel_obs::flight::global().record(
                         sentinel_obs::flight::FlightKind::RuleFired,
                         name.clone(),
                         u64::from(priority),
                         2,
                     );
-                    self.trace("detached_queued", || {
+                    ctx.trace("detached_queued", || {
                         vec![
                             ("rule", Field::Str(name.clone())),
                             ("depth", Field::U64(u64::from(depth))),
                         ]
                     });
-                    let _ = self.detached_tx.send(DetachedRequest {
-                        rule: rule_id,
-                        occurrence: det.occurrence.clone(),
-                    });
+                    let _ = self
+                        .detached_tx
+                        .send(DetachedRequest { rule: rule_id, occurrence: firing.occurrence });
                     continue;
                 }
                 match coupling {
@@ -380,39 +423,41 @@ impl RuleScheduler {
                     _ => self.metrics.fired_immediate.inc(),
                 }
                 *self.metrics.per_priority.lock().entry(priority).or_default() += 1;
-                *self.metrics.per_rule.lock().entry(name.clone()).or_default() += 1;
                 sentinel_obs::flight::global().record(
                     sentinel_obs::flight::FlightKind::RuleFired,
                     name.clone(),
                     u64::from(priority),
                     u64::from(coupling == CouplingMode::Deferred),
                 );
-                self.trace("triggered", || {
+                let occ = &firing.occurrence;
+                ctx.trace("triggered", || {
                     vec![
                         ("rule", Field::Str(name.clone())),
-                        ("event", Field::Str(det.occurrence.event_name.clone())),
+                        ("event", Field::Str(occ.event_name.clone())),
                         ("priority", Field::U64(u64::from(priority))),
                         ("depth", Field::U64(u64::from(depth))),
-                        ("trace", Field::U64(det.occurrence.span.map_or(0, |c| c.trace.0))),
+                        ("trace", Field::U64(occ.span.map_or(0, |c| c.trace.0))),
                     ]
                 });
-                self.debugger.record(TraceEvent::Triggered {
-                    rule: rule_id,
-                    rule_name: name,
-                    event: det.occurrence.event_name.clone(),
-                    context: det.context,
-                    at: det.occurrence.at,
-                    depth,
-                });
-                classes
-                    .entry(std::cmp::Reverse(priority))
-                    .or_default()
-                    .push((rule_id, det.occurrence.clone()));
+                if ctx.debug {
+                    self.debugger.record(TraceEvent::Triggered {
+                        rule: rule_id,
+                        rule_name: name.clone(),
+                        event: occ.event_name.clone(),
+                        context: det.context,
+                        at: occ.at,
+                        depth,
+                    });
+                }
+                agenda.push(firing);
             }
         }
-        if classes.is_empty() {
+        if agenda.is_empty() {
             return;
         }
+        // Priority classes, highest first; a stable sort keeps detection
+        // order within a class.
+        agenda.sort_by_key(|f| std::cmp::Reverse(f.priority));
 
         // Anchor: the caller's subtransaction (nested triggering) or the
         // root subtransaction of the occurrence's top-level transaction.
@@ -422,7 +467,7 @@ impl RuleScheduler {
         let (parent, reap) = match frame {
             Some((sub, _)) => (sub, false),
             None => {
-                let txn = classes.values().flatten().find_map(|(_, occ)| occ.txn).unwrap_or(NO_TXN);
+                let txn = agenda.iter().find_map(|f| f.occurrence.txn).unwrap_or(NO_TXN);
                 (self.root_for(txn), txn == NO_TXN)
             }
         };
@@ -435,25 +480,24 @@ impl RuleScheduler {
         // the nested rule completes before its triggering action returns,
         // under the still-active parent subtransaction. (A pool worker must
         // also never quiesce the pool it runs on.)
-        let run_inline = frame.is_some() || self.pool.is_none();
-        for (std::cmp::Reverse(class), batch) in classes {
-            if run_inline {
-                for (rule_id, occ) in batch {
-                    self.execute_rule(rule_id, occ, parent, depth, reap);
-                }
-            } else {
-                let pool = self.pool.as_ref().expect("threaded mode");
-                for (rule_id, occ) in batch {
-                    let sched = self.clone();
-                    pool.submit(i64::from(class), move || {
-                        sched.execute_rule(rule_id, occ, parent, depth, reap);
-                    });
-                }
-                // Suspend the application until this class (and every rule
-                // it transitively triggered) is done, then start the next
-                // class (Figure 3's suspension point).
-                pool.quiesce();
+        let pool = self.pool.as_ref().filter(|_| frame.is_none());
+        let Some(pool) = pool else {
+            for firing in agenda {
+                self.execute_rule(firing, parent, reap, &ctx);
             }
+            return;
+        };
+        for class in agenda.chunk_by(|a, b| a.priority == b.priority) {
+            for firing in class {
+                let (sched, firing, ctx) = (self.clone(), firing.clone(), ctx.clone());
+                pool.submit(i64::from(firing.priority), move || {
+                    sched.execute_rule(firing, parent, reap, &ctx);
+                });
+            }
+            // Suspend the application until this class (and every rule
+            // it transitively triggered) is done, then start the next
+            // class (Figure 3's suspension point).
+            pool.quiesce();
         }
     }
 
@@ -462,35 +506,32 @@ impl RuleScheduler {
     /// subtransaction's bookkeeping is dropped as soon as it resolves.
     fn execute_rule(
         self: &Arc<Self>,
-        rule_id: RuleId,
-        occurrence: Arc<Occurrence>,
+        firing: Firing,
         parent: SubTxnId,
-        depth: u32,
         reap: bool,
+        ctx: &DispatchCtx,
     ) {
+        let Firing { rule: rule_id, name: rule_name, condition, action, occurrence, .. } = firing;
+        let depth = ctx.depth;
         let Ok(sub) = self.nested.begin_sub(parent) else {
             // Parent already resolved (e.g. transaction ended while queued).
-            self.metrics.skipped.inc();
-            self.debugger.record(TraceEvent::Skipped {
-                rule: rule_id,
-                reason: "parent transaction finished",
-                depth,
-            });
+            self.skip(ctx, rule_id, "parent transaction finished");
             return;
         };
-        let Ok((name, cond, action)) = self
-            .manager
-            .with_rule(rule_id, |r| (r.name.clone(), r.condition.clone(), r.action.clone()))
-        else {
+        // A rule deleted since the dispatch read it (e.g. by the action of
+        // a higher-priority rule) does not run.
+        if self.manager.deletions() != ctx.deletions
+            && self.manager.with_rule(rule_id, |_| ()).is_err()
+        {
             let _ = self.nested.abort_sub(sub);
             if reap {
                 self.nested.reap_sub(sub);
             }
             return;
-        };
+        }
         let invocation = RuleInvocation {
             rule: rule_id,
-            rule_name: name,
+            rule_name: rule_name.clone(),
             occurrence: occurrence.clone(),
             depth,
             txn: occurrence.txn,
@@ -498,18 +539,17 @@ impl RuleScheduler {
         };
         FRAME.with(|f| f.borrow_mut().push(Frame { sub, depth }));
         let detector = self.manager.detector().clone();
-        let hooks = self.savepoints.lock().clone();
+        let hooks = ctx.savepoints.as_ref();
         let savepoint =
-            hooks.as_ref().zip(occurrence.txn).and_then(|(h, txn)| (h.mark)(txn).map(|m| (txn, m)));
-        let rule_name = invocation.rule_name.clone();
-        let tracer = self.tracer();
+            hooks.zip(occurrence.txn).and_then(|(h, txn)| (h.mark)(txn).map(|m| (txn, m)));
+        let tracer = ctx.tracer.as_deref();
         let occ_span = occurrence.span;
         let trace_id = occ_span.map_or(0, |c| c.trace.0);
         let result = catch_unwind(AssertUnwindSafe(|| {
             // Conditions are side-effect free: suppress event signalling
             // while the condition runs (the paper's global flag).
             detector.set_signaling(false);
-            let cond_handle = tracer.as_deref().map(|s| {
+            let cond_handle = tracer.map(|s| {
                 let (trace, parent) = span_anchor(s, occ_span);
                 s.start(trace, parent, "condition", rule_name.clone())
             });
@@ -517,15 +557,17 @@ impl RuleScheduler {
             let satisfied = {
                 // Storage I/O the condition performs tags this span.
                 let _guard = cond_handle.as_ref().map(|h| span::push_current(h.ctx));
-                (cond)(&invocation)
+                (condition)(&invocation)
             };
             self.metrics.condition_ns.record_duration(started.elapsed());
             detector.set_signaling(true);
-            if let (Some(s), Some(h)) = (tracer.as_deref(), cond_handle) {
+            if let (Some(s), Some(h)) = (tracer, cond_handle) {
                 s.finish(h, depth, vec![("satisfied", Field::Bool(satisfied))]);
             }
-            self.debugger.record(TraceEvent::Condition { rule: rule_id, satisfied, depth });
-            self.trace("condition", || {
+            if ctx.debug {
+                self.debugger.record(TraceEvent::Condition { rule: rule_id, satisfied, depth });
+            }
+            ctx.trace("condition", || {
                 vec![
                     ("rule", Field::Str(rule_name.clone())),
                     ("satisfied", Field::Bool(satisfied)),
@@ -534,7 +576,7 @@ impl RuleScheduler {
                 ]
             });
             if satisfied {
-                let action_handle = tracer.as_deref().map(|s| {
+                let action_handle = tracer.map(|s| {
                     let (trace, parent) = span_anchor(s, occ_span);
                     s.start(trace, parent, "action", rule_name.clone())
                 });
@@ -546,11 +588,13 @@ impl RuleScheduler {
                     (action)(&invocation);
                 }
                 self.metrics.action_ns.record_duration(started.elapsed());
-                if let (Some(s), Some(h)) = (tracer.as_deref(), action_handle) {
+                if let (Some(s), Some(h)) = (tracer, action_handle) {
                     s.finish(h, depth, Vec::new());
                 }
-                self.debugger.record(TraceEvent::Action { rule: rule_id, depth });
-                self.trace("action", || {
+                if ctx.debug {
+                    self.debugger.record(TraceEvent::Action { rule: rule_id, depth });
+                }
+                ctx.trace("action", || {
                     vec![
                         ("rule", Field::Str(rule_name.clone())),
                         ("depth", Field::U64(u64::from(depth))),
@@ -571,21 +615,23 @@ impl RuleScheduler {
                 detector.set_signaling(true);
                 let _ = self.nested.abort_sub(sub);
                 // Subtransaction-level recovery: undo the body's writes.
-                if let (Some(h), Some((txn, mark))) = (hooks.as_ref(), savepoint) {
+                if let (Some(h), Some((txn, mark))) = (hooks, savepoint) {
                     (h.rollback)(txn, mark);
                 }
-                self.trace("panic", || {
+                ctx.trace("panic", || {
                     vec![
                         ("rule", Field::Str(rule_name.clone())),
                         ("depth", Field::U64(u64::from(depth))),
                         ("trace", Field::U64(trace_id)),
                     ]
                 });
-                self.debugger.record(TraceEvent::Skipped {
-                    rule: rule_id,
-                    reason: "rule body panicked; subtransaction aborted",
-                    depth,
-                });
+                if ctx.debug {
+                    self.debugger.record(TraceEvent::Skipped {
+                        rule: rule_id,
+                        reason: "rule body panicked; subtransaction aborted",
+                        depth,
+                    });
+                }
             }
         }
         if reap {
@@ -619,7 +665,7 @@ mod tests {
     use sentinel_detector::LocalEventDetector;
     use sentinel_snoop::ast::EventModifier;
     use sentinel_snoop::TriggerMode;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
 
     struct Fixture {
         det: Arc<LocalEventDetector>,
@@ -628,7 +674,9 @@ mod tests {
 
     fn fixture(mode: ExecutionMode) -> Fixture {
         let det = Arc::new(LocalEventDetector::new(0));
-        for (name, sig) in [("ev", "void f()"), ("ev2", "void g()"), ("ev3", "void h()")] {
+        let events =
+            [("ev", "void f()"), ("ev2", "void g()"), ("ev3", "void h()"), ("ev4", "void k()")];
+        for (name, sig) in events {
             det.declare_primitive(name, "C", EventModifier::End, sig, PrimTarget::AnyInstance)
                 .unwrap();
         }
@@ -639,30 +687,67 @@ mod tests {
 
     impl Fixture {
         fn signal(&self, sig: &str) {
-            let dets = self.det.notify_method("C", sig, EventModifier::End, 1, Vec::new(), Some(1));
+            let dets = self.det.notify_method("C", sig, EventModifier::End, 1, [], Some(1));
             self.sched.dispatch(dets);
         }
+
+        /// Defines a rule with a true condition on the named event.
+        fn rule(&self, name: &str, ev: &str, action: ActionFn, opts: RuleOptions) -> RuleId {
+            self.rule_if(name, ev, Arc::new(|_| true), action, opts)
+        }
+
+        /// Defines a rule on the named event.
+        fn rule_if(
+            &self,
+            name: &str,
+            ev: &str,
+            cond: CondFn,
+            action: ActionFn,
+            opts: RuleOptions,
+        ) -> RuleId {
+            let ev = self.det.lookup(ev).unwrap();
+            self.sched.manager().define_rule(name, ev, cond, action, opts).unwrap()
+        }
+
+        /// An action that signals `C::sig` and dispatches what it detects.
+        fn raise(&self, sig: &'static str) -> ActionFn {
+            let (det, sched) = (self.det.clone(), self.sched.clone());
+            Arc::new(move |_| {
+                sched.dispatch(det.notify_method("C", sig, EventModifier::End, 1, [], Some(1)))
+            })
+        }
+    }
+
+    /// A run counter and an action that bumps it.
+    fn counter() -> (Arc<AtomicUsize>, ActionFn) {
+        let n = Arc::new(AtomicUsize::new(0));
+        let c = n.clone();
+        let action: ActionFn = Arc::new(move |_| {
+            c.fetch_add(1, SeqCst);
+        });
+        (n, action)
+    }
+
+    /// An order log and an action that appends `name` to it.
+    fn logger(order: &Arc<Mutex<Vec<&'static str>>>, name: &'static str) -> ActionFn {
+        let o = order.clone();
+        Arc::new(move |_| o.lock().push(name))
+    }
+
+    fn prio(p: u32) -> RuleOptions {
+        RuleOptions::default().priority(p)
     }
 
     #[test]
     fn rule_fires_condition_then_action() {
         let fx = fixture(ExecutionMode::Inline);
         let order = Arc::new(Mutex::new(Vec::new()));
-        let (o1, o2) = (order.clone(), order.clone());
-        let ev = fx.det.lookup("ev").unwrap();
-        fx.sched
-            .manager()
-            .define_rule(
-                "R1",
-                ev,
-                Arc::new(move |_| {
-                    o1.lock().push("cond");
-                    true
-                }),
-                Arc::new(move |_| o2.lock().push("action")),
-                RuleOptions::default(),
-            )
-            .unwrap();
+        let o = order.clone();
+        let cond: CondFn = Arc::new(move |_| {
+            o.lock().push("cond");
+            true
+        });
+        fx.rule_if("R1", "ev", cond, logger(&order, "action"), RuleOptions::default());
         fx.signal("void f()");
         assert_eq!(*order.lock(), vec!["cond", "action"]);
     }
@@ -670,23 +755,10 @@ mod tests {
     #[test]
     fn false_condition_suppresses_action() {
         let fx = fixture(ExecutionMode::Inline);
-        let ran = Arc::new(AtomicUsize::new(0));
-        let r = ran.clone();
-        let ev = fx.det.lookup("ev").unwrap();
-        fx.sched
-            .manager()
-            .define_rule(
-                "R1",
-                ev,
-                Arc::new(|_| false),
-                Arc::new(move |_| {
-                    r.fetch_add(1, Ordering::SeqCst);
-                }),
-                RuleOptions::default(),
-            )
-            .unwrap();
+        let (ran, count) = counter();
+        fx.rule_if("R1", "ev", Arc::new(|_| false), count, RuleOptions::default());
         fx.signal("void f()");
-        assert_eq!(ran.load(Ordering::SeqCst), 0);
+        assert_eq!(ran.load(SeqCst), 0);
     }
 
     #[test]
@@ -694,19 +766,8 @@ mod tests {
         for mode in [ExecutionMode::Inline, ExecutionMode::Threaded { workers: 4 }] {
             let fx = fixture(mode);
             let order = Arc::new(Mutex::new(Vec::new()));
-            let ev = fx.det.lookup("ev").unwrap();
-            for (name, prio) in [("low", 1u32), ("high", 9), ("mid", 5)] {
-                let o = order.clone();
-                fx.sched
-                    .manager()
-                    .define_rule(
-                        name,
-                        ev,
-                        Arc::new(|_| true),
-                        Arc::new(move |_| o.lock().push(name)),
-                        RuleOptions::default().priority(prio),
-                    )
-                    .unwrap();
+            for (name, p) in [("low", 1u32), ("high", 9), ("mid", 5)] {
+                fx.rule(name, "ev", logger(&order, name), prio(p));
             }
             fx.signal("void f()");
             assert_eq!(*order.lock(), vec!["high", "mid", "low"], "mode {mode:?}");
@@ -716,68 +777,27 @@ mod tests {
     #[test]
     fn multiple_rules_on_one_event_all_fire() {
         let fx = fixture(ExecutionMode::Threaded { workers: 4 });
-        let count = Arc::new(AtomicUsize::new(0));
-        let ev = fx.det.lookup("ev").unwrap();
+        let (count, action) = counter();
         for i in 0..10 {
-            let c = count.clone();
-            fx.sched
-                .manager()
-                .define_rule(
-                    &format!("R{i}"),
-                    ev,
-                    Arc::new(|_| true),
-                    Arc::new(move |_| {
-                        c.fetch_add(1, Ordering::SeqCst);
-                    }),
-                    RuleOptions::default(),
-                )
-                .unwrap();
+            fx.rule(&format!("R{i}"), "ev", action.clone(), RuleOptions::default());
         }
         fx.signal("void f()");
-        assert_eq!(count.load(Ordering::SeqCst), 10);
+        assert_eq!(count.load(SeqCst), 10);
     }
 
     #[test]
     fn nested_triggering_depth_first() {
         // R1 on ev raises ev2 in its action; R2 on ev2 records its depth.
         let fx = fixture(ExecutionMode::Inline);
-        let det = fx.det.clone();
-        let sched = fx.sched.clone();
         let depths = Arc::new(Mutex::new(Vec::new()));
-        let ev = fx.det.lookup("ev").unwrap();
-        let ev2 = fx.det.lookup("ev2").unwrap();
-        let (det2, sched2) = (det.clone(), sched.clone());
-        fx.sched
-            .manager()
-            .define_rule(
-                "R1",
-                ev,
-                Arc::new(|_| true),
-                Arc::new(move |_inv| {
-                    let dets = det2.notify_method(
-                        "C",
-                        "void g()",
-                        EventModifier::End,
-                        1,
-                        Vec::new(),
-                        Some(1),
-                    );
-                    sched2.dispatch(dets);
-                }),
-                RuleOptions::default(),
-            )
-            .unwrap();
+        fx.rule("R1", "ev", fx.raise("void g()"), RuleOptions::default());
         let d2 = depths.clone();
-        fx.sched
-            .manager()
-            .define_rule(
-                "R2",
-                ev2,
-                Arc::new(|_| true),
-                Arc::new(move |inv| d2.lock().push(inv.depth)),
-                RuleOptions::default(),
-            )
-            .unwrap();
+        fx.rule(
+            "R2",
+            "ev2",
+            Arc::new(move |inv| d2.lock().push(inv.depth)),
+            RuleOptions::default(),
+        );
         fx.signal("void f()");
         assert_eq!(*depths.lock(), vec![1], "nested rule sees depth 1");
         let (triggered, _, actions, _) = fx.sched.debugger().stats();
@@ -791,32 +811,15 @@ mod tests {
         // cascade recurses until the stack overflows.
         for mode in [ExecutionMode::Inline, ExecutionMode::Threaded { workers: 2 }] {
             let fx = fixture(mode);
-            let runs = Arc::new(AtomicUsize::new(0));
-            let (det, sched, r) = (fx.det.clone(), fx.sched.clone(), runs.clone());
-            let ev = fx.det.lookup("ev").unwrap();
-            fx.sched
-                .manager()
-                .define_rule(
-                    "again",
-                    ev,
-                    Arc::new(|_| true),
-                    Arc::new(move |_| {
-                        r.fetch_add(1, Ordering::SeqCst);
-                        let dets = det.notify_method(
-                            "C",
-                            "void f()",
-                            EventModifier::End,
-                            1,
-                            Vec::new(),
-                            Some(1),
-                        );
-                        sched.dispatch(dets);
-                    }),
-                    RuleOptions::default(),
-                )
-                .unwrap();
+            let (runs, count) = counter();
+            let raise = fx.raise("void f()");
+            let action: ActionFn = Arc::new(move |inv| {
+                count(inv);
+                raise(inv);
+            });
+            fx.rule("again", "ev", action, RuleOptions::default());
             fx.signal("void f()");
-            assert_eq!(runs.load(Ordering::SeqCst), MAX_CASCADE_DEPTH as usize + 1, "{mode:?}");
+            assert_eq!(runs.load(SeqCst), MAX_CASCADE_DEPTH as usize + 1, "{mode:?}");
             assert!(fx.sched.stats().skipped >= 1, "{mode:?}");
         }
     }
@@ -827,53 +830,14 @@ mod tests {
         // nested rule despite being queued at dispatch time.
         let fx = fixture(ExecutionMode::Threaded { workers: 1 });
         let order = Arc::new(Mutex::new(Vec::new()));
-        let ev = fx.det.lookup("ev").unwrap();
-        let ev2 = fx.det.lookup("ev2").unwrap();
-        let (det2, sched2) = (fx.det.clone(), fx.sched.clone());
-        let o1 = order.clone();
-        fx.sched
-            .manager()
-            .define_rule(
-                "high",
-                ev,
-                Arc::new(|_| true),
-                Arc::new(move |_| {
-                    o1.lock().push("high");
-                    let dets = det2.notify_method(
-                        "C",
-                        "void g()",
-                        EventModifier::End,
-                        1,
-                        Vec::new(),
-                        Some(1),
-                    );
-                    sched2.dispatch(dets);
-                }),
-                RuleOptions::default().priority(9),
-            )
-            .unwrap();
-        let o2 = order.clone();
-        fx.sched
-            .manager()
-            .define_rule(
-                "low",
-                ev,
-                Arc::new(|_| true),
-                Arc::new(move |_| o2.lock().push("low")),
-                RuleOptions::default().priority(1),
-            )
-            .unwrap();
-        let o3 = order.clone();
-        fx.sched
-            .manager()
-            .define_rule(
-                "nested",
-                ev2,
-                Arc::new(|_| true),
-                Arc::new(move |_| o3.lock().push("nested")),
-                RuleOptions::default().priority(0),
-            )
-            .unwrap();
+        let (log, raise) = (logger(&order, "high"), fx.raise("void g()"));
+        let high: ActionFn = Arc::new(move |inv| {
+            log(inv);
+            raise(inv);
+        });
+        fx.rule("high", "ev", high, prio(9));
+        fx.rule("low", "ev", logger(&order, "low"), prio(1));
+        fx.rule("nested", "ev2", logger(&order, "nested"), prio(0));
         fx.signal("void f()");
         assert_eq!(*order.lock(), vec!["high", "nested", "low"], "depth-first");
     }
@@ -883,71 +847,28 @@ mod tests {
         // The condition invokes a method that is an event generator; the
         // signalling suppression must prevent R2 from firing.
         let fx = fixture(ExecutionMode::Inline);
-        let fired = Arc::new(AtomicUsize::new(0));
-        let ev = fx.det.lookup("ev").unwrap();
-        let ev2 = fx.det.lookup("ev2").unwrap();
-        let (det2, sched2) = (fx.det.clone(), fx.sched.clone());
-        fx.sched
-            .manager()
-            .define_rule(
-                "R1",
-                ev,
-                Arc::new(move |_| {
-                    // Side-effecting call from a condition (forbidden):
-                    let dets = det2.notify_method(
-                        "C",
-                        "void g()",
-                        EventModifier::End,
-                        1,
-                        Vec::new(),
-                        Some(1),
-                    );
-                    sched2.dispatch(dets);
-                    true
-                }),
-                Arc::new(|_| {}),
-                RuleOptions::default(),
-            )
-            .unwrap();
-        let f = fired.clone();
-        fx.sched
-            .manager()
-            .define_rule(
-                "R2",
-                ev2,
-                Arc::new(|_| true),
-                Arc::new(move |_| {
-                    f.fetch_add(1, Ordering::SeqCst);
-                }),
-                RuleOptions::default(),
-            )
-            .unwrap();
+        let (fired, count) = counter();
+        // Side-effecting call from a condition (forbidden):
+        let raise = fx.raise("void g()");
+        let cond: CondFn = Arc::new(move |inv| {
+            raise(inv);
+            true
+        });
+        fx.rule_if("R1", "ev", cond, Arc::new(|_| {}), RuleOptions::default());
+        fx.rule("R2", "ev2", count, RuleOptions::default());
         fx.signal("void f()");
-        assert_eq!(fired.load(Ordering::SeqCst), 0, "condition-raised event detected");
+        assert_eq!(fired.load(SeqCst), 0, "condition-raised event detected");
     }
 
     #[test]
     fn detached_rules_are_queued_not_executed() {
         let fx = fixture(ExecutionMode::Inline);
-        let ran = Arc::new(AtomicUsize::new(0));
-        let r = ran.clone();
-        let ev = fx.det.lookup("ev").unwrap();
-        let id = fx
-            .sched
-            .manager()
-            .define_rule(
-                "RD",
-                ev,
-                Arc::new(|_| true),
-                Arc::new(move |_| {
-                    r.fetch_add(1, Ordering::SeqCst);
-                }),
-                RuleOptions::default().coupling(CouplingMode::Detached),
-            )
-            .unwrap();
+        let (ran, count) = counter();
+        let id =
+            fx.rule("RD", "ev", count, RuleOptions::default().coupling(CouplingMode::Detached));
         let rx = fx.sched.detached_requests();
         fx.signal("void f()");
-        assert_eq!(ran.load(Ordering::SeqCst), 0, "not executed inline");
+        assert_eq!(ran.load(SeqCst), 0, "not executed inline");
         let req = rx.try_recv().expect("queued detached request");
         assert_eq!(req.rule, id);
     }
@@ -955,33 +876,11 @@ mod tests {
     #[test]
     fn panicking_rule_aborts_its_subtransaction_only() {
         let fx = fixture(ExecutionMode::Inline);
-        let ev = fx.det.lookup("ev").unwrap();
-        fx.sched
-            .manager()
-            .define_rule(
-                "bad",
-                ev,
-                Arc::new(|_| true),
-                Arc::new(|_| panic!("rule exploded")),
-                RuleOptions::default().priority(5),
-            )
-            .unwrap();
-        let ran = Arc::new(AtomicUsize::new(0));
-        let r = ran.clone();
-        fx.sched
-            .manager()
-            .define_rule(
-                "good",
-                ev,
-                Arc::new(|_| true),
-                Arc::new(move |_| {
-                    r.fetch_add(1, Ordering::SeqCst);
-                }),
-                RuleOptions::default().priority(1),
-            )
-            .unwrap();
+        fx.rule("bad", "ev", Arc::new(|_| panic!("rule exploded")), prio(5));
+        let (ran, count) = counter();
+        fx.rule("good", "ev", count, prio(1));
         fx.signal("void f()");
-        assert_eq!(ran.load(Ordering::SeqCst), 1, "other rules still run");
+        assert_eq!(ran.load(SeqCst), 1, "other rules still run");
         assert!(fx.det.signaling(), "signalling restored after panic");
     }
 
@@ -991,49 +890,21 @@ mod tests {
         // Build a sequence and let its initiator happen BEFORE the rule is
         // defined (keeping the context alive via a pre-existing rule).
         let expr = sentinel_snoop::parse_event_expr("ev ; ev2").unwrap();
-        let seq = fx.det.define_named("seq", &expr).unwrap();
-        let early = Arc::new(AtomicUsize::new(0));
-        let e = early.clone();
-        fx.sched
-            .manager()
-            .define_rule(
-                "keeper",
-                seq,
-                Arc::new(|_| true),
-                Arc::new(move |_| {
-                    e.fetch_add(1, Ordering::SeqCst);
-                }),
-                RuleOptions::default().trigger(TriggerMode::Previous),
-            )
-            .unwrap();
+        fx.det.define_named("seq", &expr).unwrap();
+        let (early, count) = counter();
+        fx.rule("keeper", "seq", count, RuleOptions::default().trigger(TriggerMode::Previous));
         fx.signal("void f()"); // initiator (ev) buffered now
-        let now_fired = Arc::new(AtomicUsize::new(0));
-        let n = now_fired.clone();
-        fx.sched
-            .manager()
-            .define_rule(
-                "nowrule",
-                seq,
-                Arc::new(|_| true),
-                Arc::new(move |_| {
-                    n.fetch_add(1, Ordering::SeqCst);
-                }),
-                RuleOptions::default().trigger(TriggerMode::Now),
-            )
-            .unwrap();
+        let (now_fired, count) = counter();
+        fx.rule("nowrule", "seq", count, RuleOptions::default().trigger(TriggerMode::Now));
         fx.signal("void g()"); // terminator
-        assert_eq!(early.load(Ordering::SeqCst), 1, "PREVIOUS rule fires");
-        assert_eq!(now_fired.load(Ordering::SeqCst), 0, "NOW rule filtered");
+        assert_eq!(early.load(SeqCst), 1, "PREVIOUS rule fires");
+        assert_eq!(now_fired.load(SeqCst), 0, "NOW rule filtered");
     }
 
     #[test]
     fn txn_end_cleans_up_subtransaction_tree() {
         let fx = fixture(ExecutionMode::Inline);
-        let ev = fx.det.lookup("ev").unwrap();
-        fx.sched
-            .manager()
-            .define_rule("R1", ev, Arc::new(|_| true), Arc::new(|_| {}), RuleOptions::default())
-            .unwrap();
+        fx.rule("R1", "ev", Arc::new(|_| {}), RuleOptions::default());
         fx.signal("void f()");
         assert!(fx.sched.nested().live_count() > 0);
         fx.sched.on_txn_end(1, true);
@@ -1044,14 +915,84 @@ mod tests {
     fn debugger_traces_when_enabled() {
         let fx = fixture(ExecutionMode::Inline);
         fx.sched.debugger().set_enabled(true);
-        let ev = fx.det.lookup("ev").unwrap();
-        fx.sched
-            .manager()
-            .define_rule("R1", ev, Arc::new(|_| true), Arc::new(|_| {}), RuleOptions::default())
-            .unwrap();
+        fx.rule("R1", "ev", Arc::new(|_| {}), RuleOptions::default());
         fx.signal("void f()");
         let (triggered, sat, actions, _) = fx.sched.debugger().stats();
         assert_eq!((triggered, sat, actions), (1, 1, 1));
         assert!(fx.sched.debugger().render().contains("R1"));
+    }
+
+    #[test]
+    fn a_rule_dropped_by_a_higher_priority_action_does_not_run() {
+        for mode in [ExecutionMode::Inline, ExecutionMode::Threaded { workers: 2 }] {
+            let fx = fixture(mode);
+            let (runs, count) = counter();
+            let low = fx.rule("low", "ev", count, prio(1));
+            let mgr = fx.sched.manager().clone();
+            fx.rule("high", "ev", Arc::new(move |_| mgr.delete(low).unwrap()), prio(9));
+            fx.signal("void f()");
+            assert_eq!(runs.load(SeqCst), 0, "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn debugger_and_tracing_switched_on_between_dispatches_apply_to_the_second() {
+        let fx = fixture(ExecutionMode::Inline);
+        fx.rule("R1", "ev", Arc::new(|_| {}), RuleOptions::default());
+        let (bus, spans) = (Arc::new(TraceBus::new()), Arc::new(TraceStore::new()));
+        fx.sched.set_trace_bus(bus.clone());
+        fx.sched.set_trace_store(spans.clone());
+        fx.signal("void f()");
+        assert!(fx.sched.debugger().snapshot().is_empty() && spans.is_empty());
+
+        fx.sched.debugger().set_enabled(true);
+        let records = bus.subscribe();
+        spans.set_enabled(true);
+        fx.signal("void f()");
+        assert_eq!(fx.sched.debugger().stats(), (1, 1, 1, 0));
+        let events: Vec<&str> = records.try_iter().map(|r| r.event).collect();
+        assert_eq!(events, ["triggered", "condition", "action"]);
+        let kinds: Vec<&str> = spans.snapshot().iter().map(|s| s.kind).collect();
+        assert_eq!(kinds, ["condition", "action"]);
+    }
+
+    #[test]
+    fn stats_of_a_fixed_script_are_those_of_the_per_execution_lookup() {
+        // Expected values measured on the scheduler that read each rule again
+        // at execution and grouped its agenda by priority class in a map.
+        for mode in [ExecutionMode::Inline, ExecutionMode::Threaded { workers: 2 }] {
+            let fx = fixture(mode);
+            let noop = || -> ActionFn { Arc::new(|_| {}) };
+            let opts = RuleOptions::default;
+            let seq = sentinel_snoop::parse_event_expr("ev ; ev3").unwrap();
+            fx.det.define_named("seq", &seq).unwrap();
+            // `a` raises ev2: `b` runs nested, `d` is queued detached.
+            fx.rule("a", "ev", fx.raise("void g()"), prio(5));
+            fx.rule("b", "ev2", noop(), prio(7));
+            fx.rule("d", "ev2", noop(), opts().coupling(CouplingMode::Detached));
+            fx.rule("def", "ev3", noop(), opts().coupling(CouplingMode::Deferred));
+            fx.rule("keeper", "seq", noop(), prio(2).trigger(TriggerMode::Previous));
+            // `again` re-raises its own event until the cascade bound.
+            fx.rule("again", "ev4", fx.raise("void k()"), prio(3));
+
+            let txn_event = |name| fx.sched.dispatch(fx.det.signal_explicit(name, vec![], Some(1)));
+            txn_event("begin-transaction");
+            fx.signal("void f()");
+            fx.rule("late", "seq", noop(), prio(2)); // NOW: misses the first `ev`
+            fx.signal("void h()");
+            fx.signal("void k()");
+            fx.signal("void f()");
+            txn_event("pre-commit-transaction");
+
+            let st = fx.sched.stats();
+            let per_rule: Vec<(&str, u64)> = st.per_rule.iter().map(|(n, c)| (&**n, *c)).collect();
+            let want = [("a", 2), ("again", 65), ("b", 2), ("d", 2), ("def", 1), ("keeper", 1)];
+            assert_eq!(per_rule, want, "{mode:?}");
+            assert_eq!(st.per_priority, [(2, 1), (3, 65), (5, 2), (7, 2), (10, 1)], "{mode:?}");
+            // `late`, and the firing past the cascade bound.
+            assert_eq!(st.skipped, 2, "{mode:?}");
+            let fired = (st.fired_immediate, st.fired_deferred, st.queued_detached);
+            assert_eq!(fired, (70, 1, 2), "{mode:?}");
+        }
     }
 }

@@ -232,7 +232,11 @@ impl LockManager {
             res.waiters.retain(|(t, _)| *t != txn);
         }
         st.waiting_on.remove(&txn);
-        self.wakeup.notify_all();
+        // Every blocked requester is in `waiting_on` until it wakes: with
+        // none there, skip the wake-up (a syscall even with no waiter).
+        if !st.waiting_on.is_empty() {
+            self.wakeup.notify_all();
+        }
     }
 
     /// Diagnostic: number of resources with at least one holder or waiter.
@@ -311,6 +315,26 @@ mod tests {
         lm.release_all(TxnId(1));
         h.join().unwrap().unwrap();
         assert_eq!(lm.held_by(TxnId(2)), 1);
+    }
+
+    #[test]
+    fn release_wakes_a_blocked_waiter_promptly() {
+        // Far below the 5 s timeout, so a lost wake-up fails instead of
+        // passing slowly.
+        let lm = Arc::new(LockManager::new());
+        lm.lock(TxnId(1), 42, LockMode::Exclusive).unwrap();
+        let lm2 = lm.clone();
+        let waiter = thread::spawn(move || {
+            lm2.lock(TxnId(2), 42, LockMode::Exclusive).unwrap();
+            Instant::now()
+        });
+        while !lm.state.lock().waiting_on.contains_key(&TxnId(2)) {
+            thread::yield_now(); // until the waiter is blocked
+        }
+        let released = Instant::now();
+        lm.release_all(TxnId(1));
+        let granted = waiter.join().unwrap();
+        assert!(granted - released < Duration::from_millis(500));
     }
 
     #[test]

@@ -37,6 +37,9 @@ struct Res {
 struct State {
     resources: HashMap<u64, Res>,
     held: HashMap<SubTxnId, HashSet<u64>>,
+    /// Requesters blocked in [`NestedLockManager::lock`]: with none, a
+    /// release wakes nobody (a `notify_all` is a syscall even then).
+    waiters: usize,
 }
 
 /// Nested lock manager shared by all rule threads of an application.
@@ -103,7 +106,10 @@ impl NestedLockManager {
                 st.held.entry(holder).or_default().insert(resource);
                 return Ok(());
             }
-            if self.wakeup.wait_until(&mut st, deadline).timed_out() {
+            st.waiters += 1;
+            let timed_out = self.wakeup.wait_until(&mut st, deadline).timed_out();
+            st.waiters -= 1;
+            if timed_out {
                 return Err(NestedError::LockTimeout(holder));
             }
         }
@@ -125,7 +131,9 @@ impl NestedLockManager {
             }
             st.held.entry(parent).or_default().extend(resources);
         }
-        self.wakeup.notify_all();
+        if st.waiters > 0 {
+            self.wakeup.notify_all();
+        }
     }
 
     /// Releases everything `holder` has (abort, or commit of a root).
@@ -141,7 +149,9 @@ impl NestedLockManager {
                 }
             }
         }
-        self.wakeup.notify_all();
+        if st.waiters > 0 {
+            self.wakeup.notify_all();
+        }
     }
 
     /// Number of resources currently locked (diagnostics).
@@ -206,6 +216,33 @@ mod tests {
         std::thread::sleep(Duration::from_millis(30));
         lm.release_all(SubTxnId(2));
         assert!(h.join().unwrap().is_ok());
+    }
+
+    #[test]
+    fn inherit_and_release_wake_a_blocked_waiter_promptly() {
+        // Far below the 2 s timeout, so a lost wake-up fails instead of
+        // passing slowly.
+        for inherit in [true, false] {
+            let lm = Arc::new(NestedLockManager::new());
+            lm.lock(SubTxnId(2), &anc(&[2, 1]), 9, LockMode::Exclusive).unwrap();
+            let lm2 = lm.clone();
+            let waiter = std::thread::spawn(move || {
+                lm2.lock(SubTxnId(3), &anc(&[3, 1]), 9, LockMode::Exclusive).unwrap();
+                Instant::now()
+            });
+            while lm.state.lock().waiters == 0 {
+                std::thread::yield_now(); // until the waiter is blocked
+            }
+            let released = Instant::now();
+            if inherit {
+                // Commit of 2: its parent 1, an ancestor of 3, holds it now.
+                lm.inherit(SubTxnId(2), SubTxnId(1));
+            } else {
+                lm.release_all(SubTxnId(2));
+            }
+            let granted = waiter.join().unwrap();
+            assert!(granted - released < Duration::from_millis(500), "inherit = {inherit}");
+        }
     }
 
     #[test]

@@ -8,7 +8,12 @@
 //! portfolio, which fires a rule that sells stock; a deferred audit rule at
 //! pre-commit; a chronicle composite. Measured here at commit 4427bb8,
 //! before the wrapper decoded the receiver once and wrote it back once: 73
-//! and 1 280; after: 25 and 524.
+//! and 1 280; after: 25 and 524. Once wrappers notified only the edges
+//! their route names and the scheduler read each rule once: 13 and 380. The
+//! budgets keep the 1.6× and 1.72× headroom of the first ones.
+//!
+//! A passive invoke has a budget of its own: it allocates exactly what the
+//! same invoke on a `Database` with no hooks does — the bridge adds nothing.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -17,7 +22,7 @@ use std::sync::{Arc, Weak};
 use sentinel_core::detector::graph::PrimTarget;
 use sentinel_core::detector::Value;
 use sentinel_core::oodb::schema::{AttrType, ClassDef};
-use sentinel_core::oodb::{AttrValue, ObjectState, Oid};
+use sentinel_core::oodb::{AttrValue, Database, ObjectState, Oid};
 use sentinel_core::rules::manager::RuleOptions;
 use sentinel_core::rules::RuleInvocation;
 use sentinel_core::snoop::ast::EventModifier;
@@ -74,9 +79,8 @@ struct Market {
     stocks: Vec<Oid>,
 }
 
-fn market() -> Market {
-    let s = Sentinel::in_memory();
-    let db = s.db();
+/// Registers the STOCK/PORTFOLIO/AUDIT schema and method bodies.
+fn schema(db: &Database) {
     db.register_class(
         ClassDef::new("STOCK")
             .extends("REACTIVE")
@@ -150,6 +154,20 @@ fn market() -> Market {
             Ok(AttrValue::Null)
         }),
     );
+}
+
+/// One stock, as the market creates them.
+fn stock(i: usize) -> ObjectState {
+    ObjectState::new("STOCK")
+        .with("symbol", AttrValue::Str(format!("S{i:05}")))
+        .with("price", 100.0)
+        .with("holdings", 1i64 << 40)
+        .with("notes", "x".repeat(160).as_str())
+}
+
+fn market() -> Market {
+    let s = Sentinel::in_memory();
+    schema(s.db());
     for (name, class, sig) in [
         ("set_price_ev", "STOCK", SET_PRICE),
         ("sell_ev", "STOCK", SELL_STOCK),
@@ -160,17 +178,7 @@ fn market() -> Market {
     s.define_event("trade_seq", "set_price_ev ; sell_ev").unwrap();
 
     let txn = s.begin().unwrap();
-    let notes = "x".repeat(160);
-    let stocks: Vec<Oid> = (0..64)
-        .map(|i| {
-            let state = ObjectState::new("STOCK")
-                .with("symbol", AttrValue::Str(format!("S{i:05}")))
-                .with("price", 100.0)
-                .with("holdings", 1i64 << 40)
-                .with("notes", notes.as_str());
-            s.create_object(txn, &state).unwrap()
-        })
-        .collect();
+    let stocks: Vec<Oid> = (0..64).map(|i| s.create_object(txn, &stock(i)).unwrap()).collect();
     let portfolio = s
         .create_object(txn, &ObjectState::new("PORTFOLIO").with("value", 0.0).with("trades", 0i64))
         .unwrap();
@@ -279,13 +287,49 @@ fn the_write_path_stays_within_its_allocation_budget() {
         }
     }) / rounds;
     s.commit(txn).unwrap();
-    assert!(passive <= 40, "{passive} allocations per passive invoke, budget 40");
+    assert!(passive <= 21, "{passive} allocations per passive invoke, budget 21");
 
     let per_txn = allocations(|| {
         for round in 8..8 + rounds {
             scripted_txn(&sys, round as usize);
         }
     }) / rounds;
-    assert!(per_txn <= 900, "{per_txn} allocations per scripted transaction, budget 900");
+    assert!(per_txn <= 653, "{per_txn} allocations per scripted transaction, budget 653");
     println!("allocations: {passive} per passive invoke, {per_txn} per scripted transaction");
+}
+
+#[test]
+fn a_passive_invoke_allocates_what_it_does_without_hooks() {
+    // The same schema, objects and warm-up on a bare database and on the
+    // market, whose STOCK has events (on other methods) and rules.
+    let bare = Database::in_memory();
+    bare.register_class(ClassDef::new("REACTIVE")).unwrap();
+    schema(&bare);
+    let txn = bare.begin().unwrap();
+    let bare_stocks: Vec<Oid> =
+        (0..64).map(|i| bare.create_object(txn, &stock(i)).unwrap()).collect();
+    bare.commit(txn).unwrap();
+    let sys = market();
+    for round in 0..8 {
+        scripted_txn(&sys, round);
+    }
+
+    let price = || vec![("price".into(), AttrValue::Float(101.5))];
+    let rounds = 32;
+    let per_invoke = |invoke: &dyn Fn(usize)| {
+        invoke(0); // warm-up: caches filled
+        allocations(|| (0..rounds).for_each(invoke))
+    };
+    let txn = bare.begin().unwrap();
+    let without = per_invoke(&|i| {
+        bare.invoke(txn, bare_stocks[i % 64], SET_PRICE_QUIET, price()).unwrap();
+    });
+    bare.commit(txn).unwrap();
+    let s = &sys.sentinel;
+    let txn = s.begin().unwrap();
+    let with = per_invoke(&|i| {
+        s.invoke(txn, sys.stocks[i % 64], SET_PRICE_QUIET, price()).unwrap();
+    });
+    s.commit(txn).unwrap();
+    assert_eq!(with, without, "allocations of {rounds} passive invokes with and without hooks");
 }
