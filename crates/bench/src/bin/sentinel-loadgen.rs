@@ -9,9 +9,6 @@
 //!   --clients <N>       concurrent client connections (default 8)
 //!   --iters <N>         event pairs per client (default 200); with
 //!                       `--batch` this is *batches* per client
-//!   --codec <C>         wire codec: `auto` (default; negotiate binary
-//!                       when the server speaks it), `json` (pin v1),
-//!                       or `binary` (require v2)
 //!   --batch <B>         pack B complete `seq_a`,`seq_b` pairs into each
 //!                       `SignalBatch` frame (default 0 — one signal per
 //!                       request, the NET-1 shape)
@@ -58,13 +55,12 @@ use std::time::{Duration, Instant};
 
 use sentinel_core::detector::Value;
 use sentinel_core::obs::{json, Histogram};
-use sentinel_net::{ClientCodec, ClientError, RuleSpec, SentinelClient};
+use sentinel_net::{ClientError, RuleSpec, SentinelClient};
 
 struct Args {
     addr: String,
     clients: usize,
     iters: usize,
-    codec: ClientCodec,
     batch: usize,
     pipeline: usize,
     c10k: Option<Vec<usize>>,
@@ -80,7 +76,6 @@ fn parse_args() -> Args {
         addr: "127.0.0.1:7878".to_string(),
         clients: 8,
         iters: 200,
-        codec: ClientCodec::Auto,
         batch: 0,
         pipeline: 1,
         c10k: None,
@@ -102,17 +97,6 @@ fn parse_args() -> Args {
             "--addr" => args.addr = value("--addr"),
             "--clients" => args.clients = value("--clients").parse().expect("--clients <N>"),
             "--iters" => args.iters = value("--iters").parse().expect("--iters <N>"),
-            "--codec" => {
-                args.codec = match value("--codec").as_str() {
-                    "auto" => ClientCodec::Auto,
-                    "json" => ClientCodec::Json,
-                    "binary" => ClientCodec::Binary,
-                    other => {
-                        eprintln!("--codec wants auto|json|binary, got {other}");
-                        std::process::exit(2);
-                    }
-                };
-            }
             "--batch" => args.batch = value("--batch").parse().expect("--batch <B>"),
             "--pipeline" => args.pipeline = value("--pipeline").parse().expect("--pipeline <P>"),
             "--c10k" => {
@@ -131,7 +115,7 @@ fn parse_args() -> Args {
             "--help" | "-h" => {
                 println!(
                     "sentinel-loadgen [--addr HOST:PORT] [--clients N] [--iters N] \
-                     [--codec auto|json|binary] [--batch B] [--pipeline P] \
+                     [--batch B] [--pipeline P] \
                      [--c10k N,N,...] [--net-out PATH] \
                      [--traced] [--shutdown] [--promote] [--repl-status]"
                 );
@@ -257,28 +241,6 @@ struct ClientOutcome {
     failed: bool,
 }
 
-/// [`SentinelClient::connect_with_backoff`] with an explicit codec.
-fn connect_codec(
-    addr: &str,
-    name: &str,
-    codec: ClientCodec,
-    attempts: u32,
-    mut backoff: Duration,
-) -> Result<SentinelClient, ClientError> {
-    let mut last = ClientError::Disconnected;
-    for attempt in 0..attempts.max(1) {
-        match SentinelClient::connect_with(addr, name, codec) {
-            Ok(c) => return Ok(c),
-            Err(e) => last = e,
-        }
-        if attempt + 1 < attempts {
-            std::thread::sleep(backoff);
-            backoff = backoff.saturating_mul(2);
-        }
-    }
-    Err(last)
-}
-
 fn run_client(
     addr: &str,
     index: usize,
@@ -287,13 +249,14 @@ fn run_client(
     busy: &AtomicU64,
 ) -> ClientOutcome {
     let name = format!("loadgen-{index}");
-    let client = match connect_codec(addr, &name, args.codec, 10, Duration::from_millis(50)) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("{name}: connect failed: {e}");
-            return ClientOutcome { requests: 0, pairs_observed: 0, failed: true };
-        }
-    };
+    let client =
+        match SentinelClient::connect_with_backoff(addr, &name, 10, Duration::from_millis(50)) {
+            Ok(c) => c,
+            Err(e) => {
+                eprintln!("{name}: connect failed: {e}");
+                return ClientOutcome { requests: 0, pairs_observed: 0, failed: true };
+            }
+        };
     if args.batch > 0 {
         return run_client_batched(&client, &name, args, hist, busy);
     }
@@ -463,7 +426,6 @@ fn main() {
         ("bench", json::Value::str("net_loadgen")),
         ("clients", json::Value::UInt(args.clients as u64)),
         ("iters", json::Value::UInt(args.iters as u64)),
-        ("codec", json::Value::str(codec_name(args.codec))),
         ("batch", json::Value::UInt(args.batch as u64)),
         ("pipeline", json::Value::UInt(args.pipeline as u64)),
         ("requests", json::Value::UInt(r.requests)),
@@ -499,14 +461,6 @@ fn main() {
             r.pairs_expected, r.pairs_observed, r.hits, r.lost, r.decode_errors, r.failed
         );
         std::process::exit(1);
-    }
-}
-
-fn codec_name(codec: ClientCodec) -> &'static str {
-    match codec {
-        ClientCodec::Auto => "auto",
-        ClientCodec::Json => "json",
-        ClientCodec::Binary => "binary",
     }
 }
 
@@ -697,7 +651,6 @@ fn run_c10k(args: &Args, admin: &SentinelClient, counts: &[usize]) -> ! {
         ("bench", json::Value::str("net_c10k")),
         ("clients", json::Value::UInt(args.clients as u64)),
         ("iters", json::Value::UInt(args.iters as u64)),
-        ("codec", json::Value::str(codec_name(args.codec))),
         ("batch", json::Value::UInt(args.batch as u64)),
         ("pipeline", json::Value::UInt(args.pipeline as u64)),
         ("rss_baseline_kb", rss_baseline_kb.map_or(json::Value::Null, json::Value::UInt)),

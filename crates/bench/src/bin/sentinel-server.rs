@@ -10,10 +10,6 @@
 //!                           reactor holds idle connections for free)
 //!   --event-loops <N>       epoll event loops serving sockets
 //!                           (default 2; at least one runs)
-//!   --codec <V>             newest wire codec to grant at Hello:
-//!                           `v2` (default; binary payload bodies) or
-//!                           `v1` (JSON only — emulates an old server
-//!                           for compatibility testing)
 //!   --stall-ms <N>          evict a connection stuck mid-frame or with
 //!                           unread replies after N ms (default 30000;
 //!                           idle connections are never evicted)
@@ -130,16 +126,6 @@ fn parse_args() -> Args {
             "--event-loops" => {
                 args.cfg.event_loops = value("--event-loops").parse().expect("--event-loops <N>");
             }
-            "--codec" => {
-                args.cfg.max_codec_version = match value("--codec").as_str() {
-                    "v1" => sentinel_net::protocol::VERSION,
-                    "v2" => sentinel_net::protocol::VERSION_MAX,
-                    other => {
-                        eprintln!("--codec wants v1 or v2, got {other}");
-                        std::process::exit(2);
-                    }
-                };
-            }
             "--stall-ms" => {
                 args.cfg.stall_timeout =
                     Duration::from_millis(value("--stall-ms").parse().expect("--stall-ms <N>"));
@@ -184,7 +170,7 @@ fn parse_args() -> Args {
             "--help" | "-h" => {
                 println!(
                     "sentinel-server [--addr HOST:PORT] [--max-connections N] \
-                     [--event-loops N] [--codec v1|v2] [--stall-ms N] \
+                     [--event-loops N] [--stall-ms N] \
                      [--max-write-queue N] \
                      [--global-inflight N] [--session-inflight N] \
                      [--detector-threads N] [--tracing] [--data-dir DIR] \

@@ -20,7 +20,8 @@
 //!    replayed through the detector, reproducing half-detected
 //!    composites exactly; detections produced by replay are dropped
 //!    (their rules already fired before the crash) and transaction
-//!    flushes are re-applied for replayed commit/abort events.
+//!    flushes and time advances are re-applied from the epoch fences at
+//!    the positions they were cut.
 //!
 //! Only after replay does the system go live: an [`EventSink`] is
 //! installed so every signalled primitive appends to its shard's journal
@@ -57,10 +58,7 @@ use sentinel_snoop::ast::EventModifier;
 use sentinel_snoop::{CouplingMode, ParamContext};
 use sentinel_storage::StorageEngine;
 
-use crate::sentinel::{
-    Sentinel, SentinelConfig, SentinelError, SentinelResult, FLUSH_ON_ABORT_RULE,
-    FLUSH_ON_COMMIT_RULE,
-};
+use crate::sentinel::{Sentinel, SentinelConfig, SentinelError, SentinelResult};
 
 // ---------------------------------------------------------------------------
 // Event-parameter (de)serialization — shared by the wire protocol
@@ -251,8 +249,7 @@ impl Sentinel {
             .ok()
             .and_then(|s| json::Value::parse(&s).ok());
         let (engine, recovery) = DurableEngine::open(dir, opts)?;
-        let Recovery { catalog_ops, checkpoints, events, fences, v1_records, mut report } =
-            recovery;
+        let Recovery { catalog_ops, checkpoints, events, fences, mut report } = recovery;
         report.flight_recorder = prior_flight;
 
         // Pick the newest checkpoint that (a) is covered by the surviving
@@ -320,11 +317,6 @@ impl Sentinel {
             // re-firing actions on restart would double their effects).
             let _ = sentinel.detector().replay(std::slice::from_ref(ev));
             report.replayed_records += 1;
-            // Legacy v1 records carry no fences: infer transaction flushes
-            // from replayed commit/abort events as the v1 engine did.
-            if (i as u64) < v1_records {
-                sentinel.replay_flush(ev);
-            }
         }
         while cursor < catalog_ops.len() {
             let t_op = Instant::now();
@@ -404,26 +396,6 @@ impl Sentinel {
                 let _ = self.detector().advance_time(to);
             }
             FenceKind::Barrier => {}
-        }
-    }
-
-    /// Reproduces the flush side effect of the deactivatable system rules
-    /// for a replayed commit/abort event **from a legacy v1 journal**,
-    /// which recorded no fences. During replay rule actions do not run,
-    /// but the flush is graph state, not application effect — it must
-    /// happen (iff the flush rule was enabled at that point) for the
-    /// replayed graph to match the live one. v2 records don't need the
-    /// inference: their flushes replay from [`FenceKind::FlushTxn`]
-    /// fences.
-    fn replay_flush(&self, ev: &LoggedEvent) {
-        let LoggedEvent::Explicit { name, txn: Some(txn), .. } = ev else { return };
-        let rule = match name.as_str() {
-            "commit-transaction" => FLUSH_ON_COMMIT_RULE,
-            "abort-transaction" => FLUSH_ON_ABORT_RULE,
-            _ => return,
-        };
-        if self.rules().lookup(rule).is_some_and(|id| self.rules().is_enabled(id)) {
-            self.detector().flush_txn(*txn);
         }
     }
 

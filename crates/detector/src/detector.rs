@@ -1546,8 +1546,8 @@ impl LocalEventDetector {
     /// success the clock is advanced to the snapshot's clock and temporal
     /// alarms are rebuilt, on their current shards, from the restored
     /// windows — snapshot shard labels are ignored, so a snapshot cut
-    /// before a component merge (or by the pre-shard format) restores
-    /// cleanly into the current sharding.
+    /// before a component merge restores cleanly into the current
+    /// sharding.
     pub fn restore_snapshot(&self, snap: &GraphSnapshot) -> Result<(), RestoreError> {
         self.quiesce(|graph, shards| {
             for ns in &snap.nodes {

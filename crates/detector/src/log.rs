@@ -93,16 +93,36 @@ impl EventSink for EventRecorder {
 
 // --- persistent event logs --------------------------------------------
 
+/// Capacity to reserve for `n` items a count read from `buf` claims, each
+/// taking at least `min_bytes` of it: never more than the rest of `buf`
+/// could encode, so a corrupt count cannot reserve memory the input does
+/// not back.
+pub(crate) fn claimed(n: usize, buf: &Bytes, min_bytes: usize) -> usize {
+    n.min(buf.remaining() / min_bytes)
+}
+
+/// Reads one byte; `None` at the end of the input.
+pub(crate) fn take_u8(buf: &mut Bytes) -> Option<u8> {
+    buf.has_remaining().then(|| buf.get_u8())
+}
+
+/// Reads a little-endian `u32`; `None` when fewer than four bytes remain.
+pub(crate) fn take_u32(buf: &mut Bytes) -> Option<u32> {
+    (buf.remaining() >= 4).then(|| buf.get_u32_le())
+}
+
+/// Reads a little-endian `u64`; `None` when fewer than eight bytes remain.
+pub(crate) fn take_u64(buf: &mut Bytes) -> Option<u64> {
+    (buf.remaining() >= 8).then(|| buf.get_u64_le())
+}
+
 pub(crate) fn put_str(out: &mut BytesMut, s: &str) {
     out.put_u32_le(s.len() as u32);
     out.put_slice(s.as_bytes());
 }
 
 pub(crate) fn get_str(buf: &mut Bytes) -> Option<String> {
-    if buf.remaining() < 4 {
-        return None;
-    }
-    let len = buf.get_u32_le() as usize;
+    let len = take_u32(buf)? as usize;
     if buf.remaining() < len {
         return None;
     }
@@ -136,35 +156,12 @@ pub(crate) fn put_value(out: &mut BytesMut, v: &Value) {
 }
 
 pub(crate) fn get_value(buf: &mut Bytes) -> Option<Value> {
-    if buf.remaining() < 1 {
-        return None;
-    }
-    Some(match buf.get_u8() {
-        0 => {
-            if buf.remaining() < 8 {
-                return None;
-            }
-            Value::Int(buf.get_i64_le())
-        }
-        1 => {
-            if buf.remaining() < 8 {
-                return None;
-            }
-            Value::Float(buf.get_f64_le())
-        }
-        2 => {
-            if buf.remaining() < 1 {
-                return None;
-            }
-            Value::Bool(buf.get_u8() != 0)
-        }
+    Some(match take_u8(buf)? {
+        0 => Value::Int(take_u64(buf)? as i64),
+        1 => Value::Float(f64::from_bits(take_u64(buf)?)),
+        2 => Value::Bool(take_u8(buf)? != 0),
         3 => Value::Str(Arc::from(get_str(buf)?)),
-        4 => {
-            if buf.remaining() < 8 {
-                return None;
-            }
-            Value::Oid(buf.get_u64_le())
-        }
+        4 => Value::Oid(take_u64(buf)?),
         5 => Value::Null,
         _ => return None,
     })
@@ -179,11 +176,9 @@ pub(crate) fn put_params(out: &mut BytesMut, params: &[(Arc<str>, Value)]) {
 }
 
 pub(crate) fn get_params(buf: &mut Bytes) -> Option<Vec<(Arc<str>, Value)>> {
-    if buf.remaining() < 4 {
-        return None;
-    }
-    let n = buf.get_u32_le() as usize;
-    let mut out = Vec::with_capacity(n.min(1024));
+    let n = take_u32(buf)? as usize;
+    // A parameter is at least a name length and a value tag.
+    let mut out = Vec::with_capacity(claimed(n, buf, 4 + 1));
     for _ in 0..n {
         let name = Arc::from(get_str(buf)?);
         let value = get_value(buf)?;
@@ -192,8 +187,8 @@ pub(crate) fn get_params(buf: &mut Bytes) -> Option<Vec<(Arc<str>, Value)>> {
     Some(out)
 }
 
-pub(crate) fn put_opt_txn(out: &mut BytesMut, txn: Option<u64>) {
-    match txn {
+pub(crate) fn put_opt_u64(out: &mut BytesMut, v: Option<u64>) {
+    match v {
         Some(t) => {
             out.put_u8(1);
             out.put_u64_le(t);
@@ -202,18 +197,10 @@ pub(crate) fn put_opt_txn(out: &mut BytesMut, txn: Option<u64>) {
     }
 }
 
-pub(crate) fn get_opt_txn(buf: &mut Bytes) -> Option<Option<u64>> {
-    if buf.remaining() < 1 {
-        return None;
-    }
-    match buf.get_u8() {
+pub(crate) fn get_opt_u64(buf: &mut Bytes) -> Option<Option<u64>> {
+    match take_u8(buf)? {
         0 => Some(None),
-        1 => {
-            if buf.remaining() < 8 {
-                return None;
-            }
-            Some(Some(buf.get_u64_le()))
-        }
+        1 => Some(Some(take_u64(buf)?)),
         _ => None,
     }
 }
@@ -246,14 +233,14 @@ pub fn encode_event(out: &mut BytesMut, ev: &LoggedEvent) {
             out.put_u8(modifier_tag(*edge));
             out.put_u64_le(*oid);
             put_params(out, params);
-            put_opt_txn(out, *txn);
+            put_opt_u64(out, *txn);
             out.put_u64_le(*ts);
         }
         LoggedEvent::Explicit { name, params, txn, ts } => {
             out.put_u8(1);
             put_str(out, name);
             put_params(out, params);
-            put_opt_txn(out, *txn);
+            put_opt_u64(out, *txn);
             out.put_u64_le(*ts);
         }
     }
@@ -262,34 +249,22 @@ pub fn encode_event(out: &mut BytesMut, ev: &LoggedEvent) {
 /// Decodes one logged event from `buf` (the inverse of [`encode_event`]);
 /// `None` on any corruption.
 pub fn decode_event(buf: &mut Bytes) -> Option<LoggedEvent> {
-    if buf.remaining() < 1 {
-        return None;
-    }
-    Some(match buf.get_u8() {
+    Some(match take_u8(buf)? {
         0 => {
             let class = get_str(buf)?;
             let sig = get_str(buf)?;
-            if buf.remaining() < 9 {
-                return None;
-            }
-            let edge = modifier_from(buf.get_u8())?;
-            let oid = buf.get_u64_le();
+            let edge = modifier_from(take_u8(buf)?)?;
+            let oid = take_u64(buf)?;
             let params = get_params(buf)?;
-            let txn = get_opt_txn(buf)?;
-            if buf.remaining() < 8 {
-                return None;
-            }
-            let ts = buf.get_u64_le();
+            let txn = get_opt_u64(buf)?;
+            let ts = take_u64(buf)?;
             LoggedEvent::Method { class, sig, edge, oid, params, txn, ts }
         }
         1 => {
             let name = get_str(buf)?;
             let params = get_params(buf)?;
-            let txn = get_opt_txn(buf)?;
-            if buf.remaining() < 8 {
-                return None;
-            }
-            let ts = buf.get_u64_le();
+            let txn = get_opt_u64(buf)?;
+            let ts = take_u64(buf)?;
             LoggedEvent::Explicit { name, params, txn, ts }
         }
         _ => return None,
@@ -319,7 +294,9 @@ pub fn decode_log(mut buf: Bytes) -> Option<Vec<LoggedEvent>> {
         return None;
     }
     let n = buf.get_u64_le() as usize;
-    let mut out = Vec::with_capacity(n.min(65536));
+    // An event is at least an explicit event with no parameters: tag,
+    // name length, parameter count, txn tag, timestamp.
+    let mut out = Vec::with_capacity(claimed(n, &buf, 1 + 4 + 4 + 1 + 8));
     for _ in 0..n {
         out.push(decode_event(&mut buf)?);
     }

@@ -21,19 +21,28 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use crate::clock::Timestamp;
 use crate::graph::EventId;
-use crate::log::{get_opt_txn, get_params, get_str, put_opt_txn, put_params, put_str};
+use crate::log::{
+    claimed, get_opt_u64, get_params, get_str, put_opt_u64, put_params, put_str, take_u32,
+    take_u64, take_u8,
+};
 use crate::nodes::{CtxState, Window};
 use crate::occurrence::Occurrence;
 
 /// Snapshot magic bytes.
 const MAGIC: &[u8; 4] = b"SSNP";
-/// Current snapshot format version. Version 1 (pre-sharding) carried no
-/// shard labels; version 2 adds a shard label per node. Both decode.
+/// Snapshot format version: 2, the layout with a shard label per node.
 const VERSION: u32 = 2;
-/// The pre-sharding format version, still accepted by [`GraphSnapshot::decode`]
-/// (and producible via [`GraphSnapshot::encode_with_version`] for
-/// compatibility tests).
-pub const VERSION_PRE_SHARD: u32 = 1;
+
+// The fewest bytes an encoded item takes, which bounds what a count read
+// from the input may reserve (see `claimed`). An occurrence: event, name
+// length, time, txn tag, app, source tag, parameter and constituent counts.
+const MIN_OCCURRENCE: usize = 4 + 4 + 8 + 1 + 4 + 1 + 4 + 4;
+// A window: start tag, mid count, due tag, tick count.
+const MIN_WINDOW: usize = 1 + 4 + 1 + 4;
+// A context state: buffer and window counts, last-inner tag, pending count.
+const MIN_CTX_STATE: usize = 4 + 4 + 1 + 4;
+// A node: id, name length, shard label, four context states.
+const MIN_NODE: usize = 4 + 4 + 4 + 4 * MIN_CTX_STATE;
 
 /// Captured state of one graph node (only nodes holding any state are
 /// included; absent nodes restore to empty state).
@@ -46,8 +55,7 @@ pub struct NodeSnapshot {
     pub name: Arc<str>,
     /// Shard (connected component) label of the node at capture time.
     /// Informational: restore re-derives sharding from the rebuilt graph,
-    /// so snapshots cut before a component merge — including version-1
-    /// snapshots, which restore with label 0 — apply cleanly.
+    /// so snapshots cut before a component merge apply cleanly.
     pub shard: u32,
     /// Per-context operator state, in `ParamContext::ALL` order.
     pub state: [CtxState; 4],
@@ -96,19 +104,11 @@ impl std::error::Error for RestoreError {}
 
 // --- codec -------------------------------------------------------------
 
-fn put_opt_u64(out: &mut BytesMut, v: Option<u64>) {
-    put_opt_txn(out, v);
-}
-
-fn get_opt_u64(buf: &mut Bytes) -> Option<Option<u64>> {
-    get_opt_txn(buf)
-}
-
 fn put_occurrence(out: &mut BytesMut, occ: &Occurrence) {
     out.put_u32_le(occ.event.0);
     put_str(out, &occ.event_name);
     out.put_u64_le(occ.at);
-    put_opt_txn(out, occ.txn);
+    put_opt_u64(out, occ.txn);
     out.put_u32_le(occ.app);
     put_opt_u64(out, occ.source);
     put_params(out, &occ.params);
@@ -119,27 +119,15 @@ fn put_occurrence(out: &mut BytesMut, occ: &Occurrence) {
 }
 
 fn get_occurrence(buf: &mut Bytes) -> Option<Arc<Occurrence>> {
-    if buf.remaining() < 4 {
-        return None;
-    }
-    let event = EventId(buf.get_u32_le());
+    let event = EventId(take_u32(buf)?);
     let event_name: Arc<str> = Arc::from(get_str(buf)?);
-    if buf.remaining() < 8 {
-        return None;
-    }
-    let at = buf.get_u64_le();
-    let txn = get_opt_txn(buf)?;
-    if buf.remaining() < 4 {
-        return None;
-    }
-    let app = buf.get_u32_le();
+    let at = take_u64(buf)?;
+    let txn = get_opt_u64(buf)?;
+    let app = take_u32(buf)?;
     let source = get_opt_u64(buf)?;
     let params = get_params(buf)?;
-    if buf.remaining() < 4 {
-        return None;
-    }
-    let n = buf.get_u32_le() as usize;
-    let mut constituents = Vec::with_capacity(n.min(1024));
+    let n = take_u32(buf)? as usize;
+    let mut constituents = Vec::with_capacity(claimed(n, buf, MIN_OCCURRENCE));
     for _ in 0..n {
         constituents.push(get_occurrence(buf)?);
     }
@@ -176,33 +164,21 @@ fn put_window(out: &mut BytesMut, w: &Window) {
 }
 
 fn get_window(buf: &mut Bytes) -> Option<Window> {
-    if buf.remaining() < 1 {
-        return None;
-    }
-    let start = match buf.get_u8() {
+    let start = match take_u8(buf)? {
         0 => None,
         1 => Some(get_occurrence(buf)?),
         _ => return None,
     };
-    if buf.remaining() < 4 {
-        return None;
-    }
-    let n = buf.get_u32_le() as usize;
-    let mut mids = Vec::with_capacity(n.min(1024));
+    let n = take_u32(buf)? as usize;
+    let mut mids = Vec::with_capacity(claimed(n, buf, MIN_OCCURRENCE));
     for _ in 0..n {
         mids.push(get_occurrence(buf)?);
     }
     let next_due = get_opt_u64(buf)?;
-    if buf.remaining() < 4 {
-        return None;
-    }
-    let n = buf.get_u32_le() as usize;
-    let mut ticks = Vec::with_capacity(n.min(1024));
+    let n = take_u32(buf)? as usize;
+    let mut ticks = Vec::with_capacity(claimed(n, buf, 8));
     for _ in 0..n {
-        if buf.remaining() < 8 {
-            return None;
-        }
-        ticks.push(buf.get_u64_le());
+        ticks.push(take_u64(buf)?);
     }
     Some(Window { start, mids, next_due, ticks })
 }
@@ -228,73 +204,43 @@ fn put_ctx_state(out: &mut BytesMut, st: &CtxState) {
 }
 
 fn get_ctx_state(buf: &mut Bytes) -> Option<CtxState> {
-    if buf.remaining() < 4 {
-        return None;
-    }
-    let n = buf.get_u32_le() as usize;
-    let mut bufs = Vec::with_capacity(n.min(1024));
+    let n = take_u32(buf)? as usize;
+    let mut bufs = Vec::with_capacity(claimed(n, buf, 4));
     for _ in 0..n {
-        if buf.remaining() < 4 {
-            return None;
-        }
-        let m = buf.get_u32_le() as usize;
-        let mut q = VecDeque::with_capacity(m.min(1024));
+        let m = take_u32(buf)? as usize;
+        let mut q = VecDeque::with_capacity(claimed(m, buf, MIN_OCCURRENCE));
         for _ in 0..m {
             q.push_back(get_occurrence(buf)?);
         }
         bufs.push(q);
     }
-    if buf.remaining() < 4 {
-        return None;
-    }
-    let n = buf.get_u32_le() as usize;
-    let mut windows = VecDeque::with_capacity(n.min(1024));
+    let n = take_u32(buf)? as usize;
+    let mut windows = VecDeque::with_capacity(claimed(n, buf, MIN_WINDOW));
     for _ in 0..n {
         windows.push_back(get_window(buf)?);
     }
     let last_inner = get_opt_u64(buf)?;
-    if buf.remaining() < 4 {
-        return None;
-    }
-    let n = buf.get_u32_le() as usize;
-    let mut pending = Vec::with_capacity(n.min(1024));
+    let n = take_u32(buf)? as usize;
+    let mut pending = Vec::with_capacity(claimed(n, buf, 8 + MIN_OCCURRENCE));
     for _ in 0..n {
-        if buf.remaining() < 8 {
-            return None;
-        }
-        let due = buf.get_u64_le();
+        let due = take_u64(buf)?;
         pending.push((due, get_occurrence(buf)?));
     }
     Some(CtxState { bufs, windows, last_inner, pending })
 }
 
 impl GraphSnapshot {
-    /// Serializes the snapshot into a self-contained byte stream (current
-    /// format version).
+    /// Serializes the snapshot into a self-contained byte stream.
     pub fn encode(&self) -> Bytes {
-        self.encode_with_version(VERSION)
-    }
-
-    /// Serializes the snapshot in a specific format version. Version 1 is
-    /// the pre-sharding layout (shard labels are dropped); version 2 is
-    /// current. Panics on an unknown version — this exists for
-    /// cross-version compatibility tests, not general use.
-    pub fn encode_with_version(&self, version: u32) -> Bytes {
-        assert!(
-            version == VERSION_PRE_SHARD || version == VERSION,
-            "unknown snapshot version {version}"
-        );
         let mut out = BytesMut::new();
         out.put_slice(MAGIC);
-        out.put_u32_le(version);
+        out.put_u32_le(VERSION);
         out.put_u64_le(self.clock);
         out.put_u32_le(self.nodes.len() as u32);
         for node in &self.nodes {
             out.put_u32_le(node.id.0);
             put_str(&mut out, &node.name);
-            if version >= 2 {
-                out.put_u32_le(node.shard);
-            }
+            out.put_u32_le(node.shard);
             for st in &node.state {
                 put_ctx_state(&mut out, st);
             }
@@ -302,34 +248,22 @@ impl GraphSnapshot {
         out.freeze()
     }
 
-    /// Deserializes a snapshot; `None` on any corruption. Both the current
-    /// (sharded, version 2) and the pre-shard (version 1) layouts are
-    /// accepted; version-1 nodes decode with shard label 0.
+    /// Deserializes a snapshot; `None` on any corruption or on another
+    /// format version.
     pub fn decode(mut buf: Bytes) -> Option<GraphSnapshot> {
         if buf.remaining() < 20 || &buf.split_to(4)[..] != MAGIC {
             return None;
         }
-        let version = buf.get_u32_le();
-        if version != VERSION_PRE_SHARD && version != VERSION {
+        if buf.get_u32_le() != VERSION {
             return None;
         }
         let clock = buf.get_u64_le();
         let n = buf.get_u32_le() as usize;
-        let mut nodes = Vec::with_capacity(n.min(65536));
+        let mut nodes = Vec::with_capacity(claimed(n, &buf, MIN_NODE));
         for _ in 0..n {
-            if buf.remaining() < 4 {
-                return None;
-            }
-            let id = EventId(buf.get_u32_le());
+            let id = EventId(take_u32(&mut buf)?);
             let name: Arc<str> = Arc::from(get_str(&mut buf)?);
-            let shard = if version >= 2 {
-                if buf.remaining() < 4 {
-                    return None;
-                }
-                buf.get_u32_le()
-            } else {
-                0
-            };
+            let shard = take_u32(&mut buf)?;
             let state = [
                 get_ctx_state(&mut buf)?,
                 get_ctx_state(&mut buf)?,
@@ -430,30 +364,6 @@ mod tests {
             assert_eq!(prims[0].param("x"), Some(&crate::Value::Int(41)));
             assert!(prims[0].at < prims[1].at, "pre-crash initiator ordered first");
         }
-    }
-
-    #[test]
-    fn pre_shard_v1_snapshot_restores_into_sharded_detector() {
-        let d = half_detected();
-        let snap = d.snapshot_state();
-        // Re-encode in the pre-sharding (version 1) layout, as a durable
-        // directory written before the shard upgrade would carry.
-        let v1 = snap.encode_with_version(VERSION_PRE_SHARD);
-        let decoded = GraphSnapshot::decode(v1).expect("v1 layout still decodes");
-        assert!(decoded.nodes.iter().all(|n| n.shard == 0), "v1 nodes default to shard 0");
-
-        let d2 = LocalEventDetector::new(3);
-        d2.declare_primitive("a", "C", EventModifier::End, "void a()", PrimTarget::AnyInstance)
-            .unwrap();
-        d2.declare_primitive("b", "C", EventModifier::End, "void b()", PrimTarget::AnyInstance)
-            .unwrap();
-        let seq = d2.define_named("ab", &parse_event_expr("(a ; b)").unwrap()).unwrap();
-        for ctx in ParamContext::ALL {
-            d2.subscribe(seq, ctx, 1).unwrap();
-        }
-        d2.restore_snapshot(&decoded).unwrap();
-        let dets = d2.notify_method("C", "void b()", EventModifier::End, 9, Vec::new(), Some(7));
-        assert_eq!(dets.len(), 4, "v1 state detects identically after restore");
     }
 
     #[test]

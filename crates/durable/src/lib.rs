@@ -21,9 +21,6 @@
 //!   across all streams (the [`FsyncPolicy`] maps onto it), and the
 //!   asynchronous checkpointer that runs cadence checkpoints off the
 //!   signalling threads.
-//! * [`journal`] — the legacy (v1) single-stream journal format, kept
-//!   for reading: data directories written before sharding recover
-//!   through [`journal::scan_dir`] and continue in the v2 format.
 //! * [`checkpoint`] — periodic [`sentinel_detector::GraphSnapshot`]
 //!   checkpoints tagged with a journal offset, so recovery loads the
 //!   newest valid checkpoint and replays only the journal suffix —
@@ -45,7 +42,6 @@ pub mod catalog;
 pub mod checkpoint;
 pub mod frame;
 pub mod group;
-pub mod journal;
 pub mod repl;
 pub mod sharded;
 
@@ -65,7 +61,6 @@ use sentinel_obs::flight::{self, FlightKind};
 use sentinel_obs::{DurabilityMetrics, DurabilityStats, RecoveryReport};
 
 pub use catalog::{CatalogFile, CatalogOp};
-pub use journal::Journal;
 pub use repl::{FollowerAck, ReplEntry, ReplicationLog};
 pub use sharded::{ShardedJournal, ShardedRecovery};
 
@@ -154,17 +149,13 @@ pub struct Recovery {
     /// caller restores the first one that validates against the rebuilt
     /// graph and replays `events[tag..]`.
     pub checkpoints: Vec<(u64, GraphSnapshot)>,
-    /// Every valid journal record in replay order (v1 records first,
-    /// then the merged v2 streams).
+    /// Every valid journal record, merged across streams into replay
+    /// order.
     pub events: Vec<LoggedEvent>,
     /// Fences in epoch order as `(position, kind)`: `position` counts the
     /// records of `events` that precede the fence. The caller re-applies
     /// flush/advance fences at their positions during suffix replay.
     pub fences: Vec<(u64, FenceKind)>,
-    /// How many leading records of `events` came from a legacy v1
-    /// single-stream journal (their transaction flushes are inferred, not
-    /// fenced).
-    pub v1_records: u64,
     /// Partially filled report: counts of what the scan found. The caller
     /// completes `checkpoint_tag`, `replayed_records`, and any extra
     /// `checkpoints_rejected` from live-graph validation.
@@ -226,39 +217,53 @@ fn seed_replication(repl: &ReplicationLog, recovery: &Recovery) {
     interleave(repl, u64::MAX, &mut epoch);
 }
 
+/// Fails on the first `events-*.seg` file in `dir`, naming it.
+fn refuse_single_stream_journal(dir: &Path) -> io::Result<()> {
+    for entry in fs::read_dir(dir)? {
+        let path = entry?.path();
+        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or_default();
+        if name.starts_with("events-") && name.ends_with(".seg") {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "{}: single-stream journal segment from before sharding; \
+                     this build reads only per-shard streams",
+                    path.display()
+                ),
+            ));
+        }
+    }
+    Ok(())
+}
+
 impl DurableEngine {
     /// Opens (creating if needed) the data directory, scans and repairs
     /// all stores, and returns the engine plus what it recovered.
     ///
-    /// Legacy v1 journals are read (and repaired) but new appends always
-    /// go to v2 per-shard streams; the recovered event list is the v1
-    /// records followed by the merged v2 streams.
+    /// A directory holding a single-stream `events-*.seg` segment, the
+    /// journal layout from before sharding, is refused with an error that
+    /// names the file: this build does not read it, and skipping it would
+    /// drop history without a word.
     pub fn open(
         dir: &Path,
         opts: DurableOptions,
     ) -> Result<(Arc<DurableEngine>, Recovery), DurableError> {
         fs::create_dir_all(dir)?;
-        let v1 = journal::scan_dir(dir)?;
+        refuse_single_stream_journal(dir)?;
         let (journal, srec) = ShardedJournal::open(dir, opts.segment_bytes)?;
         let (catalog, crec) = CatalogFile::open(dir)?;
         let ckpts = checkpoint::scan_checkpoints(dir)?;
-
-        let v1_records = v1.events.len() as u64;
-        let mut events = v1.events;
-        events.extend(srec.events);
-        let fences: Vec<(u64, FenceKind)> =
-            srec.fences.iter().map(|(pos, kind)| (pos + v1_records, *kind)).collect();
 
         let mut report = RecoveryReport {
             catalog_ops: crec.ops.len() as u64,
             checkpoint_tag: None,
             checkpoints_scanned: ckpts.scanned,
             checkpoints_rejected: ckpts.rejected,
-            journal_segments: v1.segments + srec.segments,
-            journal_records: events.len() as u64,
+            journal_segments: srec.segments,
+            journal_records: srec.events.len() as u64,
             replayed_records: 0,
-            truncated_bytes: v1.truncated_bytes + srec.truncated_bytes + crec.truncated_bytes,
-            journal_fences: fences.len() as u64,
+            truncated_bytes: srec.truncated_bytes + crec.truncated_bytes,
+            journal_fences: srec.fences.len() as u64,
             ..RecoveryReport::default()
         };
         report.phases.fence_repair_us = srec.fence_repair_us;
@@ -266,9 +271,8 @@ impl DurableEngine {
         let recovery = Recovery {
             catalog_ops: crec.ops,
             checkpoints: ckpts.checkpoints,
-            events,
-            fences,
-            v1_records,
+            events: srec.events,
+            fences: srec.fences,
             report,
         };
 
@@ -527,7 +531,6 @@ mod tests {
         }
         let (eng, rec) = DurableEngine::open(&dir, DurableOptions::default()).unwrap();
         assert_eq!(rec.events.len(), 5);
-        assert_eq!(rec.v1_records, 0);
         assert_eq!(rec.catalog_ops.len(), 2);
         assert_eq!(rec.catalog_ops[0].0, 0, "first op before any events");
         assert_eq!(rec.catalog_ops[1].0, 5, "second op after five events");
@@ -564,26 +567,14 @@ mod tests {
     }
 
     #[test]
-    fn v1_journal_is_read_and_appends_continue_in_v2() {
-        let dir = tmp("v1compat");
+    fn stray_single_stream_segment_fails_open_and_names_the_file() {
+        let dir = tmp("stray");
         fs::create_dir_all(&dir).unwrap();
-        {
-            let (mut j, _) = Journal::open(&dir, 1 << 20, FsyncPolicy::Always).unwrap();
-            for i in 0..4 {
-                j.append(&ev(i)).unwrap();
-            }
-        }
-        let (eng, rec) = DurableEngine::open(&dir, DurableOptions::default()).unwrap();
-        assert_eq!(rec.events.len(), 4);
-        assert_eq!(rec.v1_records, 4);
-        assert_eq!(eng.next_index(), 4);
-        assert_eq!(eng.append_event(2, &ev(4)).unwrap(), 4);
-        eng.append_fence(FenceKind::Barrier, 6).unwrap();
-        drop(eng);
-        let (_, rec) = DurableEngine::open(&dir, DurableOptions::default()).unwrap();
-        assert_eq!(rec.events.len(), 5, "v1 prefix + v2 suffix");
-        assert_eq!(rec.v1_records, 4);
-        assert_eq!(rec.fences, vec![(5, FenceKind::Barrier)], "positions offset past v1");
+        // The 12-byte header the single-stream journal began a segment with.
+        fs::write(dir.join("events-000000.seg"), [&b"SJN1"[..], &[0; 8]].concat()).unwrap();
+        let err = DurableEngine::open(&dir, DurableOptions::default()).unwrap_err();
+        assert!(err.to_string().contains("events-000000.seg"), "{err}");
+        assert!(dir.join("events-000000.seg").exists(), "the file is left for the operator");
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -70,15 +70,6 @@ pub enum ReplEntry {
 
 /// Lower-hex encodes arbitrary bytes (snapshot shipping, event frames).
 pub fn bytes_to_hex(bytes: &[u8]) -> String {
-    to_hex(bytes)
-}
-
-/// Inverse of [`bytes_to_hex`]; `None` on odd length or non-hex digits.
-pub fn bytes_from_hex(s: &str) -> Option<Vec<u8>> {
-    from_hex(s)
-}
-
-fn to_hex(bytes: &[u8]) -> String {
     let mut out = String::with_capacity(bytes.len() * 2);
     for b in bytes {
         out.push(char::from_digit(u32::from(b >> 4), 16).unwrap());
@@ -87,7 +78,8 @@ fn to_hex(bytes: &[u8]) -> String {
     out
 }
 
-fn from_hex(s: &str) -> Option<Vec<u8>> {
+/// Inverse of [`bytes_to_hex`]; `None` on odd length or non-hex digits.
+pub fn bytes_from_hex(s: &str) -> Option<Vec<u8>> {
     if s.len() % 2 != 0 {
         return None;
     }
@@ -105,12 +97,12 @@ fn from_hex(s: &str) -> Option<Vec<u8>> {
 pub fn event_to_hex(ev: &LoggedEvent) -> String {
     let mut buf = BytesMut::new();
     encode_event(&mut buf, ev);
-    to_hex(&buf)
+    bytes_to_hex(&buf)
 }
 
 /// Decodes an event hex-encoded by [`event_to_hex`].
 pub fn event_from_hex(s: &str) -> Option<LoggedEvent> {
-    let mut buf = Bytes::from(from_hex(s)?);
+    let mut buf = Bytes::from(bytes_from_hex(s)?);
     let ev = decode_event(&mut buf)?;
     if !buf.is_empty() {
         return None;
@@ -169,7 +161,7 @@ impl ReplEntry {
         match v.get("t")?.as_str()? {
             "event" => Some(ReplEntry::Event {
                 index: v.get("index")?.as_u64()?,
-                shard: v.get("shard")?.as_u64()? as u32,
+                shard: u32::try_from(v.get("shard")?.as_u64()?).ok()?,
                 epoch: v.get("epoch")?.as_u64()?,
                 ev: event_from_hex(v.get("ev")?.as_str()?)?,
             }),
@@ -315,6 +307,18 @@ mod tests {
             let parsed = json::Value::parse(&j.to_string()).unwrap();
             assert_eq!(ReplEntry::from_json(&parsed).as_ref(), Some(entry), "{j}");
         }
+    }
+
+    #[test]
+    fn a_shard_that_does_not_fit_u32_is_rejected() {
+        let entry = ReplEntry::Event { index: 0, shard: u32::MAX, epoch: 0, ev: ev(1) };
+        let mut j = entry.to_json();
+        assert_eq!(ReplEntry::from_json(&j), Some(entry));
+        if let json::Value::Obj(pairs) = &mut j {
+            pairs.iter_mut().find(|(k, _)| k == "shard").unwrap().1 = json::Value::UInt(1 << 32);
+        }
+        // `as u32` would have landed it in stream 0.
+        assert_eq!(ReplEntry::from_json(&j), None);
     }
 
     #[test]

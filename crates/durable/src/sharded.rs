@@ -29,8 +29,9 @@
 //! the first frame whose epoch differs from its index); with `F` valid
 //! fences the open epoch is `F`, so any stream record with epoch `> F`
 //! can only be the product of a lost fence write — the stream is
-//! truncated there. Each stream then gets the v1 repair discipline: torn
-//! tails truncated, segments after a hole deleted.
+//! truncated there. Each stream is then repaired on its own: a torn tail
+//! is truncated, and every segment after a hole (a bad header, a torn or
+//! undecodable frame) is deleted, since its records cannot be ordered.
 
 use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
@@ -563,6 +564,65 @@ mod tests {
         let (_, rec) = ShardedJournal::open(&dir, 1 << 20).unwrap();
         assert_eq!(rec.events.len(), 9, "shard 1 loses only its torn record");
         assert!(rec.truncated_bytes > 0);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn corrupt_middle_segment_drops_later_segments() {
+        let dir = tmp("mid");
+        {
+            let (j, _) = ShardedJournal::open(&dir, 128).unwrap();
+            for i in 0..40 {
+                j.append(0, 0, &ev(i + 1, "x")).unwrap();
+            }
+            j.sync_dirty().unwrap();
+        }
+        let segs = list_streams(&dir).unwrap()[&0].clone();
+        assert!(segs.len() >= 3, "tiny cap must rotate, got {segs:?}");
+        // Flip a bit in the first frame's payload of the middle segment.
+        let victim = &segs[1].1;
+        let mut data = fs::read(victim).unwrap();
+        data[STREAM_HEADER + HEADER + 2] ^= 0x01;
+        fs::write(victim, &data).unwrap();
+
+        let (j, rec) = ShardedJournal::open(&dir, 128).unwrap();
+        let survivors = list_streams(&dir).unwrap()[&0].clone();
+        assert_eq!(survivors, segs[..1], "the hole and every later segment are deleted");
+        assert!(rec.events.len() < 40, "records after the corruption are dropped");
+        assert!(rec.truncated_bytes > 0);
+        // Appends resume after the surviving prefix.
+        let kept = rec.events.len();
+        j.append(0, 0, &ev(100, "y")).unwrap();
+        j.sync_dirty().unwrap();
+        drop(j);
+        let (_, rec) = ShardedJournal::open(&dir, 128).unwrap();
+        assert_eq!(rec.events.len(), kept + 1);
+        assert_eq!(rec.truncated_bytes, 0);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn garbage_header_segment_is_removed() {
+        let dir = tmp("hdr");
+        {
+            let (j, _) = ShardedJournal::open(&dir, 1 << 20).unwrap();
+            for i in 0..3 {
+                j.append(0, 0, &ev(i + 1, "x")).unwrap();
+            }
+            j.sync_dirty().unwrap();
+        }
+        // A later segment with a garbage header (e.g. created, then crashed
+        // before the header write hit disk).
+        fs::write(stream_path(&dir, 0, 1), [0u8; 7]).unwrap();
+        let (j, rec) = ShardedJournal::open(&dir, 1 << 20).unwrap();
+        assert_eq!(rec.events.len(), 3);
+        assert!(rec.truncated_bytes >= 7);
+        assert!(!stream_path(&dir, 0, 1).exists());
+        j.append(0, 0, &ev(4, "x")).unwrap();
+        j.sync_dirty().unwrap();
+        drop(j);
+        let (_, rec) = ShardedJournal::open(&dir, 1 << 20).unwrap();
+        assert_eq!(rec.events.len(), 4);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -12,11 +12,10 @@
 //! retry later — and [`ClientError::Disconnected`] means the connection
 //! died while a response was outstanding.
 //!
-//! **Wire version.** `Hello` (always sent as v1 JSON, which every server
-//! build understands) advertises the client's `max_version`; the server
-//! replies with the highest version both sides speak, and all subsequent
-//! frames on the connection use it ([`ClientCodec`] can pin either
-//! version instead of negotiating).
+//! **Wire version.** `Hello` travels as v1 JSON, which every server build
+//! decodes, and advertises `max_version` 2; every later frame on the
+//! connection uses the v2 binary codec. A server that grants anything
+//! else fails the connect.
 //!
 //! **Request-id spaces are per-connection.** Every connection draws its
 //! ids from a distinct 2³² range, so after a reconnect a stale response
@@ -76,16 +75,12 @@ impl std::fmt::Display for ClientError {
 
 impl std::error::Error for ClientError {}
 
-/// Which payload codec a connection should use after `Hello`.
+/// The payload codec a connection uses after `Hello`: only the binary
+/// codec is left.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ClientCodec {
-    /// Negotiate: advertise binary, accept whatever the server grants
-    /// (old JSON-only servers answer `version: 1`). The default.
-    Auto,
-    /// Pin v1 JSON bodies, even against a binary-capable server.
-    Json,
-    /// Require v2 binary bodies; connecting to a server that only speaks
-    /// JSON fails with [`ClientError::BadResponse`].
+    /// v2 binary bodies; a server that does not grant version 2 fails the
+    /// connect with [`ClientError::BadResponse`].
     Binary,
 }
 
@@ -235,17 +230,16 @@ impl RuleSpec {
 }
 
 impl SentinelClient {
-    /// Connects and opens a session named `client`, negotiating the
-    /// binary codec when the server supports it ([`ClientCodec::Auto`]).
+    /// Connects and opens a session named `client` on the binary codec.
     pub fn connect(addr: &str, client: &str) -> Result<SentinelClient, ClientError> {
-        Self::connect_with(addr, client, ClientCodec::Auto)
+        Self::connect_with(addr, client, ClientCodec::Binary)
     }
 
-    /// [`SentinelClient::connect`] with an explicit codec choice.
+    /// [`SentinelClient::connect`], naming the codec.
     pub fn connect_with(
         addr: &str,
         client: &str,
-        codec: ClientCodec,
+        _codec: ClientCodec,
     ) -> Result<SentinelClient, ClientError> {
         let stream =
             TcpStream::connect(addr).map_err(|e| ClientError::Transport(WireError::Io(e)))?;
@@ -270,28 +264,16 @@ impl SentinelClient {
             session: 0,
             wire: protocol::VERSION,
         };
-        let advertise = match codec {
-            ClientCodec::Json => protocol::VERSION,
-            ClientCodec::Auto | ClientCodec::Binary => protocol::VERSION_BINARY,
-        };
-        // Hello itself always travels as v1 JSON (`c.wire` is still 1
-        // here): that is what makes an old server answer at all.
+        // Hello itself travels as v1 JSON (`c.wire` is still 1 here).
         let hello = c.request(
             Opcode::Hello,
             json::Value::obj([
                 ("client", json::Value::str(client)),
-                ("max_version", json::Value::UInt(u64::from(advertise))),
+                ("max_version", json::Value::UInt(u64::from(protocol::VERSION_BINARY))),
             ]),
         )?;
         c.session = hello.get("session").and_then(json::Value::as_u64).unwrap_or_default();
-        let granted = hello
-            .get("version")
-            .and_then(json::Value::as_u64)
-            .unwrap_or(u64::from(protocol::VERSION)) as u8;
-        c.wire = granted.min(advertise).max(protocol::VERSION);
-        if codec == ClientCodec::Binary && c.wire < protocol::VERSION_BINARY {
-            return Err(ClientError::BadResponse("server does not speak the binary codec"));
-        }
+        c.wire = granted(&hello)?;
         Ok(c)
     }
 
@@ -324,8 +306,8 @@ impl SentinelClient {
         self.session
     }
 
-    /// The wire version negotiated at `Hello` (1 = JSON bodies,
-    /// 2 = binary codec).
+    /// The wire version of every frame after `Hello` (2, the binary
+    /// codec).
     pub fn negotiated_version(&self) -> u8 {
         self.wire
     }
@@ -599,6 +581,16 @@ impl Drop for SentinelClient {
     }
 }
 
+/// The wire version a `Hello` reply grants, which must be the binary
+/// codec. Compared as a `u64`: a grant that does not fit a version byte is
+/// refused, not truncated into one.
+fn granted(hello: &json::Value) -> Result<u8, ClientError> {
+    match hello.get("version").and_then(json::Value::as_u64) {
+        Some(v) if v == u64::from(protocol::VERSION_BINARY) => Ok(protocol::VERSION_BINARY),
+        _ => Err(ClientError::BadResponse("server does not grant the binary codec")),
+    }
+}
+
 fn signal_payload(
     event: &str,
     params: &[(Arc<str>, EventValue)],
@@ -638,5 +630,21 @@ fn reader_loop(mut stream: TcpStream, shared: &Arc<Shared>) {
                 break;
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_grant_that_does_not_fit_a_version_byte_is_refused() {
+        let reply = |v: u64| json::Value::obj([("version", json::Value::UInt(v))]);
+        assert_eq!(granted(&reply(2)).ok(), Some(protocol::VERSION_BINARY));
+        // 258 truncates to 2 and 256 to 0 as a `u8`.
+        for v in [1, 256, 258] {
+            assert!(matches!(granted(&reply(v)), Err(ClientError::BadResponse(_))), "{v}");
+        }
+        assert!(granted(&json::Value::Null).is_err(), "a reply without a grant");
     }
 }

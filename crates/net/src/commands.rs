@@ -68,20 +68,12 @@ pub(crate) fn execute(state: &Arc<State>, session: &mut Option<Session>, frame: 
             let Some(client) = frame.payload.get("client").and_then(json::Value::as_str) else {
                 return Outcome::Reply(err_frame(id, "bad-request", "hello needs client"));
             };
+            let Some(negotiated) = negotiate(&frame.payload) else {
+                return Outcome::Reply(err_frame(id, "bad-request", "max_version out of range"));
+            };
             let sid = state.next_session.fetch_add(1, Ordering::SeqCst) + 1;
             *session = Some(Session { inflight: Arc::new(AtomicU64::new(0)) });
             state.metrics.sessions.inc();
-            // Codec negotiation: the reply names the highest protocol
-            // version both the client (`max_version`, absent = 1) and
-            // this server (`cfg.max_codec_version`) speak. The client
-            // uses it for subsequent frames; the server stays polyglot
-            // per frame either way.
-            let client_max = frame
-                .payload
-                .get("max_version")
-                .and_then(json::Value::as_u64)
-                .unwrap_or(u64::from(protocol::VERSION)) as u8;
-            let negotiated = client_max.min(state.cfg.max_codec_version).max(protocol::VERSION);
             let reply = json::Value::obj([
                 ("session", json::Value::UInt(sid)),
                 ("client", json::Value::str(client)),
@@ -180,6 +172,17 @@ pub(crate) fn execute(state: &Arc<State>, session: &mut Option<Session>, frame: 
         }
         Opcode::Shutdown => Outcome::ReplyShutdown(Frame::new(Opcode::Ok, id, json::Value::Null)),
     }
+}
+
+/// The wire version a `Hello` grants: the highest that both the client
+/// (`max_version`, absent = 1) and this build speak. The client uses it
+/// for every later frame; the server answers each frame in the version it
+/// came in either way. `None` when `max_version` does not fit a version
+/// byte: it is refused, not truncated into one.
+fn negotiate(hello: &json::Value) -> Option<u8> {
+    let max = hello.get("max_version").and_then(json::Value::as_u64);
+    let max = u8::try_from(max.unwrap_or(u64::from(protocol::VERSION))).ok()?;
+    Some(max.clamp(protocol::VERSION, protocol::VERSION_MAX))
 }
 
 fn signal_sync(state: &Arc<State>, id: u64, payload: &json::Value) -> Frame {
@@ -493,4 +496,25 @@ pub(crate) fn http_response(state: &Arc<State>, head: &[u8]) -> Vec<u8> {
         resp.push_str(&body);
     }
     resp.into_bytes()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn hello_negotiates_in_range_and_refuses_what_a_byte_cannot_hold() {
+        let hello = |max: Option<u64>| {
+            let mut pairs = vec![("client".to_string(), json::Value::str("c"))];
+            pairs.extend(max.map(|m| ("max_version".to_string(), json::Value::UInt(m))));
+            negotiate(&json::Value::Obj(pairs))
+        };
+        assert_eq!(hello(None), Some(protocol::VERSION));
+        assert_eq!(hello(Some(0)), Some(protocol::VERSION));
+        assert_eq!(hello(Some(2)), Some(protocol::VERSION_BINARY));
+        assert_eq!(hello(Some(255)), Some(protocol::VERSION_MAX));
+        // 256 truncates to 0 and 258 to 2 as a `u8`.
+        assert_eq!(hello(Some(256)), None);
+        assert_eq!(hello(Some(258)), None);
+    }
 }

@@ -9,9 +9,9 @@
 //! The layers:
 //!
 //! * [`protocol`] — a versioned, length-prefixed framing with two wire
-//!   versions behind one 16-byte header: v1 JSON payload bodies and v2
-//!   compact binary bodies ([`codec`]); strict size limits, total
-//!   (never-panicking) decoding;
+//!   versions behind one 16-byte header: v1 JSON payload bodies (a
+//!   session's `Hello`) and v2 compact binary bodies ([`codec`], every
+//!   later frame); strict size limits, total (never-panicking) decoding;
 //! * [`codec`] — the CBOR-style binary payload codec v2 frames carry;
 //! * [`server`] — [`server::NetServer`] serving a
 //!   [`sentinel_core::ServeHandle`] from an epoll [`reactor`]
@@ -20,7 +20,7 @@
 //!   graceful drain-on-shutdown;
 //! * [`client`] — blocking [`client::SentinelClient`] with request
 //!   pipelining by request id, per-connection request-id spaces,
-//!   codec negotiation at `Hello`, reconnect-with-backoff, and typed
+//!   the binary codec granted at `Hello`, reconnect-with-backoff, and typed
 //!   errors separating transport failures from server-reported ones.
 //!
 //! No external async runtime and no libc crate: the workspace builds

@@ -16,12 +16,10 @@
 //! |     16 |    n | payload     | JSON text or codec bytes (absent if 0) |
 //!
 //! Both versions carry the *same* decoded [`Frame`]: the version byte is
-//! a per-frame codec tag, not a session mode, so a polyglot server just
-//! answers each request in the version it arrived in and a v1-only
-//! client never sees a v2 byte. Version negotiation happens in `Hello`
-//! (the client states its `max_version`, the server answers with the
-//! highest version both sides and [`decode_with`]'s caller accept) — see
-//! `net::client` for the downgrade path against old servers.
+//! a per-frame codec tag, not a session mode, so the server answers each
+//! request in the version it arrived in. A session sends its `Hello` in
+//! v1 JSON (stating its `max_version`; the reply names the highest
+//! version both sides speak) and every later frame in v2.
 //!
 //! Responses echo the request id, which is what lets a client pipeline
 //! many requests on one connection and match replies as they return.
@@ -227,7 +225,7 @@ impl fmt::Display for EncodeError {
 impl std::error::Error for EncodeError {}
 
 /// Encodes a frame to wire bytes in the baseline (version 1, JSON)
-/// encoding — what pre-codec builds speak.
+/// encoding — the encoding of `Hello`.
 pub fn encode(frame: &Frame) -> Result<Vec<u8>, EncodeError> {
     encode_with(frame, VERSION)
 }
@@ -260,8 +258,7 @@ pub fn encode_with(frame: &Frame, version: u8) -> Result<Vec<u8>, EncodeError> {
 
 /// Validates a 16-byte header, returning
 /// `(version, opcode, request_id, payload_len)`. `max_version` bounds the
-/// versions accepted, so a v1-only endpoint rejects v2 frames exactly
-/// like a pre-codec build did.
+/// versions accepted: a ceiling of 1 rejects v2 frames.
 fn decode_header(
     h: &[u8; HEADER_LEN],
     max_version: u8,

@@ -305,7 +305,7 @@ impl Conn {
                 // A terminal reply is already queued; ignore the rest.
                 return Ok(());
             }
-            match protocol::decode_with(&self.rbuf, state.cfg.max_codec_version) {
+            match protocol::decode_with(&self.rbuf, protocol::VERSION_MAX) {
                 Ok(Some((frame, wire, used))) => {
                     self.rbuf.drain(..used);
                     state.metrics.frames_in.inc();

@@ -15,10 +15,9 @@
 //!
 //! Request handling per connection is serial, but clients pipeline: every
 //! frame carries a request id and responses echo it, so a client may have
-//! many requests outstanding on one socket. Frames arrive in either wire
-//! version (v1 JSON / v2 binary, up to
-//! [`ServerConfig::max_codec_version`]) and the server answers each in
-//! the version it arrived in.
+//! many requests outstanding on one socket. A session's `Hello` arrives in
+//! v1 JSON and every later frame in v2 binary; the decoder takes either
+//! per frame and the server answers each in the version it arrived in.
 //!
 //! Backpressure is explicit, never unbounded queueing:
 //!
@@ -56,7 +55,6 @@ use sentinel_obs::timeseries::Sample;
 use sentinel_obs::trace::Field;
 use sentinel_obs::NetMetrics;
 
-use crate::protocol;
 use crate::reactor::Reactor;
 
 /// Server tuning knobs.
@@ -78,11 +76,6 @@ pub struct ServerConfig {
     pub detector_threads: usize,
     /// Reactor event loops (at least one runs).
     pub event_loops: usize,
-    /// Highest wire version this server accepts and advertises
-    /// ([`protocol::VERSION`] = JSON only, [`protocol::VERSION_BINARY`]
-    /// adds the compact codec). Lowering it emulates an old server for
-    /// negotiation tests.
-    pub max_codec_version: u8,
     /// Reactor: bytes of unsent responses a connection may accumulate
     /// before it is evicted (always at least one max-size frame).
     pub max_write_queue: usize,
@@ -101,7 +94,6 @@ impl Default for ServerConfig {
             max_inflight_global: 1024,
             detector_threads: 1,
             event_loops: 2,
-            max_codec_version: protocol::VERSION_MAX,
             max_write_queue: 4 << 20,
             stall_timeout: Duration::from_secs(30),
         }

@@ -14,13 +14,18 @@
 //!
 //! A passive invoke has a budget of its own: it allocates exactly what the
 //! same invoke on a `Database` with no hooks does — the bridge adds nothing.
+//!
+//! The allocator also counts the bytes requested, which bounds what a
+//! decoder reserves for a count it has read but not yet backed by input.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::{Arc, Weak};
 
+use bytes::Bytes;
 use sentinel_core::detector::graph::PrimTarget;
-use sentinel_core::detector::Value;
+use sentinel_core::detector::log::decode_log;
+use sentinel_core::detector::{GraphSnapshot, Value};
 use sentinel_core::oodb::schema::{AttrType, ClassDef};
 use sentinel_core::oodb::{AttrValue, Database, ObjectState, Oid};
 use sentinel_core::rules::manager::RuleOptions;
@@ -32,23 +37,29 @@ use sentinel_core::Sentinel;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count(bytes: usize) {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
 }
 
 struct Counting;
 
 // SAFETY: every call is forwarded unchanged to the system allocator; the
-// counter is a const-initialised thread-local `Cell`, which neither
-// allocates nor runs a destructor.
+// counters are const-initialised thread-local `Cell`s, which neither
+// allocate nor run a destructor.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        count(layout.size());
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -61,6 +72,13 @@ fn allocations(f: impl FnOnce()) -> u64 {
     let before = ALLOCATIONS.with(Cell::get);
     f();
     ALLOCATIONS.with(Cell::get) - before
+}
+
+/// What `f` returns, and the bytes this thread requested while it ran.
+fn requested_bytes<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = BYTES.with(Cell::get);
+    let out = f();
+    (out, BYTES.with(Cell::get) - before)
 }
 
 const SET_PRICE: &str = "void set_price(float price)";
@@ -332,4 +350,27 @@ fn a_passive_invoke_allocates_what_it_does_without_hooks() {
     });
     s.commit(txn).unwrap();
     assert_eq!(with, without, "allocations of {rounds} passive invokes with and without hooks");
+}
+
+#[test]
+fn decoders_reserve_no_more_than_their_input_could_encode() {
+    // A 20-byte checkpoint or replication snapshot: magic, version 2, a
+    // clock, and a node count of u32::MAX with no node behind it.
+    let mut snapshot = b"SSNP".to_vec();
+    snapshot.extend_from_slice(&2u32.to_le_bytes());
+    snapshot.extend_from_slice(&0u64.to_le_bytes());
+    snapshot.extend_from_slice(&u32::MAX.to_le_bytes());
+    // A 16-byte stored event log: magic, version 1, and an event count of
+    // u64::MAX with no event behind it.
+    let mut log = b"SLOG".to_vec();
+    log.extend_from_slice(&1u32.to_le_bytes());
+    log.extend_from_slice(&u64::MAX.to_le_bytes());
+    let (snapshot, log) = (Bytes::from(snapshot), Bytes::from(log));
+
+    let (decoded, bytes) = requested_bytes(|| GraphSnapshot::decode(snapshot));
+    assert!(decoded.is_none());
+    assert!(bytes < 64 * 1024, "a 20-byte snapshot requested {bytes} bytes");
+    let (decoded, bytes) = requested_bytes(|| decode_log(log));
+    assert!(decoded.is_none());
+    assert!(bytes < 64 * 1024, "a 16-byte event log requested {bytes} bytes");
 }

@@ -430,7 +430,6 @@ fn tmp(tag: &str) -> PathBuf {
 /// merged: every surviving record in replay order plus the fence stream.
 fn recovered(dir: &Path) -> (Vec<LoggedEvent>, Vec<(u64, FenceKind)>) {
     let (_engine, rec) = DurableEngine::open(dir, dopts()).expect("reopen durable engine");
-    assert_eq!(rec.v1_records, 0, "fresh directories are pure v2");
     assert_eq!(rec.report.truncated_bytes, 0, "fsync=always run left no torn bytes");
     (rec.events, rec.fences)
 }

@@ -7,15 +7,13 @@
 //!    nested objects, arbitrary nesting), and encoding is canonical
 //!    (re-encoding the decoded value is byte-identical).
 //! 2. **Differential JSON-vs-binary**: the *same* frame encoded as v1
-//!    JSON and as v2 binary decodes to the *same* command — including
-//!    through live servers, where a JSON client and a binary client
-//!    must observe identical replies.
+//!    JSON (the encoding of `Hello`) and as v2 binary decodes to the
+//!    *same* command.
 //! 3. **Totality**: garbage bytes, corruption, and truncation at every
 //!    byte boundary yield typed errors or `Ok(None)`, never a panic.
-//! 4. **Version negotiation**: the matrix of {v1, v2} servers × {JSON,
-//!    auto, binary} clients lands on the right wire version, and a v1
-//!    client still completes the full command set against a v2 reactor
-//!    server.
+//! 4. **Live server**: a client's v1 `Hello` negotiates version 2, and a
+//!    client completes the full command set against the reactor server
+//!    on the binary codec.
 
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -24,9 +22,7 @@ use sentinel_core::Sentinel;
 use sentinel_detector::Value as EventValue;
 use sentinel_net::codec;
 use sentinel_net::protocol::{self, Frame, Opcode, HEADER_LEN, MAGIC};
-use sentinel_net::{
-    BatchSignal, ClientCodec, ClientError, NetServer, RuleSpec, SentinelClient, ServerConfig,
-};
+use sentinel_net::{BatchSignal, ClientError, NetServer, RuleSpec, SentinelClient, ServerConfig};
 use sentinel_obs::json;
 
 // Scalars in the parser's canonical form (what both a JSON text round
@@ -257,12 +253,12 @@ fn truncation_at_every_byte_never_panics() {
 }
 
 // ---------------------------------------------------------------------------
-// Live-server pillar: negotiation matrix + differential replies.
+// Live-server pillar: negotiation + the full command set.
 // ---------------------------------------------------------------------------
 
-fn start_server(max_codec_version: u8) -> (Arc<Sentinel>, NetServer, String) {
+fn start_server() -> (Arc<Sentinel>, NetServer, String) {
     let sentinel = Sentinel::in_memory();
-    let cfg = ServerConfig { max_codec_version, event_loops: 2, ..ServerConfig::default() };
+    let cfg = ServerConfig { event_loops: 2, ..ServerConfig::default() };
     let server = NetServer::start(sentinel.serve_handle(), cfg).expect("bind loopback");
     let addr = server.local_addr().to_string();
     (sentinel, server, addr)
@@ -333,93 +329,23 @@ fn run_full_command_set(client: &SentinelClient, tag: &str) {
     client.drop_rule(&format!("rule_{tag}")).unwrap();
 }
 
-/// Pillar 4: every pairing of server version ceiling × client codec
-/// lands on the correct wire version.
+/// Pillar 4: `connect` negotiates version 2, and the session pings on it.
 #[test]
 fn version_negotiation_matrix() {
-    // v2-capable server.
-    let (_s, _server, addr) = start_server(protocol::VERSION_MAX);
-    let auto = SentinelClient::connect_with(&addr, "auto", ClientCodec::Auto).unwrap();
-    assert_eq!(auto.negotiated_version(), protocol::VERSION_BINARY);
-    let jsonc = SentinelClient::connect_with(&addr, "json", ClientCodec::Json).unwrap();
-    assert_eq!(jsonc.negotiated_version(), protocol::VERSION);
-    let binc = SentinelClient::connect_with(&addr, "bin", ClientCodec::Binary).unwrap();
-    assert_eq!(binc.negotiated_version(), protocol::VERSION_BINARY);
-    for c in [&auto, &jsonc, &binc] {
-        let echo = json::Value::obj([("loops", json::Value::UInt(2))]);
-        assert_eq!(c.ping(echo.clone()).unwrap(), echo);
-    }
-
-    // v1-only server (an old build, emulated by the version ceiling).
-    let (_s1, _server1, addr1) = start_server(protocol::VERSION);
-    let auto1 = SentinelClient::connect_with(&addr1, "auto", ClientCodec::Auto).unwrap();
-    assert_eq!(
-        auto1.negotiated_version(),
-        protocol::VERSION,
-        "v2 client must downgrade to a v1 server"
-    );
-    auto1.ping(json::Value::obj([("ok", json::Value::Bool(true))])).unwrap();
-    let bin1 = SentinelClient::connect_with(&addr1, "bin", ClientCodec::Binary);
-    assert!(bin1.is_err(), "pinned-binary client must refuse a v1-only server");
+    let (_s, _server, addr) = start_server();
+    let client = SentinelClient::connect(&addr, "bin").unwrap();
+    assert_eq!(client.negotiated_version(), protocol::VERSION_BINARY);
+    let echo = json::Value::obj([("loops", json::Value::UInt(2))]);
+    assert_eq!(client.ping(echo.clone()).unwrap(), echo);
 }
 
-/// Pillar 4's acceptance bar: a v1 JSON client completes the full
-/// command set against the v2 reactor server, and a binary client
-/// completes the same set on the same server.
+/// Pillar 4's acceptance bar: a client — `Hello` in v1 JSON, every later
+/// frame in v2 — completes the full command set against the reactor
+/// server.
 #[test]
 fn v1_client_completes_full_command_set_against_reactor() {
-    let (_sentinel, _server, addr) = start_server(protocol::VERSION_MAX);
-    let v1 = SentinelClient::connect_with(&addr, "legacy", ClientCodec::Json).unwrap();
-    assert_eq!(v1.negotiated_version(), protocol::VERSION);
-    run_full_command_set(&v1, "v1");
-    let v2 = SentinelClient::connect_with(&addr, "modern", ClientCodec::Binary).unwrap();
-    assert_eq!(v2.negotiated_version(), protocol::VERSION_BINARY);
-    run_full_command_set(&v2, "v2");
-}
-
-/// Pillar 2 through live servers: a JSON client and a binary client
-/// issuing the same requests observe identical results.
-#[test]
-fn json_and_binary_clients_observe_identical_replies() {
-    let (_sentinel, _server, addr) = start_server(protocol::VERSION_MAX);
-    let jsonc = SentinelClient::connect_with(&addr, "j", ClientCodec::Json).unwrap();
-    let binc = SentinelClient::connect_with(&addr, "b", ClientCodec::Binary).unwrap();
-
-    // Identical echo of a payload covering every scalar shape.
-    let payload = json::Value::obj([
-        ("u", json::Value::UInt(u64::MAX)),
-        ("i", json::Value::Int(-12345)),
-        ("f", json::Value::Float(3.25)),
-        ("s", json::Value::str("héllo")),
-        ("b", json::Value::Bool(true)),
-        ("n", json::Value::Null),
-        ("arr", json::Value::Arr(vec![json::Value::UInt(1), json::Value::str("two")])),
-    ]);
-    assert_eq!(jsonc.ping(payload.clone()).unwrap(), binc.ping(payload.clone()).unwrap());
-    assert_eq!(jsonc.ping(payload.clone()).unwrap(), payload);
-
-    // Identical detection semantics for the same workload, with the
-    // pair opened and closed across codecs in both directions.
-    jsonc.define_event("a", None).unwrap();
-    jsonc.define_event("b", None).unwrap();
-    jsonc.define_event("pair", Some("a ; b")).unwrap();
-    jsonc.define_rule(&RuleSpec::count("pairs", "pair").context("chronicle")).unwrap();
-    for (opener, closer) in [(&jsonc, &binc), (&binc, &jsonc)] {
-        assert_eq!(opener.signal_sync("a", &[], None).unwrap(), 0);
-        assert_eq!(closer.signal_sync("b", &[], None).unwrap(), 1);
-    }
-
-    // Identical server-reported errors (a malformed composite expr).
-    let je = jsonc.define_event("broken", Some("a ;; (")).unwrap_err();
-    let be = binc.define_event("broken", Some("a ;; (")).unwrap_err();
-    match (je, be) {
-        (
-            ClientError::Server { code: jc, message: jm },
-            ClientError::Server { code: bc, message: bm },
-        ) => {
-            assert_eq!(jc, bc);
-            assert_eq!(jm, bm);
-        }
-        other => panic!("expected matching server errors, got {other:?}"),
-    }
+    let (_sentinel, _server, addr) = start_server();
+    let client = SentinelClient::connect(&addr, "modern").unwrap();
+    assert_eq!(client.negotiated_version(), protocol::VERSION_BINARY);
+    run_full_command_set(&client, "v2");
 }

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use sentinel_core::detector::graph::PrimTarget;
-use sentinel_core::detector::snapshot::{GraphSnapshot, VERSION_PRE_SHARD};
+use sentinel_core::detector::snapshot::GraphSnapshot;
 use sentinel_core::detector::{Detection, EventRecorder, LocalEventDetector};
 use sentinel_core::snoop::ast::EventModifier;
 use sentinel_core::snoop::{parse_event_expr, ParamContext};
@@ -305,10 +305,13 @@ fn srun(d: &LocalEventDetector, steps: &[SStep]) -> Vec<Detection> {
 proptest! {
     /// A snapshot of a sharded graph survives encode → decode → restore
     /// into a twin detector with identical definitions: the twin's own
-    /// snapshot is byte-for-byte the original.
+    /// snapshot is byte-for-byte the original, the clock is preserved, and
+    /// detection *continues identically* — the restored twin and the
+    /// original produce the same detections for any suffix workload.
     #[test]
     fn snapshot_roundtrips_on_sharded_graph(
         steps in prop::collection::vec(sstep_strategy(), 0..60),
+        suffix in prop::collection::vec(sstep_strategy(), 0..20),
         ctx in prop::sample::select(&ParamContext::ALL[..]),
     ) {
         let d = sharded_detector(ctx);
@@ -319,26 +322,6 @@ proptest! {
         let twin = sharded_detector(ctx);
         twin.restore_snapshot(&decoded).unwrap();
         prop_assert_eq!(twin.snapshot_state().encode(), d.snapshot_state().encode());
-    }
-
-    /// Cross-version compatibility: a snapshot downgraded to the pre-shard
-    /// v1 format still restores into a sharded detector (shard labels are
-    /// re-derived, the clock is preserved), and detection *continues
-    /// identically* — the restored twin and the original produce the same
-    /// detections for any suffix workload.
-    #[test]
-    fn v1_snapshot_restores_and_detection_continues(
-        prefix in prop::collection::vec(sstep_strategy(), 0..40),
-        suffix in prop::collection::vec(sstep_strategy(), 0..20),
-        ctx in prop::sample::select(&ParamContext::ALL[..]),
-    ) {
-        let d = sharded_detector(ctx);
-        srun(&d, &prefix);
-        let v1 = d.snapshot_state().encode_with_version(VERSION_PRE_SHARD);
-        let decoded = GraphSnapshot::decode(v1).expect("v1 snapshot decodes");
-        prop_assert!(decoded.nodes.iter().all(|n| n.shard == 0), "v1 carries no shard labels");
-        let twin = sharded_detector(ctx);
-        twin.restore_snapshot(&decoded).unwrap();
         prop_assert_eq!(twin.clock().peek(), d.clock().peek(), "restore preserves the clock");
 
         let d_dets = srun(&d, &suffix);
