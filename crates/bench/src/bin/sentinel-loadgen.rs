@@ -185,7 +185,7 @@ fn scrape_telemetry(admin: &SentinelClient) -> json::Value {
         json::Value::Obj(pairs) => pairs
             .iter()
             .filter_map(|(name, _)| {
-                name.strip_prefix("detector.shard.")?.strip_suffix(".queue_depth")?.parse().ok()
+                name.strip_prefix("detector.shards.")?.strip_suffix(".queue_depth")?.parse().ok()
             })
             .collect(),
         _ => Vec::new(),
@@ -196,7 +196,8 @@ fn scrape_telemetry(admin: &SentinelClient) -> json::Value {
         shards
             .into_iter()
             .map(|shard| {
-                let values = series_values(&series, &format!("detector.shard.{shard}.queue_depth"));
+                let values =
+                    series_values(&series, &format!("detector.shards.{shard}.queue_depth"));
                 let max = values.iter().copied().max().unwrap_or(0);
                 json::Value::obj([
                     ("shard", json::Value::UInt(shard)),
@@ -206,7 +207,7 @@ fn scrape_telemetry(admin: &SentinelClient) -> json::Value {
             })
             .collect(),
     );
-    let fsync_p99 = series_values(&series, "durability.fsync_p99_ns")
+    let fsync_p99 = series_values(&series, "durability.group_commit_flush.p99_ns")
         .last()
         .copied()
         .map_or(json::Value::Null, json::Value::UInt);

@@ -240,8 +240,6 @@ fn main() {
     let sentinel = open_sentinel(&args);
     sentinel.set_tracing(args.tracing);
     if args.telemetry {
-        // Before NetServer::start, so the net/service sources register
-        // into the same registry.
         sentinel.start_telemetry_default();
     }
     let server = match NetServer::start(sentinel.serve_handle(), args.cfg) {
@@ -265,6 +263,5 @@ fn main() {
         Follower::start(sentinel.clone(), cfg)
     });
     server.wait_for_shutdown();
-    let net = server.metrics().snapshot();
-    println!("server stopped: {}", net.to_json());
+    println!("server stopped: {}", server.metrics().to_json());
 }

@@ -71,38 +71,25 @@ fn last_point(series: &json::Value, name: &str) -> Option<u64> {
     points.last()?.as_arr()?.get(1)?.as_u64()
 }
 
-/// `prefix.<middle>.suffix` series names, sorted by the numeric middle.
-fn shard_labels(series: &json::Value, prefix: &str, suffix: &str) -> Vec<u64> {
-    let json::Value::Obj(pairs) = series else { return Vec::new() };
-    let mut out: Vec<u64> = pairs
-        .iter()
-        .filter_map(|(name, _)| name.strip_prefix(prefix)?.strip_suffix(suffix)?.parse().ok())
-        .collect();
-    out.sort_unstable();
-    out.dedup();
-    out
-}
-
-/// Follower names carried by `repl.follower.<name>.lag` series.
-fn follower_labels(series: &json::Value) -> Vec<String> {
+/// The `<label>` of every `prefix<label>suffix` series name, in name
+/// order.
+fn labels(series: &json::Value, prefix: &str, suffix: &str) -> Vec<String> {
     let json::Value::Obj(pairs) = series else { return Vec::new() };
     pairs
         .iter()
-        .filter_map(|(name, _)| {
-            Some(name.strip_prefix("repl.follower.")?.strip_suffix(".lag")?.to_string())
-        })
+        .filter_map(|(name, _)| Some(name.strip_prefix(prefix)?.strip_suffix(suffix)?.to_string()))
         .collect()
 }
 
-/// Rule names carried by `rule.<name>.hits` series.
-fn rule_labels(series: &json::Value) -> Vec<String> {
-    let json::Value::Obj(pairs) = series else { return Vec::new() };
-    pairs
-        .iter()
-        .filter_map(|(name, _)| {
-            Some(name.strip_prefix("rule.")?.strip_suffix(".hits")?.to_string())
-        })
-        .collect()
+/// The newest points of every `prefix<label>suffix` series.
+fn last_points<'a>(
+    series: &'a json::Value,
+    prefix: &'a str,
+    suffix: &'a str,
+) -> impl Iterator<Item = u64> + 'a {
+    labels(series, prefix, suffix)
+        .into_iter()
+        .filter_map(move |l| last_point(series, &format!("{prefix}{l}{suffix}")))
 }
 
 fn render(scrape: &json::Value, tick: u64) {
@@ -112,13 +99,13 @@ fn render(scrape: &json::Value, tick: u64) {
 
     println!("sentinel-top — refresh {tick}");
     let signals = last_point(&series, "detector.signals").unwrap_or(0);
-    let fired = last_point(&series, "scheduler.fired").unwrap_or(0);
+    let fired: u64 = last_points(&series, "scheduler.fired.", "").sum();
     println!("  signals/interval: {signals:>8}    rules fired/interval: {fired:>6}");
-    if let Some(p99) = last_point(&series, "scheduler.condition_p99_ns") {
-        let action = last_point(&series, "scheduler.action_p99_ns").unwrap_or(0);
+    if let Some(p99) = last_point(&series, "scheduler.condition.p99_ns") {
+        let action = last_point(&series, "scheduler.action.p99_ns").unwrap_or(0);
         println!("  condition p99: {p99:>10} ns    action p99: {action:>10} ns");
     }
-    if let Some(fsync) = last_point(&series, "durability.fsync_p99_ns") {
+    if let Some(fsync) = last_point(&series, "durability.group_commit_flush.p99_ns") {
         let appends = last_point(&series, "durability.journal_appends").unwrap_or(0);
         let ckpts = last_point(&series, "durability.checkpoints").unwrap_or(0);
         println!(
@@ -127,52 +114,56 @@ fn render(scrape: &json::Value, tick: u64) {
         );
     }
     if let Some(depth) = last_point(&series, "service.queue_depth") {
-        let drain = last_point(&series, "service.drain_p99_ns").unwrap_or(0);
+        let drain = last_point(&series, "service.drain_latency.p99_ns").unwrap_or(0);
         println!("  service queue depth: {depth:>6}    drain p99: {drain:>10} ns");
     }
 
     // Replication: a primary carries per-follower lag series; a replica
     // carries its own apply rate and time since primary contact.
-    if let Some(tip) = last_point(&series, "repl.tip") {
-        let lag = last_point(&series, "repl.lag_frames").unwrap_or(0);
-        let followers = follower_labels(&series);
+    if let Some(tip) = last_point(&series, "replication.tip") {
+        let followers = labels(&series, "replication.followers.", ".lag");
         if followers.is_empty() {
-            let applied = last_point(&series, "repl.applied").unwrap_or(0);
-            let seq = last_point(&series, "repl.applied_seq").unwrap_or(0);
-            let contact = last_point(&series, "repl.last_contact_ms").unwrap_or(0);
+            let applied = last_point(&series, "replication.applied_entries").unwrap_or(0);
+            let seq = last_point(&series, "replication.applied").unwrap_or(0);
+            let lag = tip.saturating_sub(seq);
+            let contact = last_point(&series, "replication.last_contact_ms").unwrap_or(0);
             println!(
                 "  replica: applied/interval: {applied:>6}    at seq {seq} \
                  (lag {lag} frames)    last primary contact {contact} ms ago"
             );
         } else {
+            let lag = last_points(&series, "replication.followers.", ".lag").max().unwrap_or(0);
             println!("  primary: replication tip {tip}    max follower lag {lag} frames");
             println!("  {:<24} {:>12} {:>14}", "follower", "lag frames", "ack age ms");
             for f in followers {
-                let flag = last_point(&series, &format!("repl.follower.{f}.lag")).unwrap_or(0);
-                let age =
-                    last_point(&series, &format!("repl.follower.{f}.ack_age_ms")).unwrap_or(0);
-                println!("  {f:<24} {flag:>12} {age:>14}");
+                let at = |field: &str| {
+                    last_point(&series, &format!("replication.followers.{f}.{field}")).unwrap_or(0)
+                };
+                println!("  {f:<24} {:>12} {:>14}", at("lag"), at("age_ms"));
             }
         }
     }
 
-    let shards = shard_labels(&series, "detector.shard.", ".signals");
+    let mut shards: Vec<u64> = labels(&series, "detector.shards.", ".signals")
+        .iter()
+        .filter_map(|l| l.parse().ok())
+        .collect();
+    shards.sort_unstable();
     if !shards.is_empty() {
         println!("  {:>6} {:>12} {:>12} {:>12}", "shard", "signals/int", "contention", "queue");
         for shard in shards {
-            let sig = last_point(&series, &format!("detector.shard.{shard}.signals")).unwrap_or(0);
-            let con =
-                last_point(&series, &format!("detector.shard.{shard}.contention")).unwrap_or(0);
-            let q =
-                last_point(&series, &format!("detector.shard.{shard}.queue_depth")).unwrap_or(0);
+            let at = |field: &str| {
+                last_point(&series, &format!("detector.shards.{shard}.{field}")).unwrap_or(0)
+            };
+            let (sig, con, q) = (at("signals"), at("contention"), at("queue_depth"));
             println!("  {shard:>6} {sig:>12} {con:>12} {q:>12}");
         }
     }
 
-    let mut rules: Vec<(String, u64)> = rule_labels(&series)
+    let mut rules: Vec<(String, u64)> = labels(&series, "scheduler.per_rule.", "")
         .into_iter()
         .map(|r| {
-            let hits = last_point(&series, &format!("rule.{r}.hits")).unwrap_or(0);
+            let hits = last_point(&series, &format!("scheduler.per_rule.{r}")).unwrap_or(0);
             (r, hits)
         })
         .collect();

@@ -265,15 +265,7 @@ fn follower_loop(sentinel: Arc<Sentinel>, cfg: FollowerConfig, stop: Arc<AtomicB
                 }
             }
             let _ = client.repl_ack(&cfg.name, *applied);
-            publish_status(
-                &sentinel,
-                &cfg,
-                tip,
-                *applied,
-                applied_entries,
-                last_contact,
-                client.negotiated_version(),
-            );
+            publish_status(&sentinel, &cfg, tip, *applied, applied_entries, last_contact);
             if n == 0 {
                 std::thread::sleep(cfg.poll);
             }
@@ -325,7 +317,6 @@ fn promote_on_lease(sentinel: &Arc<Sentinel>, cfg: &FollowerConfig) {
     sentinel.promote();
 }
 
-#[allow(clippy::too_many_arguments)]
 fn publish_status(
     sentinel: &Arc<Sentinel>,
     cfg: &FollowerConfig,
@@ -333,7 +324,6 @@ fn publish_status(
     applied: u64,
     applied_entries: u64,
     last_contact: Option<Instant>,
-    wire_version: u8,
 ) {
     sentinel.set_repl_status(Some(ReplicationStats {
         role: "replica".into(),
@@ -342,8 +332,7 @@ fn publish_status(
         applied,
         applied_entries,
         primary: Some(cfg.primary.clone()),
-        last_contact_secs: last_contact.map(|at| at.elapsed().as_secs_f64()),
-        wire_version: Some(wire_version),
+        last_contact_ms: last_contact.map(|at| at.elapsed().as_millis() as u64),
     }));
 }
 

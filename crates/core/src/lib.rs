@@ -45,7 +45,6 @@ pub mod telemetry;
 pub use durable::{params_from_json, params_to_json, value_from_json, value_to_json, JournalSink};
 pub use preprocessor::{FunctionTable, Preprocessor};
 pub use sentinel::{Sentinel, SentinelConfig, SentinelError, SentinelStats, ServeHandle};
-pub use telemetry::{collect_samples, render_prom};
 
 // Re-export the subsystem crates so applications depend on one crate.
 pub use sentinel_detector as detector;

@@ -18,12 +18,13 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use sentinel_detector::graph::{GraphError, PrimTarget};
+use sentinel_detector::service::ServiceMetrics;
 use sentinel_detector::{Detection, DetectorStats, EventId, LocalEventDetector, Value};
 use sentinel_durable::{CatalogOp, DurableEngine, DurableError};
 use sentinel_obs::span::{self, TraceStore};
 use sentinel_obs::trace::Field;
 use sentinel_obs::{export, json, TraceBus, TraceBusStats};
-use sentinel_obs::{DurabilityStats, FollowerLag, ReplicationStats};
+use sentinel_obs::{FollowerLag, NetMetrics, ReplicationStats};
 use sentinel_oodb::invoke::{Database, DbError};
 use sentinel_oodb::{AttrValue, ObjectState, Oid};
 use sentinel_rules::debugger::RuleDebugger;
@@ -152,12 +153,19 @@ pub struct SentinelStats {
     /// Trace-bus counters (records emitted, deliveries dropped to slow
     /// subscribers, live subscribers).
     pub trace_bus: TraceBusStats,
-    /// Durability counters (journal/catalog/checkpoint activity); `None`
-    /// when the system was not opened durably.
-    pub durability: Option<DurabilityStats>,
+    /// Durability counters (journal/catalog/checkpoint activity), as
+    /// rendered by `DurabilityMetrics::to_json`; `None` when the system
+    /// was not opened durably.
+    pub durability: Option<json::Value>,
     /// Replication state (log tip, follower lag, or a replica's apply
     /// watermark); `None` when this node neither ships nor follows.
     pub replication: Option<ReplicationStats>,
+    /// Network-server counters (`NetMetrics::to_json`, with the serving
+    /// pid); `None` unless a server is running.
+    pub net: Option<json::Value>,
+    /// The server's detector-pool queue (`ServiceMetrics::to_json`);
+    /// `None` unless a server is running.
+    pub service: Option<json::Value>,
     /// Fire counts of catalog (`{"action": "count"}`) rules, by rule name.
     pub rule_hits: BTreeMap<String, u64>,
     /// Rendered parameters of each catalog rule's most recent firing.
@@ -189,10 +197,15 @@ impl SentinelStats {
             ),
         ];
         if let Some(d) = &self.durability {
-            pairs.push(("durability".to_string(), d.to_json()));
+            pairs.push(("durability".to_string(), d.clone()));
         }
         if let Some(r) = &self.replication {
             pairs.push(("replication".to_string(), r.to_json()));
+        }
+        for (key, section) in [("net", &self.net), ("service", &self.service)] {
+            if let Some(v) = section {
+                pairs.push((key.to_string(), v.clone()));
+            }
         }
         json::Value::Obj(pairs)
     }
@@ -238,7 +251,13 @@ pub struct Sentinel {
     /// The actually-bound listen address, set by the network server once
     /// its listener exists — the resolved port even when asked for port 0.
     pub(crate) bound_addr: Mutex<Option<SocketAddr>>,
+    /// The running network server's counters and its detector pool's
+    /// queue counters, rendered into [`Sentinel::stats`].
+    server_metrics: Mutex<Option<ServerMetrics>>,
 }
+
+/// What a running network server hands its system for [`Sentinel::stats`].
+type ServerMetrics = (Arc<NetMetrics>, Arc<ServiceMetrics>);
 
 impl Sentinel {
     /// An in-memory Sentinel with default configuration.
@@ -335,6 +354,7 @@ impl Sentinel {
             suppress_journal: AtomicBool::new(false),
             repl_status: Mutex::new(None),
             bound_addr: Mutex::new(None),
+            server_metrics: Mutex::new(None),
         });
         if config.detached_executor {
             sentinel.spawn_detached_executor();
@@ -448,7 +468,8 @@ impl Sentinel {
         // Taken before the struct literal: a guard temporary inside it
         // would live across the `replication_stats` call below, which
         // locks `self.durable` again.
-        let durability = self.durable.lock().as_ref().map(|e| e.stats());
+        let durability = self.durable.lock().as_ref().map(|e| e.metrics().to_json());
+        let server = self.server_metrics.lock().clone();
         SentinelStats {
             detector: self.detector.stats(),
             scheduler: self.scheduler.stats(),
@@ -458,6 +479,8 @@ impl Sentinel {
             replication: self.replication_stats(),
             rule_hits: self.rule_hits.lock().clone(),
             rule_last: self.rule_last.lock().clone(),
+            net: server.as_ref().map(|(net, _)| net.to_json()),
+            service: server.as_ref().map(|(_, service)| service.to_json()),
         }
     }
 
@@ -485,7 +508,7 @@ impl Sentinel {
                     lag: tip.saturating_sub(f.applied),
                     name: f.name,
                     applied: f.applied,
-                    age_secs: f.age_secs,
+                    age_ms: f.age_ms,
                 })
                 .collect(),
             ..ReplicationStats::default()
@@ -508,6 +531,15 @@ impl Sentinel {
     /// network layer right after `bind()` succeeds.
     pub fn set_bound_addr(&self, addr: SocketAddr) {
         *self.bound_addr.lock() = Some(addr);
+    }
+
+    /// Installs (or, with `None`, removes) the running network server's
+    /// counters and its detector pool's queue counters, so
+    /// [`Sentinel::stats`] — and with it the `Stats` opcode, `/metrics`
+    /// and the telemetry sampler — carries the `net` and `service`
+    /// sections. Called by the network layer at start and shutdown.
+    pub fn set_server_metrics(&self, metrics: Option<ServerMetrics>) {
+        *self.server_metrics.lock() = metrics;
     }
 
     // --- transactions ------------------------------------------------

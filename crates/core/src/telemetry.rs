@@ -1,220 +1,70 @@
-//! Live telemetry: wires every subsystem's counters into a
-//! [`TimeSeriesRegistry`] and renders the combined state as a
-//! Prometheus-style exposition document.
+//! Live telemetry: the one table that says which leaves of the stats
+//! JSON are exported, a [`TimeSeriesRegistry`] sampling them, and the
+//! Prometheus exposition of the same snapshot.
 //!
-//! [`Sentinel::start_telemetry`] registers one [`SampleSource`] closure
-//! that snapshots [`Sentinel::stats`] once per tick and fans the reading
-//! out into named series (see [`collect_samples`] for the schema). The
-//! hot paths are untouched — signalling threads keep bumping their
-//! relaxed atomics; the sampler thread pays for the stats pass once per
-//! resolution interval, and a scrape pays for it once per request.
-//!
-//! Series naming (the scrape schema, also documented in DESIGN.md):
-//!
-//! | series                              | kind    | meaning |
-//! |-------------------------------------|---------|---------|
-//! | `detector.signals`                  | counter | primitive signals accepted |
-//! | `detector.shard.<i>.signals`        | counter | signals processed by shard *i* |
-//! | `detector.shard.<i>.contention`     | counter | order-lock contention on shard *i* |
-//! | `detector.shard.<i>.queue_depth`    | gauge   | queued, undrained signals for shard *i* |
-//! | `scheduler.fired`                   | counter | rules dispatched (all couplings) |
-//! | `scheduler.condition_p99_ns`        | gauge   | condition wall-time p99 |
-//! | `scheduler.action_p99_ns`           | gauge   | action wall-time p99 |
-//! | `rule.<name>.hits`                  | counter | dispatches of one named rule |
-//! | `durability.journal_appends`        | counter | journal records appended |
-//! | `durability.fsyncs`                 | counter | journal fsyncs issued |
-//! | `durability.group_commits`          | counter | group commits performed |
-//! | `durability.checkpoints`            | counter | checkpoints written |
-//! | `durability.fsync_p99_ns`           | gauge   | group-commit flush p99 |
-//! | `repl.tip`                          | gauge   | replication log tip (entries) |
-//! | `repl.lag_frames`                   | gauge   | furthest-behind follower lag / replica own lag |
-//! | `repl.applied`                      | counter | entries applied by the local apply loop (rate = follower apply rate) |
-//! | `repl.applied_seq`                  | gauge   | replica apply watermark |
-//! | `repl.last_contact_ms`              | gauge   | ms since the replica heard from its primary |
-//! | `repl.follower.<name>.lag`          | gauge   | per-follower lag in log entries |
-//! | `repl.follower.<name>.ack_age_ms`   | gauge   | ms since that follower's last ack (lag in seconds) |
+//! [`METRICS`] lists every exported family once, as a `(path, kind,
+//! help)` row over [`crate::SentinelStats::to_json`]; the walker in
+//! [`sentinel_obs::metrics`] derives every series and family name from
+//! the path (see that module for the naming rule). The sampler thread
+//! pays for one stats pass per resolution interval and a scrape pays for
+//! one per request; the hot paths never see any of it. A server started
+//! on the system hands it the `net` and `service` sections, so they are
+//! sampled and scraped whichever of server and telemetry starts first.
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use sentinel_obs::timeseries::{
-    Sample, SampleSource, SamplerHandle, TimeSeriesRegistry, DEFAULT_CAPACITY, DEFAULT_RESOLUTION,
-};
-use sentinel_obs::{json, PromText};
+use sentinel_obs::json;
+use sentinel_obs::metrics::{self, MetricKind::*, MetricRow};
+use sentinel_obs::timeseries::{SamplerHandle, TimeSeriesRegistry};
+use sentinel_obs::timeseries::{DEFAULT_CAPACITY, DEFAULT_RESOLUTION};
 
-use crate::sentinel::{Sentinel, SentinelStats};
+use crate::sentinel::Sentinel;
 
-/// Fans one [`SentinelStats`] snapshot out into the named series listed
-/// in the module docs. Public so the load generator can drive a local
-/// registry at its own (finer) resolution.
-pub fn collect_samples(stats: &SentinelStats, out: &mut Vec<Sample>) {
-    out.push(Sample::counter("detector.signals", stats.detector.signals));
-    for s in &stats.detector.shards {
-        let base = format!("detector.shard.{}", s.shard);
-        out.push(Sample::counter(format!("{base}.signals"), s.signals));
-        out.push(Sample::counter(format!("{base}.contention"), s.contention));
-        out.push(Sample::gauge(format!("{base}.queue_depth"), s.queue_depth));
-    }
-    let fired = stats.scheduler.fired_immediate
-        + stats.scheduler.fired_deferred
-        + stats.scheduler.queued_detached;
-    out.push(Sample::counter("scheduler.fired", fired));
-    out.push(Sample::gauge("scheduler.condition_p99_ns", stats.scheduler.condition.p99_ns()));
-    out.push(Sample::gauge("scheduler.action_p99_ns", stats.scheduler.action.p99_ns()));
-    for (rule, hits) in &stats.scheduler.per_rule {
-        out.push(Sample::counter(format!("rule.{rule}.hits"), *hits));
-    }
-    if let Some(d) = &stats.durability {
-        out.push(Sample::counter("durability.journal_appends", d.journal_appends));
-        out.push(Sample::counter("durability.fsyncs", d.journal_fsyncs));
-        out.push(Sample::counter("durability.group_commits", d.group_commits));
-        out.push(Sample::counter("durability.checkpoints", d.checkpoints));
-        out.push(Sample::gauge("durability.fsync_p99_ns", d.group_commit_flush.p99_ns()));
-    }
-    if let Some(r) = &stats.replication {
-        out.push(Sample::gauge("repl.tip", r.tip));
-        out.push(Sample::gauge("repl.lag_frames", r.max_lag()));
-        // Counter: the sampled delta is the follower apply rate.
-        out.push(Sample::counter("repl.applied", r.applied_entries));
-        out.push(Sample::gauge("repl.applied_seq", r.applied));
-        if let Some(s) = r.last_contact_secs {
-            out.push(Sample::gauge("repl.last_contact_ms", (s * 1000.0) as u64));
-        }
-        for f in &r.followers {
-            out.push(Sample::gauge(format!("repl.follower.{}.lag", f.name), f.lag));
-            out.push(Sample::gauge(
-                format!("repl.follower.{}.ack_age_ms", f.name),
-                (f.age_secs * 1000.0) as u64,
-            ));
-        }
-    }
-}
-
-/// Renders one [`SentinelStats`] snapshot as a Prometheus exposition
-/// document (text format 0.0.4, ns units).
-pub fn render_prom(stats: &SentinelStats) -> String {
-    let mut w = PromText::new();
-    w.counter(
-        "sentinel_signals_total",
-        "Primitive event signals accepted",
-        &[],
-        stats.detector.signals,
-    );
-    for s in &stats.detector.shards {
-        let shard = s.shard.to_string();
-        let labels = [("shard", shard.as_str())];
-        w.counter(
-            "sentinel_detector_shard_signals_total",
-            "Signals processed per detector shard",
-            &labels,
-            s.signals,
-        );
-        w.counter(
-            "sentinel_detector_shard_contention_total",
-            "Order-lock contention per detector shard",
-            &labels,
-            s.contention,
-        );
-        w.gauge(
-            "sentinel_detector_shard_queue_depth",
-            "Queued, undrained signals per detector shard",
-            &labels,
-            s.queue_depth,
-        );
-    }
-    for (coupling, n) in [
-        ("immediate", stats.scheduler.fired_immediate),
-        ("deferred", stats.scheduler.fired_deferred),
-        ("detached", stats.scheduler.queued_detached),
-    ] {
-        w.counter(
-            "sentinel_rules_fired_total",
-            "Rules dispatched by coupling mode",
-            &[("coupling", coupling)],
-            n,
-        );
-    }
-    for (rule, hits) in &stats.scheduler.per_rule {
-        w.counter(
-            "sentinel_rule_fired_total",
-            "Dispatches per rule",
-            &[("rule", rule.as_ref())],
-            *hits,
-        );
-    }
-    w.histogram(
-        "sentinel_rule_condition_ns",
-        "Rule condition wall time",
-        &[],
-        &stats.scheduler.condition,
-    );
-    w.histogram("sentinel_rule_action_ns", "Rule action wall time", &[], &stats.scheduler.action);
-    if let Some(d) = &stats.durability {
-        w.counter(
-            "sentinel_journal_appends_total",
-            "Journal records appended",
-            &[],
-            d.journal_appends,
-        );
-        w.counter("sentinel_journal_fsyncs_total", "Journal fsyncs issued", &[], d.journal_fsyncs);
-        w.counter("sentinel_group_commits_total", "Group commits performed", &[], d.group_commits);
-        w.counter("sentinel_checkpoints_total", "Checkpoints written", &[], d.checkpoints);
-        w.histogram(
-            "sentinel_group_commit_flush_ns",
-            "Group-commit flush wall time",
-            &[],
-            &d.group_commit_flush,
-        );
-        w.histogram(
-            "sentinel_checkpoint_duration_ns",
-            "Checkpoint write wall time",
-            &[],
-            &d.checkpoint_duration,
-        );
-    }
-    if let Some(r) = &stats.replication {
-        w.gauge("sentinel_repl_tip", "Replication log tip (entries)", &[], r.tip);
-        w.counter(
-            "sentinel_repl_applied_total",
-            "Replication entries applied by the local apply loop",
-            &[],
-            r.applied_entries,
-        );
-        w.gauge("sentinel_repl_applied_seq", "Replica apply watermark", &[], r.applied);
-        if let Some(s) = r.last_contact_secs {
-            w.gauge(
-                "sentinel_repl_last_contact_ms",
-                "Milliseconds since this replica heard from its primary",
-                &[],
-                (s * 1000.0) as u64,
-            );
-        }
-        for f in &r.followers {
-            let labels = [("follower", f.name.as_str())];
-            w.gauge(
-                "sentinel_repl_lag_frames",
-                "Per-follower replication lag in log entries",
-                &labels,
-                f.lag,
-            );
-            w.gauge(
-                "sentinel_repl_ack_age_ms",
-                "Milliseconds since the follower's last ack",
-                &labels,
-                (f.age_secs * 1000.0) as u64,
-            );
-        }
-    }
-    w.finish()
-}
+/// Every exported metric: one row per family.
+pub const METRICS: &[MetricRow] = &[
+    ("detector.signals", Counter, "Primitive event signals accepted"),
+    ("detector.shards{shard}.signals", Counter, "Signals processed per detector shard"),
+    ("detector.shards{shard}.contention", Counter, "Order-lock contention per detector shard"),
+    ("detector.shards{shard}.queue_depth", Gauge, "Queued, undrained signals per shard"),
+    ("scheduler.fired{coupling}", Counter, "Rules dispatched by coupling mode"),
+    ("scheduler.per_rule{rule}", Counter, "Dispatches per rule"),
+    ("scheduler.condition", Histogram, "Rule condition wall time, ns"),
+    ("scheduler.action", Histogram, "Rule action wall time, ns"),
+    ("durability.journal_appends", Counter, "Journal records appended"),
+    ("durability.journal_fsyncs", Counter, "Journal fsyncs issued"),
+    ("durability.group_commits", Counter, "Group commits performed"),
+    ("durability.checkpoints", Counter, "Checkpoints written"),
+    ("durability.group_commit_flush", Histogram, "Group-commit flush wall time, ns"),
+    ("durability.checkpoint_duration", Histogram, "Checkpoint write wall time, ns"),
+    ("replication.tip", Gauge, "Replication log tip (entries)"),
+    ("replication.applied", Gauge, "Replica apply watermark"),
+    ("replication.applied_entries", Counter, "Entries applied by the local apply loop"),
+    ("replication.last_contact_ms", Gauge, "Milliseconds since the replica heard its primary"),
+    ("replication.followers{follower}.lag", Gauge, "Follower lag in log entries"),
+    ("replication.followers{follower}.age_ms", Gauge, "Milliseconds since the follower's ack"),
+    ("net.frames_in", Counter, "Frames received"),
+    ("net.frames_out", Counter, "Frames sent"),
+    ("net.bytes_in", Counter, "Bytes received"),
+    ("net.bytes_out", Counter, "Bytes sent"),
+    ("net.busy_rejections", Counter, "Requests rejected with Busy"),
+    ("net.connections_active", Gauge, "Open connections"),
+    ("net.event_loops", Gauge, "Reactor event loops"),
+    ("net.epoll_wakeups", Counter, "epoll_wait returns across reactor loops"),
+    ("net.partial_writes", Counter, "Writes resumed under EPOLLOUT"),
+    ("net.stall_evictions", Counter, "Connections evicted for stalling mid-frame or mid-write"),
+    ("net.overflow_evictions", Counter, "Connections evicted for overflowing the write queue"),
+    ("service.queue_depth", Gauge, "Queued, undrained async signals"),
+    ("service.processed", Counter, "Async signals processed"),
+    ("service.drain_latency", Histogram, "Enqueue-to-processed latency, ns"),
+];
 
 impl Sentinel {
     /// Starts the telemetry sampler over this system: a
     /// [`TimeSeriesRegistry`] fed by a once-per-tick [`Sentinel::stats`]
-    /// pass (see [`collect_samples`] for the series schema). Idempotent —
-    /// a second call returns the existing registry. The sampler holds
-    /// only a weak reference, so telemetry never keeps a dropped system
-    /// alive.
+    /// pass through [`METRICS`]. Idempotent — a second call returns the
+    /// existing registry. The sampler holds only a weak reference, so
+    /// telemetry never keeps a dropped system alive.
     pub fn start_telemetry(
         self: &Arc<Self>,
         resolution: Duration,
@@ -224,14 +74,12 @@ impl Sentinel {
         if let Some((registry, _)) = slot.as_ref() {
             return registry.clone();
         }
-        let registry = TimeSeriesRegistry::new(resolution, capacity);
         let weak = Arc::downgrade(self);
-        let source: Arc<dyn SampleSource> = Arc::new(move |out: &mut Vec<Sample>| {
-            if let Some(s) = weak.upgrade() {
-                collect_samples(&s.stats(), out);
-            }
+        let registry = TimeSeriesRegistry::new(resolution, capacity, move || {
+            weak.upgrade()
+                .map(|s| metrics::samples(METRICS, &s.stats().to_json()))
+                .unwrap_or_default()
         });
-        registry.register(source);
         let sampler = registry.start_sampler();
         *slot = Some((registry.clone(), sampler));
         registry
@@ -259,9 +107,10 @@ impl Sentinel {
         self.telemetry().map_or(json::Value::Null, |r| r.to_json())
     }
 
-    /// The current stats snapshot as Prometheus exposition text.
+    /// The current stats snapshot as Prometheus exposition text (format
+    /// 0.0.4).
     pub fn prom_text(&self) -> String {
-        render_prom(&self.stats())
+        metrics::prom_text(METRICS, &self.stats().to_json())
     }
 }
 
@@ -273,11 +122,10 @@ pub(crate) type TelemetrySlot = Option<(Arc<TimeSeriesRegistry>, SamplerHandle)>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SentinelStats;
 
     fn sample_names(stats: &SentinelStats) -> Vec<String> {
-        let mut out = Vec::new();
-        collect_samples(stats, &mut out);
-        out.into_iter().map(|s| s.series).collect()
+        metrics::samples(METRICS, &stats.to_json()).into_iter().map(|s| s.series).collect()
     }
 
     #[test]
@@ -289,9 +137,11 @@ mod tests {
         s.raise(None, "tick", vec![]).unwrap();
         let names = sample_names(&s.stats());
         assert!(names.iter().any(|n| n == "detector.signals"));
-        assert!(names.iter().any(|n| n == "scheduler.fired"));
-        assert!(names.iter().any(|n| n == "rule.r1.hits"));
-        assert!(names.iter().any(|n| n.starts_with("detector.shard.")));
+        assert!(names.iter().any(|n| n == "scheduler.fired.immediate"));
+        assert!(names.iter().any(|n| n == "scheduler.per_rule.r1"));
+        assert!(names.iter().any(|n| n == "scheduler.condition.p99_ns"));
+        assert!(names.iter().any(|n| n.starts_with("detector.shards.")));
+        assert!(!names.iter().any(|n| n.starts_with("durability.")), "in-memory: no section");
     }
 
     #[test]
@@ -317,9 +167,9 @@ mod tests {
         s.declare_explicit("tick").unwrap();
         s.raise(None, "tick", vec![]).unwrap();
         let text = s.prom_text();
-        assert!(text.contains("# TYPE sentinel_signals_total counter"));
-        assert!(text.contains("sentinel_signals_total 1"));
-        assert!(text.contains("# TYPE sentinel_rule_condition_ns histogram"));
-        assert!(text.contains("sentinel_rules_fired_total{coupling=\"immediate\"}"));
+        assert!(text.contains("# TYPE sentinel_detector_signals_total counter"));
+        assert!(text.contains("sentinel_detector_signals_total 1"));
+        assert!(text.contains("# TYPE sentinel_scheduler_condition histogram"));
+        assert!(text.contains("sentinel_scheduler_fired_total{coupling=\"immediate\"}"));
     }
 }

@@ -373,7 +373,7 @@ impl DetectorStats {
                         .iter()
                         .map(|s| {
                             json::Value::obj([
-                                ("shard", json::Value::UInt(s.shard as u64)),
+                                ("label", json::Value::UInt(s.shard as u64)),
                                 ("nodes", json::Value::UInt(s.nodes)),
                                 ("signals", json::Value::UInt(s.signals)),
                                 ("contention", json::Value::UInt(s.contention)),

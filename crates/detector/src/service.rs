@@ -32,7 +32,7 @@ use std::time::Instant;
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use parking_lot::{Condvar, Mutex};
 use sentinel_obs::span::{self, SpanContext};
-use sentinel_obs::{Counter, Gauge, Histogram};
+use sentinel_obs::{json, Counter, Gauge, Histogram};
 use sentinel_snoop::ast::EventModifier;
 
 use crate::clock::Timestamp;
@@ -96,6 +96,17 @@ pub struct ServiceMetrics {
     pub processed: Counter,
     /// Enqueue-to-processed latency per request, ns.
     pub drain_latency_ns: Histogram,
+}
+
+impl ServiceMetrics {
+    /// Renders the `service` stats section a serving system carries.
+    pub fn to_json(&self) -> json::Value {
+        json::Value::obj([
+            ("queue_depth", json::Value::UInt(self.queue_depth.get())),
+            ("processed", json::Value::UInt(self.processed.get())),
+            ("drain_latency", self.drain_latency_ns.snapshot().to_json()),
+        ])
+    }
 }
 
 /// A primitive-event signal sent to the pool.

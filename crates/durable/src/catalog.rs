@@ -19,7 +19,7 @@ use std::path::{Path, PathBuf};
 
 use sentinel_obs::json;
 
-use crate::frame::{put_frame, scan_frames};
+use sentinel_storage::frame::{frames, put_frame, HEADER};
 
 /// Catalog file name inside a data directory.
 pub const CATALOG_FILE: &str = "catalog.log";
@@ -257,17 +257,16 @@ impl CatalogFile {
             OpenOptions::new().read(true).write(true).create(true).truncate(false).open(&path)?;
         let mut data = Vec::new();
         file.read_to_end(&mut data)?;
-        let scan = scan_frames(&data);
         let mut recovery = CatalogRecovery::default();
         let mut valid_len = 0u64;
-        for payload in &scan.frames {
+        for (_, payload) in frames(&data) {
             let parsed = std::str::from_utf8(payload)
                 .ok()
                 .and_then(|text| json::Value::parse(text).ok())
                 .and_then(|v| CatalogOp::from_json(&v));
             match parsed {
                 Some(pair) => {
-                    valid_len += (crate::frame::HEADER + payload.len()) as u64;
+                    valid_len += (HEADER + payload.len()) as u64;
                     recovery.ops.push(pair);
                 }
                 None => break,
@@ -282,8 +281,8 @@ impl CatalogFile {
     /// Appends one operation and fsyncs. Returns the payload size.
     pub fn append(&mut self, op: &CatalogOp, at_index: u64) -> io::Result<u64> {
         let payload = op.to_json(at_index).to_string();
-        let mut buf = Vec::with_capacity(payload.len() + crate::frame::HEADER);
-        put_frame(&mut buf, payload.as_bytes());
+        let mut buf = Vec::with_capacity(payload.len() + HEADER);
+        put_frame(&mut buf, |b| b.extend_from_slice(payload.as_bytes()));
         self.file.write_all(&buf)?;
         self.file.sync_data()?;
         Ok(payload.len() as u64)

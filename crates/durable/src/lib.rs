@@ -27,8 +27,8 @@
 //!   half-detected composites resume exactly where the crash left them.
 //!
 //! All stores share the truncate-at-first-bad-record discipline of
-//! [`frame`]: a torn or bit-flipped tail shortens history, it never
-//! panics and never corrupts what came before it.
+//! `sentinel_storage::frame`: a torn or bit-flipped tail shortens
+//! history, it never panics and never corrupts what came before it.
 //!
 //! This crate is policy-free: it moves bytes and reports what it found.
 //! `sentinel-core` owns the semantics — interleaving catalog ops and
@@ -40,7 +40,6 @@
 
 pub mod catalog;
 pub mod checkpoint;
-pub mod frame;
 pub mod group;
 pub mod repl;
 pub mod sharded;
@@ -58,7 +57,7 @@ use parking_lot::Mutex;
 use sentinel_detector::log::LoggedEvent;
 use sentinel_detector::{FenceKind, GraphSnapshot};
 use sentinel_obs::flight::{self, FlightKind};
-use sentinel_obs::{DurabilityMetrics, DurabilityStats, RecoveryReport};
+use sentinel_obs::{DurabilityMetrics, RecoveryReport};
 
 pub use catalog::{CatalogFile, CatalogOp};
 pub use repl::{FollowerAck, ReplEntry, ReplicationLog};
@@ -454,15 +453,10 @@ impl DurableEngine {
         Ok(())
     }
 
-    /// The engine's live metrics.
+    /// The engine's live metrics; [`DurabilityMetrics::to_json`] is the
+    /// `durability` stats section.
     pub fn metrics(&self) -> &DurabilityMetrics {
         &self.metrics
-    }
-
-    /// Point-in-time snapshot of the metrics (the `durability` stats
-    /// section).
-    pub fn stats(&self) -> DurabilityStats {
-        self.metrics.snapshot()
     }
 
     /// Writes `report` as `recovery-report.json` in the data directory.
@@ -522,12 +516,12 @@ mod tests {
             eng.append_catalog(&CatalogOp::DropRule { name: "r".into() }).unwrap();
             let snap = LocalEventDetector::new(1).snapshot_state();
             eng.write_checkpoint(3, &snap).unwrap();
-            let stats = eng.stats();
-            assert_eq!(stats.journal_appends, 5);
-            assert_eq!(stats.catalog_appends, 2);
-            assert_eq!(stats.checkpoints, 1);
-            assert_eq!(stats.last_checkpoint_tag, 3);
-            assert!(stats.group_commits >= 1, "Always policy rides group commits");
+            let m = eng.metrics();
+            assert_eq!(m.journal_appends.get(), 5);
+            assert_eq!(m.catalog_appends.get(), 2);
+            assert_eq!(m.checkpoints.get(), 1);
+            assert_eq!(m.last_checkpoint_tag.get(), 3);
+            assert!(m.group_commits.get() >= 1, "Always policy rides group commits");
         }
         let (eng, rec) = DurableEngine::open(&dir, DurableOptions::default()).unwrap();
         assert_eq!(rec.events.len(), 5);

@@ -187,8 +187,8 @@ pub struct FollowerAck {
     pub name: String,
     /// Log sequence the follower has durably applied (entries `< applied`).
     pub applied: u64,
-    /// Seconds since the last ack arrived.
-    pub age_secs: f64,
+    /// Milliseconds since the last ack arrived.
+    pub age_ms: u64,
 }
 
 #[derive(Debug)]
@@ -264,7 +264,7 @@ impl ReplicationLog {
             .map(|(name, st)| FollowerAck {
                 name: name.clone(),
                 applied: st.applied,
-                age_secs: st.at.elapsed().as_secs_f64(),
+                age_ms: st.at.elapsed().as_millis() as u64,
             })
             .collect()
     }

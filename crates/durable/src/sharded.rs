@@ -44,7 +44,7 @@ use parking_lot::Mutex;
 use sentinel_detector::log::{decode_event, encode_event, LoggedEvent};
 use sentinel_detector::FenceKind;
 
-use crate::frame::{put_frame, scan_frames, HEADER};
+use sentinel_storage::frame::{frames, put_frame, HEADER};
 
 const STREAM_MAGIC: &[u8; 4] = b"SJN2";
 const STREAM_HEADER: usize = 16;
@@ -201,9 +201,8 @@ impl FenceWriter {
                 && &data[..4] == FENCE_MAGIC
                 && u32::from_le_bytes(data[4..8].try_into().unwrap()) == FENCE_VERSION;
             if header_ok {
-                let scan = scan_frames(&data[FENCE_HEADER..]);
                 let mut valid_len = FENCE_HEADER as u64;
-                for payload in &scan.frames {
+                for (_, payload) in frames(&data[FENCE_HEADER..]) {
                     let ok = payload.len() == FENCE_PAYLOAD
                         && u64::from_le_bytes(payload[..8].try_into().unwrap())
                             == fences.len() as u64;
@@ -256,7 +255,7 @@ impl FenceWriter {
         payload.extend_from_slice(&arg.to_le_bytes());
         payload.extend_from_slice(&ts.to_le_bytes());
         let mut buf = Vec::with_capacity(FENCE_PAYLOAD + HEADER);
-        put_frame(&mut buf, &payload);
+        put_frame(&mut buf, |b| b.extend_from_slice(&payload));
         self.file.write_all(&buf)?;
         // The fence log is the ordering ground truth: always durable
         // before the epoch advances.
@@ -357,7 +356,7 @@ impl ShardedJournal {
         payload.extend_from_slice(&epoch.to_le_bytes());
         encode_event(&mut payload, ev);
         let mut buf = Vec::with_capacity(payload.len() + HEADER);
-        put_frame(&mut buf, &payload);
+        put_frame(&mut buf, |b| b.extend_from_slice(&payload));
         s.file.write_all(&buf)?;
         s.seg_len += buf.len() as u64;
         s.records += 1;
@@ -422,10 +421,9 @@ fn scan_stream(
             corrupt_at = Some(i);
             break;
         }
-        let scan = scan_frames(&data[STREAM_HEADER..]);
         let mut valid_len = STREAM_HEADER as u64;
         let mut clean = true;
-        for payload in &scan.frames {
+        for (_, payload) in frames(&data[STREAM_HEADER..]) {
             if payload.len() <= 8 {
                 clean = false;
                 break;
@@ -450,7 +448,8 @@ fn scan_stream(
                 }
             }
         }
-        clean = clean && scan.truncated(total - STREAM_HEADER as u64) == 0;
+        // A torn tail past the last intact frame is unclean too.
+        clean = clean && valid_len == total;
         truncated += total - valid_len;
         tail = Some((*seg, valid_len));
         if !clean {

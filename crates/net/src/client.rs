@@ -306,12 +306,6 @@ impl SentinelClient {
         self.session
     }
 
-    /// The wire version of every frame after `Hello` (2, the binary
-    /// codec).
-    pub fn negotiated_version(&self) -> u8 {
-        self.wire
-    }
-
     /// Sends a request without waiting — the pipelining primitive. Call
     /// [`Pending::wait`] for the response; further sends may happen in
     /// between.

@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use crossbeam::channel::TrySendError;
 use sentinel_obs::flight::{self, FlightKind};
-use sentinel_obs::{json, PromText};
+use sentinel_obs::json;
 
 use crate::protocol::{self, Frame, Opcode};
 use crate::server::{AsyncJob, State};
@@ -63,7 +63,9 @@ pub(crate) fn execute(state: &Arc<State>, session: &mut Option<Session>, frame: 
         Opcode::Ping => Outcome::Reply(Frame::new(Opcode::Ok, id, frame.payload)),
         // Monitoring is read-only and session-free, like Ping: a scraper
         // should not have to speak Hello.
-        Opcode::MetricsScrape => Outcome::Reply(Frame::new(Opcode::Ok, id, metrics_payload(state))),
+        Opcode::MetricsScrape => {
+            Outcome::Reply(Frame::new(Opcode::Ok, id, state.handle.metrics_json()))
+        }
         Opcode::Hello => {
             let Some(client) = frame.payload.get("client").and_then(json::Value::as_str) else {
                 return Outcome::Reply(err_frame(id, "bad-request", "hello needs client"));
@@ -95,23 +97,7 @@ pub(crate) fn execute(state: &Arc<State>, session: &mut Option<Session>, frame: 
             let sess = session.as_ref().expect("checked above");
             Outcome::Reply(signal_async(state, sess, id, &frame.payload))
         }
-        Opcode::Stats => {
-            let mut stats = state.handle.stats_json();
-            if let json::Value::Obj(pairs) = &mut stats {
-                let mut net = state.metrics.snapshot().to_json();
-                if let json::Value::Obj(net_pairs) = &mut net {
-                    // The serving process's pid: what lets an external
-                    // load generator sample this server's RSS from /proc
-                    // during a connection-count sweep.
-                    net_pairs.push((
-                        "pid".to_string(),
-                        json::Value::UInt(u64::from(std::process::id())),
-                    ));
-                }
-                pairs.push(("net".to_string(), net));
-            }
-            Outcome::Reply(Frame::new(Opcode::Ok, id, stats))
-        }
+        Opcode::Stats => Outcome::Reply(Frame::new(Opcode::Ok, id, state.handle.stats_json())),
         Opcode::TraceSummaries => {
             let traces = state.handle.trace_summaries_json();
             Outcome::Reply(Frame::new(Opcode::Ok, id, json::Value::obj([("traces", traces)])))
@@ -398,81 +384,6 @@ pub(crate) fn is_http_prefix(buf: &[u8]) -> bool {
     matches(b"GET ") || matches(b"HEAD ")
 }
 
-/// The exposition document for `/metrics`: the system families plus the
-/// server-side net/service families (which only this process knows).
-pub(crate) fn full_prom(state: &Arc<State>) -> String {
-    let mut prom = state.handle.prom_text();
-    let mut w = PromText::new();
-    let m = &state.metrics;
-    w.counter("sentinel_net_frames_in_total", "Frames received", &[], m.frames_in.get());
-    w.counter("sentinel_net_frames_out_total", "Frames sent", &[], m.frames_out.get());
-    w.counter("sentinel_net_bytes_in_total", "Bytes received", &[], m.bytes_in.get());
-    w.counter("sentinel_net_bytes_out_total", "Bytes sent", &[], m.bytes_out.get());
-    w.counter(
-        "sentinel_net_busy_rejections_total",
-        "Requests rejected with Busy",
-        &[],
-        m.busy_rejections.get(),
-    );
-    w.gauge("sentinel_net_connections_active", "Open connections", &[], m.connections_active.get());
-    w.gauge("sentinel_net_event_loops", "Reactor event loops", &[], m.event_loops.get());
-    w.counter(
-        "sentinel_net_epoll_wakeups_total",
-        "epoll_wait returns across reactor loops",
-        &[],
-        m.epoll_wakeups.get(),
-    );
-    w.counter(
-        "sentinel_net_partial_writes_total",
-        "Writes resumed under EPOLLOUT",
-        &[],
-        m.partial_writes.get(),
-    );
-    w.counter(
-        "sentinel_net_stall_evictions_total",
-        "Connections evicted for stalling mid-frame or mid-write",
-        &[],
-        m.stall_evictions.get(),
-    );
-    w.counter(
-        "sentinel_net_overflow_evictions_total",
-        "Connections evicted for overflowing the bounded write queue",
-        &[],
-        m.overflow_evictions.get(),
-    );
-    if let Some(svc) = state.service_metrics.lock().clone() {
-        w.gauge(
-            "sentinel_service_queue_depth",
-            "Queued, undrained async signals",
-            &[],
-            svc.queue_depth.get(),
-        );
-        w.counter(
-            "sentinel_service_processed_total",
-            "Async signals processed",
-            &[],
-            svc.processed.get(),
-        );
-        w.histogram(
-            "sentinel_service_drain_latency_ns",
-            "Enqueue-to-processed latency",
-            &[],
-            &svc.drain_latency_ns.snapshot(),
-        );
-    }
-    prom.push_str(&w.finish());
-    prom
-}
-
-/// The `MetricsScrape` payload: the full exposition text plus the
-/// time-series ring snapshot (`Null` when telemetry is off).
-pub(crate) fn metrics_payload(state: &Arc<State>) -> json::Value {
-    json::Value::obj([
-        ("prom", json::Value::Str(full_prom(state))),
-        ("telemetry", state.handle.sentinel().telemetry_json()),
-    ])
-}
-
 /// Renders the full HTTP response for one sniffed request (`head` is
 /// everything before the header/body separator).
 pub(crate) fn http_response(state: &Arc<State>, head: &[u8]) -> Vec<u8> {
@@ -482,7 +393,7 @@ pub(crate) fn http_response(state: &Arc<State>, head: &[u8]) -> Vec<u8> {
     let method = parts.next().unwrap_or("");
     let path = parts.next().unwrap_or("");
     let (status, ctype, body) = match path {
-        "/metrics" => ("200 OK", "text/plain; version=0.0.4", full_prom(state)),
+        "/metrics" => ("200 OK", "text/plain; version=0.0.4", state.handle.prom_text()),
         "/metrics.json" => {
             ("200 OK", "application/json", state.handle.sentinel().telemetry_json().to_string())
         }

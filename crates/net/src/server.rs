@@ -48,10 +48,9 @@ use std::time::Duration;
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use sentinel_core::ServeHandle;
-use sentinel_detector::service::{ServiceMetrics, Signal};
+use sentinel_detector::service::Signal;
 use sentinel_detector::DetectorPool;
 use sentinel_obs::span;
-use sentinel_obs::timeseries::Sample;
 use sentinel_obs::trace::Field;
 use sentinel_obs::NetMetrics;
 
@@ -120,9 +119,6 @@ pub(crate) struct State {
     pub(crate) inflight_sync: AtomicU64,
     pub(crate) next_session: AtomicU64,
     pub(crate) async_tx: Mutex<Option<Sender<AsyncJob>>>,
-    /// The detector pool's queue counters (depth, drain latency),
-    /// installed once the pool is spawned; scraped by `/metrics`.
-    pub(crate) service_metrics: Mutex<Option<Arc<ServiceMetrics>>>,
     /// Signals a client-requested shutdown to [`NetServer::wait_for_shutdown`].
     pub(crate) shutdown_tx: Sender<()>,
 }
@@ -152,49 +148,20 @@ impl NetServer {
         let state = Arc::new(State {
             handle: handle.clone(),
             cfg,
-            metrics,
+            metrics: metrics.clone(),
             shutdown: AtomicBool::new(false),
             active_conns: AtomicU64::new(0),
             inflight_sync: AtomicU64::new(0),
             next_session: AtomicU64::new(0),
             async_tx: Mutex::new(Some(async_tx)),
-            service_metrics: Mutex::new(None),
             shutdown_tx,
         });
 
         let pool =
             DetectorPool::spawn(handle.sentinel().detector().clone(), state.cfg.detector_threads);
-        *state.service_metrics.lock() = Some(pool.metrics().clone());
-        // When the system's telemetry sampler is running, feed the net and
-        // service counters into the same registry. The source holds only a
-        // weak server reference — telemetry never keeps a dead server (or
-        // the sentinel ← handle cycle) alive.
-        if let Some(registry) = handle.sentinel().telemetry() {
-            let weak = Arc::downgrade(&state);
-            registry.register_fn(move |out| {
-                let Some(state) = weak.upgrade() else { return };
-                let m = &state.metrics;
-                out.push(Sample::counter("net.frames_in", m.frames_in.get()));
-                out.push(Sample::counter("net.frames_out", m.frames_out.get()));
-                out.push(Sample::counter("net.bytes_in", m.bytes_in.get()));
-                out.push(Sample::counter("net.bytes_out", m.bytes_out.get()));
-                out.push(Sample::counter("net.busy_rejections", m.busy_rejections.get()));
-                out.push(Sample::gauge("net.connections_active", m.connections_active.get()));
-                out.push(Sample::counter("net.epoll_wakeups", m.epoll_wakeups.get()));
-                out.push(Sample::counter("net.partial_writes", m.partial_writes.get()));
-                out.push(Sample::counter("net.stall_evictions", m.stall_evictions.get()));
-                out.push(Sample::counter("net.overflow_evictions", m.overflow_evictions.get()));
-                let svc = state.service_metrics.lock().clone();
-                if let Some(svc) = svc {
-                    out.push(Sample::gauge("service.queue_depth", svc.queue_depth.get()));
-                    out.push(Sample::counter("service.processed", svc.processed.get()));
-                    out.push(Sample::gauge(
-                        "service.drain_p99_ns",
-                        svc.drain_latency_ns.snapshot().p99_ns(),
-                    ));
-                }
-            });
-        }
+        // The system's stats — and so the `Stats` opcode, `/metrics` and
+        // any telemetry sampler — carry this server's counters from here on.
+        handle.sentinel().set_server_metrics(Some((metrics, pool.metrics().clone())));
         let pump_state = state.clone();
         let pump = std::thread::Builder::new()
             .name("sentinel-net-pump".into())
@@ -247,6 +214,7 @@ impl NetServer {
         let sentinel = self.state.handle.sentinel();
         let _ = sentinel.flush_journal();
         let _ = sentinel.checkpoint_now();
+        sentinel.set_server_metrics(None);
     }
 }
 

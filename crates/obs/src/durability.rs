@@ -4,11 +4,10 @@
 //!
 //! The durable engine owns one [`DurabilityMetrics`] and bumps it from the
 //! signalling threads (relaxed atomics, same discipline as the rest of
-//! this crate); [`DurabilityMetrics::snapshot`] produces the plain-data
-//! [`DurabilityStats`] that `Sentinel::stats()` merges into the
-//! `SentinelStats` JSON as a `durability` section.
+//! this crate); [`DurabilityMetrics::to_json`] renders the `durability`
+//! section that `Sentinel::stats()` carries.
 
-use crate::{json, Counter, Gauge, Histogram, HistogramSnapshot};
+use crate::{json, Counter, Gauge, Histogram};
 
 /// Live counters for one durable engine.
 #[derive(Debug, Default)]
@@ -45,79 +44,24 @@ pub struct DurabilityMetrics {
 }
 
 impl DurabilityMetrics {
-    /// Point-in-time copy of every counter.
-    pub fn snapshot(&self) -> DurabilityStats {
-        DurabilityStats {
-            journal_appends: self.journal_appends.get(),
-            journal_bytes: self.journal_bytes.get(),
-            journal_fsyncs: self.journal_fsyncs.get(),
-            journal_rotations: self.journal_rotations.get(),
-            catalog_appends: self.catalog_appends.get(),
-            checkpoints: self.checkpoints.get(),
-            checkpoint_failures: self.checkpoint_failures.get(),
-            checkpoint_bytes: self.checkpoint_bytes.get(),
-            checkpoint_duration: self.checkpoint_duration.snapshot(),
-            last_checkpoint_tag: self.last_checkpoint_tag.get(),
-            group_commits: self.group_commits.get(),
-            group_commit_records: self.group_commit_records.get(),
-            group_commit_flush: self.group_commit_flush.snapshot(),
-            journal_fences: self.journal_fences.get(),
-        }
-    }
-}
-
-/// Plain-data snapshot of [`DurabilityMetrics`] (the `durability` stats
-/// section).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DurabilityStats {
-    /// Events appended to the journal.
-    pub journal_appends: u64,
-    /// Payload bytes appended to the journal.
-    pub journal_bytes: u64,
-    /// `fsync` calls issued for the event journal.
-    pub journal_fsyncs: u64,
-    /// Journal segment rotations.
-    pub journal_rotations: u64,
-    /// DDL operations appended to the catalog.
-    pub catalog_appends: u64,
-    /// Checkpoints written successfully.
-    pub checkpoints: u64,
-    /// Checkpoint attempts that failed.
-    pub checkpoint_failures: u64,
-    /// Bytes written into checkpoint files.
-    pub checkpoint_bytes: u64,
-    /// Wall time per checkpoint write.
-    pub checkpoint_duration: HistogramSnapshot,
-    /// Journal record index the newest checkpoint covers.
-    pub last_checkpoint_tag: u64,
-    /// Group commits performed.
-    pub group_commits: u64,
-    /// Journal records made durable by group commits.
-    pub group_commit_records: u64,
-    /// Wall time per group-commit flush.
-    pub group_commit_flush: HistogramSnapshot,
-    /// Fence records appended to the journal.
-    pub journal_fences: u64,
-}
-
-impl DurabilityStats {
-    /// Renders as a JSON object (see [`crate::json`]).
+    /// Renders the `durability` stats section.
     pub fn to_json(&self) -> json::Value {
+        let u = json::Value::UInt;
         json::Value::obj([
-            ("journal_appends", json::Value::UInt(self.journal_appends)),
-            ("journal_bytes", json::Value::UInt(self.journal_bytes)),
-            ("journal_fsyncs", json::Value::UInt(self.journal_fsyncs)),
-            ("journal_rotations", json::Value::UInt(self.journal_rotations)),
-            ("catalog_appends", json::Value::UInt(self.catalog_appends)),
-            ("checkpoints", json::Value::UInt(self.checkpoints)),
-            ("checkpoint_failures", json::Value::UInt(self.checkpoint_failures)),
-            ("checkpoint_bytes", json::Value::UInt(self.checkpoint_bytes)),
-            ("checkpoint_duration", self.checkpoint_duration.to_json()),
-            ("last_checkpoint_tag", json::Value::UInt(self.last_checkpoint_tag)),
-            ("group_commits", json::Value::UInt(self.group_commits)),
-            ("group_commit_records", json::Value::UInt(self.group_commit_records)),
-            ("group_commit_flush", self.group_commit_flush.to_json()),
-            ("journal_fences", json::Value::UInt(self.journal_fences)),
+            ("journal_appends", u(self.journal_appends.get())),
+            ("journal_bytes", u(self.journal_bytes.get())),
+            ("journal_fsyncs", u(self.journal_fsyncs.get())),
+            ("journal_rotations", u(self.journal_rotations.get())),
+            ("catalog_appends", u(self.catalog_appends.get())),
+            ("checkpoints", u(self.checkpoints.get())),
+            ("checkpoint_failures", u(self.checkpoint_failures.get())),
+            ("checkpoint_bytes", u(self.checkpoint_bytes.get())),
+            ("checkpoint_duration", self.checkpoint_duration.snapshot().to_json()),
+            ("last_checkpoint_tag", u(self.last_checkpoint_tag.get())),
+            ("group_commits", u(self.group_commits.get())),
+            ("group_commit_records", u(self.group_commit_records.get())),
+            ("group_commit_flush", self.group_commit_flush.snapshot().to_json()),
+            ("journal_fences", u(self.journal_fences.get())),
         ])
     }
 }
@@ -239,22 +183,25 @@ mod tests {
         m.group_commit_records.add(3);
         m.group_commit_flush.record(2_000);
         m.journal_fences.add(2);
-        let s = m.snapshot();
-        assert_eq!(s.journal_appends, 7);
-        assert_eq!(s.journal_bytes, 512);
-        assert_eq!(s.checkpoints, 1);
-        assert_eq!(s.last_checkpoint_tag, 5);
-        assert_eq!(s.checkpoint_duration.count, 1);
-        assert_eq!(s.group_commits, 1);
-        assert_eq!(s.group_commit_records, 3);
-        assert_eq!(s.group_commit_flush.count, 1);
-        assert_eq!(s.journal_fences, 2);
+        let j = m.to_json();
+        let get =
+            |path: &[&str]| path.iter().try_fold(&j, |v, k| v.get(k)).and_then(json::Value::as_u64);
+        assert_eq!(get(&["journal_appends"]), Some(7));
+        assert_eq!(get(&["journal_bytes"]), Some(512));
+        assert_eq!(get(&["checkpoints"]), Some(1));
+        assert_eq!(get(&["last_checkpoint_tag"]), Some(5));
+        assert_eq!(get(&["checkpoint_duration", "count"]), Some(1));
+        assert_eq!(get(&["group_commits"]), Some(1));
+        assert_eq!(get(&["group_commit_records"]), Some(3));
+        assert_eq!(get(&["group_commit_flush", "count"]), Some(1));
+        assert_eq!(get(&["journal_fences"]), Some(2));
     }
 
     #[test]
     fn json_shape_is_stable() {
-        let s = DurabilityStats { journal_appends: 3, ..DurabilityStats::default() };
-        let j = s.to_json();
+        let m = DurabilityMetrics::default();
+        m.journal_appends.add(3);
+        let j = m.to_json();
         assert_eq!(j.get("journal_appends").and_then(json::Value::as_u64), Some(3));
         assert_eq!(j.get("checkpoints").and_then(json::Value::as_u64), Some(0));
         assert!(j.get("checkpoint_duration").is_some());

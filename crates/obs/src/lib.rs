@@ -29,6 +29,8 @@
 //! * [`timeseries`] — a lock-cheap time-series registry: fixed-interval
 //!   ring buffers of counter deltas and gauge levels, sampled by a 1 Hz
 //!   thread, snapshotted as JSON for live dashboards.
+//! * [`metrics`] — the export walker: one table of rows over a stats JSON
+//!   snapshot yields both the time-series samples and the Prometheus text.
 //! * [`prom`] — Prometheus-style text exposition of counters, gauges and
 //!   histograms, for standard scrapers hitting `GET /metrics`.
 //! * [`flight`] — the crash flight recorder: an always-on bounded ring of
@@ -42,6 +44,7 @@ pub mod durability;
 pub mod export;
 pub mod flight;
 pub mod json;
+pub mod metrics;
 pub mod net;
 pub mod prom;
 pub mod repl;
@@ -52,9 +55,10 @@ pub mod trace;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-pub use durability::{DurabilityMetrics, DurabilityStats, RecoveryReport};
+pub use durability::{DurabilityMetrics, RecoveryReport};
 pub use flight::{FlightEvent, FlightKind, FlightRecorder};
-pub use net::{NetMetrics, NetStats};
+pub use metrics::{MetricKind, MetricRow};
+pub use net::NetMetrics;
 pub use prom::PromText;
 pub use repl::{FollowerLag, ReplicationStats};
 pub use span::{SpanContext, SpanId, SpanRecord, TraceId, TraceStore};
@@ -318,6 +322,26 @@ impl HistogramSnapshot {
             ),
         ])
     }
+
+    /// Rebuilds a snapshot from its [`Self::to_json`] rendering (`None`
+    /// when a field is missing or the bucket list is too long).
+    pub fn from_json(v: &json::Value) -> Option<HistogramSnapshot> {
+        let field = |key: &str| v.get(key).and_then(json::Value::as_u64);
+        let list = v.get("buckets")?.as_arr()?;
+        if list.len() > HISTOGRAM_BUCKETS {
+            return None;
+        }
+        let mut buckets = [0u64; HISTOGRAM_BUCKETS];
+        for (b, item) in buckets.iter_mut().zip(list) {
+            *b = item.as_u64()?;
+        }
+        Some(HistogramSnapshot {
+            count: field("count")?,
+            sum: field("sum_ns")?,
+            max: field("max_ns")?,
+            buckets,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -397,6 +421,9 @@ mod tests {
         assert!(rendered.contains(r#""p50_ns":2,"p95_ns":20,"p99_ns":20"#));
         let parsed = json::Value::parse(&rendered).unwrap();
         assert_eq!(parsed.get("buckets").and_then(json::Value::as_arr).unwrap().len(), 19);
+        // The rendering round-trips exactly, trimmed tail included.
+        assert_eq!(HistogramSnapshot::from_json(&parsed), Some(s));
+        assert_eq!(HistogramSnapshot::from_json(&json::Value::Null), None);
     }
 
     #[test]

@@ -3,9 +3,8 @@
 //!
 //! The server owns one [`NetMetrics`] and bumps it from every event
 //! loop (all counters are relaxed atomics, same discipline as the rest
-//! of this crate); [`NetMetrics::snapshot`] produces the plain-data
-//! [`NetStats`] that the server merges into the `SentinelStats` JSON as a
-//! `net` section.
+//! of this crate) and hands it to the system it serves, whose
+//! `SentinelStats` carries [`NetMetrics::to_json`] as the `net` section.
 
 use crate::{json, Counter, Gauge};
 
@@ -50,90 +49,29 @@ pub struct NetMetrics {
 }
 
 impl NetMetrics {
-    /// Point-in-time copy of every counter.
-    pub fn snapshot(&self) -> NetStats {
-        NetStats {
-            connections_opened: self.connections_opened.get(),
-            connections_refused: self.connections_refused.get(),
-            connections_active: self.connections_active.get(),
-            connections_hwm: self.connections_active.high_watermark(),
-            sessions: self.sessions.get(),
-            frames_in: self.frames_in.get(),
-            frames_out: self.frames_out.get(),
-            bytes_in: self.bytes_in.get(),
-            bytes_out: self.bytes_out.get(),
-            decode_errors: self.decode_errors.get(),
-            busy_rejections: self.busy_rejections.get(),
-            event_loops: self.event_loops.get(),
-            epoll_wakeups: self.epoll_wakeups.get(),
-            partial_writes: self.partial_writes.get(),
-            stall_evictions: self.stall_evictions.get(),
-            overflow_evictions: self.overflow_evictions.get(),
-            write_queue_hwm: self.write_queue_hwm.high_watermark(),
-        }
-    }
-}
-
-/// Plain-data snapshot of [`NetMetrics`] (the `net` stats section).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct NetStats {
-    /// Connections accepted over the server's lifetime.
-    pub connections_opened: u64,
-    /// Connections refused because the acceptor pool was full.
-    pub connections_refused: u64,
-    /// Currently-open connections.
-    pub connections_active: u64,
-    /// Highest concurrent connection count observed.
-    pub connections_hwm: u64,
-    /// Sessions authenticated by name.
-    pub sessions: u64,
-    /// Well-formed frames read from clients.
-    pub frames_in: u64,
-    /// Frames written to clients.
-    pub frames_out: u64,
-    /// Bytes read from clients.
-    pub bytes_in: u64,
-    /// Bytes written to clients.
-    pub bytes_out: u64,
-    /// Malformed/oversized/unknown frames seen.
-    pub decode_errors: u64,
-    /// Signals rejected with a `Busy` frame.
-    pub busy_rejections: u64,
-    /// Event loops the reactor backend runs.
-    pub event_loops: u64,
-    /// `epoll_wait` returns across all reactor loops.
-    pub epoll_wakeups: u64,
-    /// Writes resumed later under `EPOLLOUT`.
-    pub partial_writes: u64,
-    /// Connections evicted for stalling mid-frame or mid-write.
-    pub stall_evictions: u64,
-    /// Connections evicted for overflowing their bounded write queue.
-    pub overflow_evictions: u64,
-    /// Deepest per-connection write queue observed, in bytes.
-    pub write_queue_hwm: u64,
-}
-
-impl NetStats {
-    /// Renders as a JSON object (see [`crate::json`]).
+    /// Renders the `net` stats section. `pid` is the serving process,
+    /// so an external load generator can sample its RSS from `/proc`.
     pub fn to_json(&self) -> json::Value {
+        let u = json::Value::UInt;
         json::Value::obj([
-            ("connections_opened", json::Value::UInt(self.connections_opened)),
-            ("connections_refused", json::Value::UInt(self.connections_refused)),
-            ("connections_active", json::Value::UInt(self.connections_active)),
-            ("connections_hwm", json::Value::UInt(self.connections_hwm)),
-            ("sessions", json::Value::UInt(self.sessions)),
-            ("frames_in", json::Value::UInt(self.frames_in)),
-            ("frames_out", json::Value::UInt(self.frames_out)),
-            ("bytes_in", json::Value::UInt(self.bytes_in)),
-            ("bytes_out", json::Value::UInt(self.bytes_out)),
-            ("decode_errors", json::Value::UInt(self.decode_errors)),
-            ("busy_rejections", json::Value::UInt(self.busy_rejections)),
-            ("event_loops", json::Value::UInt(self.event_loops)),
-            ("epoll_wakeups", json::Value::UInt(self.epoll_wakeups)),
-            ("partial_writes", json::Value::UInt(self.partial_writes)),
-            ("stall_evictions", json::Value::UInt(self.stall_evictions)),
-            ("overflow_evictions", json::Value::UInt(self.overflow_evictions)),
-            ("write_queue_hwm", json::Value::UInt(self.write_queue_hwm)),
+            ("connections_opened", u(self.connections_opened.get())),
+            ("connections_refused", u(self.connections_refused.get())),
+            ("connections_active", u(self.connections_active.get())),
+            ("connections_hwm", u(self.connections_active.high_watermark())),
+            ("sessions", u(self.sessions.get())),
+            ("frames_in", u(self.frames_in.get())),
+            ("frames_out", u(self.frames_out.get())),
+            ("bytes_in", u(self.bytes_in.get())),
+            ("bytes_out", u(self.bytes_out.get())),
+            ("decode_errors", u(self.decode_errors.get())),
+            ("busy_rejections", u(self.busy_rejections.get())),
+            ("event_loops", u(self.event_loops.get())),
+            ("epoll_wakeups", u(self.epoll_wakeups.get())),
+            ("partial_writes", u(self.partial_writes.get())),
+            ("stall_evictions", u(self.stall_evictions.get())),
+            ("overflow_evictions", u(self.overflow_evictions.get())),
+            ("write_queue_hwm", u(self.write_queue_hwm.high_watermark())),
+            ("pid", u(u64::from(std::process::id()))),
         ])
     }
 }
@@ -150,19 +88,22 @@ mod tests {
         m.connections_active.set(1);
         m.frames_in.add(10);
         m.busy_rejections.inc();
-        let s = m.snapshot();
-        assert_eq!(s.connections_opened, 1);
-        assert_eq!(s.connections_active, 1);
-        assert_eq!(s.connections_hwm, 3);
-        assert_eq!(s.frames_in, 10);
-        assert_eq!(s.busy_rejections, 1);
+        let j = m.to_json();
+        let get = |k: &str| j.get(k).and_then(json::Value::as_u64);
+        assert_eq!(get("connections_opened"), Some(1));
+        assert_eq!(get("connections_active"), Some(1));
+        assert_eq!(get("connections_hwm"), Some(3));
+        assert_eq!(get("frames_in"), Some(10));
+        assert_eq!(get("busy_rejections"), Some(1));
     }
 
     #[test]
     fn json_shape_is_stable() {
-        let s = NetStats { frames_in: 2, ..NetStats::default() };
-        let j = s.to_json();
+        let m = NetMetrics::default();
+        m.frames_in.add(2);
+        let j = m.to_json();
         assert_eq!(j.get("frames_in").and_then(json::Value::as_u64), Some(2));
         assert_eq!(j.get("decode_errors").and_then(json::Value::as_u64), Some(0));
+        assert_eq!(j.get("pid").and_then(json::Value::as_u64), Some(u64::from(std::process::id())));
     }
 }

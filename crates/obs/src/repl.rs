@@ -3,7 +3,7 @@
 //!
 //! A **primary** fills the `followers` list from its replication log's
 //! per-follower ack watermarks; a **replica** fills `applied` / `primary`
-//! / `last_contact_secs` from its apply loop. Either side's `tip` is its
+//! / `last_contact_ms` from its apply loop. Either side's `tip` is its
 //! local replication-log length, so `tip - applied` is lag in log entries
 //! and the sampled delta of `applied` is the follower apply rate.
 
@@ -18,8 +18,8 @@ pub struct FollowerLag {
     pub applied: u64,
     /// `tip - applied` at snapshot time.
     pub lag: u64,
-    /// Seconds since the follower's last ack.
-    pub age_secs: f64,
+    /// Milliseconds since the follower's last ack.
+    pub age_ms: u64,
 }
 
 /// Plain-data snapshot of a node's replication state (the `replication`
@@ -39,20 +39,13 @@ pub struct ReplicationStats {
     pub applied_entries: u64,
     /// The primary this replica follows (replica side).
     pub primary: Option<String>,
-    /// Seconds since the replica last heard from its primary.
-    pub last_contact_secs: Option<f64>,
-    /// Wire codec version the replica negotiated with its primary at
-    /// `Hello` (replica side; `None` on a primary).
-    pub wire_version: Option<u8>,
+    /// Milliseconds since the replica last heard from its primary.
+    pub last_contact_ms: Option<u64>,
 }
 
 impl ReplicationStats {
-    /// Replication lag in log entries of the furthest-behind follower.
-    pub fn max_lag(&self) -> u64 {
-        self.followers.iter().map(|f| f.lag).max().unwrap_or(0)
-    }
-
-    /// Renders as a JSON object (see [`crate::json`]).
+    /// Renders as a JSON object (see [`crate::json`]); each follower's
+    /// name is its element's `label`.
     pub fn to_json(&self) -> json::Value {
         json::Value::obj([
             ("role", json::Value::str(&self.role)),
@@ -64,10 +57,10 @@ impl ReplicationStats {
                         .iter()
                         .map(|f| {
                             json::Value::obj([
-                                ("name", json::Value::str(&f.name)),
+                                ("label", json::Value::str(&f.name)),
                                 ("applied", json::Value::UInt(f.applied)),
                                 ("lag", json::Value::UInt(f.lag)),
-                                ("age_secs", json::Value::Float(f.age_secs)),
+                                ("age_ms", json::Value::UInt(f.age_ms)),
                             ])
                         })
                         .collect(),
@@ -82,20 +75,7 @@ impl ReplicationStats {
                     None => json::Value::Null,
                 },
             ),
-            (
-                "last_contact_secs",
-                match self.last_contact_secs {
-                    Some(s) => json::Value::Float(s),
-                    None => json::Value::Null,
-                },
-            ),
-            (
-                "wire_version",
-                match self.wire_version {
-                    Some(v) => json::Value::UInt(u64::from(v)),
-                    None => json::Value::Null,
-                },
-            ),
+            ("last_contact_ms", self.last_contact_ms.map_or(json::Value::Null, json::Value::UInt)),
         ])
     }
 }
@@ -109,15 +89,16 @@ mod tests {
         let s = ReplicationStats {
             role: "primary".into(),
             tip: 10,
-            followers: vec![FollowerLag { name: "f1".into(), applied: 7, lag: 3, age_secs: 0.5 }],
+            followers: vec![FollowerLag { name: "f1".into(), applied: 7, lag: 3, age_ms: 500 }],
             ..ReplicationStats::default()
         };
-        assert_eq!(s.max_lag(), 3);
         let j = s.to_json();
         assert_eq!(j.get("role").and_then(json::Value::as_str), Some("primary"));
         assert_eq!(j.get("tip").and_then(json::Value::as_u64), Some(10));
         let followers = j.get("followers").and_then(json::Value::as_arr).unwrap();
+        assert_eq!(followers[0].get("label").and_then(json::Value::as_str), Some("f1"));
         assert_eq!(followers[0].get("lag").and_then(json::Value::as_u64), Some(3));
+        assert_eq!(followers[0].get("age_ms").and_then(json::Value::as_u64), Some(500));
         assert!(matches!(j.get("primary"), Some(json::Value::Null)));
         // Round-trips through the parser (what the wire does).
         assert_eq!(json::Value::parse(&j.to_string()).unwrap(), j);
@@ -131,12 +112,12 @@ mod tests {
             applied: 9,
             applied_entries: 9,
             primary: Some("127.0.0.1:7878".into()),
-            last_contact_secs: Some(0.1),
+            last_contact_ms: Some(100),
             ..ReplicationStats::default()
         };
-        assert_eq!(s.max_lag(), 0);
         let j = s.to_json();
         assert_eq!(j.get("applied").and_then(json::Value::as_u64), Some(9));
+        assert_eq!(j.get("last_contact_ms").and_then(json::Value::as_u64), Some(100));
         assert_eq!(j.get("primary").and_then(json::Value::as_str), Some("127.0.0.1:7878"));
     }
 }

@@ -5,12 +5,13 @@
 //! bumping their relaxed-atomic [`crate::Counter`]s and [`crate::Gauge`]s
 //! exactly as before. A single sampler thread (see
 //! [`TimeSeriesRegistry::start_sampler`]) wakes once per resolution
-//! interval, asks every registered [`SampleSource`] for a batch of
-//! `(series, kind, value)` samples, and folds them into per-series ring
-//! buffers: counters are stored as **deltas** against the previous raw
-//! reading (so a point is "events in this interval"), gauges are stored
-//! as levels. The registry mutex is therefore taken once per second by
-//! the sampler plus once per scrape, never by signalling threads.
+//! interval, asks the registry's one source (given when it is built) for
+//! a batch of `(series, kind, value)` samples, and folds them into
+//! per-series ring buffers: counters are stored as **deltas** against the
+//! previous raw reading (so a point is "events in this interval"), gauges
+//! are stored as levels. The registry mutex is therefore taken once per
+//! second by the sampler plus once per scrape, never by signalling
+//! threads.
 //!
 //! Retention defaults to 1 s resolution × 15 min (900 slots); both are
 //! configurable. Snapshots render as JSON —
@@ -52,7 +53,7 @@ impl SampleKind {
     }
 }
 
-/// One raw reading handed to the registry by a [`SampleSource`].
+/// One raw reading handed to the registry by its source.
 #[derive(Debug, Clone)]
 pub struct Sample {
     /// Series name, e.g. `detector.shard.3.queue_depth`.
@@ -75,20 +76,6 @@ impl Sample {
     }
 }
 
-/// A provider of raw readings, polled once per tick. Sources batch all
-/// their series into one call so expensive snapshots (e.g. a full
-/// detector stats pass) happen once per interval, not once per series.
-pub trait SampleSource: Send + Sync {
-    /// Appends this source's current readings to `out`.
-    fn collect(&self, out: &mut Vec<Sample>);
-}
-
-impl<F: Fn(&mut Vec<Sample>) + Send + Sync> SampleSource for F {
-    fn collect(&self, out: &mut Vec<Sample>) {
-        self(out)
-    }
-}
-
 /// One series' ring: recent `(unix_s, value)` points plus the last raw
 /// counter reading for delta folding.
 #[derive(Debug)]
@@ -99,17 +86,15 @@ struct Series {
     points: std::collections::VecDeque<(u64, u64)>,
 }
 
-#[derive(Default)]
-struct Inner {
-    sources: Vec<Arc<dyn SampleSource>>,
-    series: BTreeMap<String, Series>,
-}
+/// The source of every tick's readings.
+type Source = Box<dyn Fn() -> Vec<Sample> + Send + Sync>;
 
-/// The registry: sources on one side, ring buffers on the other.
+/// The registry: one source on one side, ring buffers on the other.
 pub struct TimeSeriesRegistry {
     resolution: Duration,
     capacity: usize,
-    inner: Mutex<Inner>,
+    source: Source,
+    series: Mutex<BTreeMap<String, Series>>,
 }
 
 impl std::fmt::Debug for TimeSeriesRegistry {
@@ -122,19 +107,19 @@ impl std::fmt::Debug for TimeSeriesRegistry {
 }
 
 impl TimeSeriesRegistry {
-    /// Creates a registry with the given sampling interval and per-series
-    /// ring capacity.
-    pub fn new(resolution: Duration, capacity: usize) -> Arc<TimeSeriesRegistry> {
+    /// Creates a registry with the given sampling interval, per-series
+    /// ring capacity, and the source polled on every tick.
+    pub fn new(
+        resolution: Duration,
+        capacity: usize,
+        source: impl Fn() -> Vec<Sample> + Send + Sync + 'static,
+    ) -> Arc<TimeSeriesRegistry> {
         Arc::new(TimeSeriesRegistry {
             resolution: resolution.max(Duration::from_millis(1)),
             capacity: capacity.max(1),
-            inner: Mutex::new(Inner::default()),
+            source: Box::new(source),
+            series: Mutex::new(BTreeMap::new()),
         })
-    }
-
-    /// Creates a registry with the default 1 s × 15 min retention.
-    pub fn with_defaults() -> Arc<TimeSeriesRegistry> {
-        Self::new(DEFAULT_RESOLUTION, DEFAULT_CAPACITY)
     }
 
     /// The sampling interval.
@@ -142,17 +127,7 @@ impl TimeSeriesRegistry {
         self.resolution
     }
 
-    /// Registers a source; it is polled on every subsequent tick.
-    pub fn register(&self, source: Arc<dyn SampleSource>) {
-        self.inner.lock().sources.push(source);
-    }
-
-    /// Registers a closure source.
-    pub fn register_fn(&self, f: impl Fn(&mut Vec<Sample>) + Send + Sync + 'static) {
-        self.register(Arc::new(f));
-    }
-
-    /// Polls every source and folds the readings in, stamped "now".
+    /// Polls the source and folds the readings in, stamped "now".
     pub fn sample_now(&self) {
         let unix_s = SystemTime::now()
             .duration_since(SystemTime::UNIX_EPOCH)
@@ -161,17 +136,13 @@ impl TimeSeriesRegistry {
         self.sample_at(unix_s);
     }
 
-    /// Polls every source and folds the readings in at timestamp
-    /// `unix_s` (tests drive this directly for determinism).
+    /// Polls the source and folds the readings in at timestamp `unix_s`
+    /// (tests drive this directly for determinism).
     pub fn sample_at(&self, unix_s: u64) {
-        let sources: Vec<_> = self.inner.lock().sources.clone();
-        let mut batch = Vec::new();
-        for source in &sources {
-            source.collect(&mut batch);
-        }
-        let mut inner = self.inner.lock();
+        let batch = (self.source)();
+        let mut all = self.series.lock();
         for sample in batch {
-            let series = inner.series.entry(sample.series).or_insert_with(|| Series {
+            let series = all.entry(sample.series).or_insert_with(|| Series {
                 kind: sample.kind,
                 last_raw: if sample.kind == SampleKind::Counter { sample.value } else { 0 },
                 points: std::collections::VecDeque::new(),
@@ -193,41 +164,14 @@ impl TimeSeriesRegistry {
 
     /// The ring of one series, oldest first (empty when unknown).
     pub fn series_points(&self, name: &str) -> Vec<(u64, u64)> {
-        self.inner
-            .lock()
-            .series
-            .get(name)
-            .map(|s| s.points.iter().copied().collect())
-            .unwrap_or_default()
-    }
-
-    /// Approximate `q`-quantile over the retained points of one series
-    /// (`None` when the series is unknown or empty). For gauge series
-    /// this is the quantile of the level across the retention window —
-    /// e.g. "queue-depth p99 over the last 15 minutes".
-    pub fn series_quantile(&self, name: &str, q: f64) -> Option<u64> {
-        let mut values: Vec<u64> = {
-            let inner = self.inner.lock();
-            inner.series.get(name)?.points.iter().map(|&(_, v)| v).collect()
-        };
-        if values.is_empty() {
-            return None;
-        }
-        values.sort_unstable();
-        let rank = ((q * values.len() as f64).ceil() as usize).clamp(1, values.len());
-        Some(values[rank - 1])
-    }
-
-    /// Names of every known series.
-    pub fn series_names(&self) -> Vec<String> {
-        self.inner.lock().series.keys().cloned().collect()
+        self.series.lock().get(name).map(|s| s.points.iter().copied().collect()).unwrap_or_default()
     }
 
     /// Renders the whole registry as the scrape-schema JSON object.
     pub fn to_json(&self) -> json::Value {
-        let inner = self.inner.lock();
-        let series = inner
+        let series = self
             .series
+            .lock()
             .iter()
             .map(|(name, s)| {
                 let points = s
@@ -307,12 +251,10 @@ mod tests {
 
     #[test]
     fn counters_fold_to_deltas_and_gauges_to_levels() {
-        let reg = TimeSeriesRegistry::new(Duration::from_secs(1), 8);
         let hits = Arc::new(Counter::new());
         let c = hits.clone();
-        reg.register_fn(move |out| {
-            out.push(Sample::counter("hits", c.get()));
-            out.push(Sample::gauge("depth", 5));
+        let reg = TimeSeriesRegistry::new(Duration::from_secs(1), 8, move || {
+            vec![Sample::counter("hits", c.get()), Sample::gauge("depth", 5)]
         });
         hits.add(10);
         reg.sample_at(100);
@@ -328,8 +270,8 @@ mod tests {
 
     #[test]
     fn ring_is_bounded_at_capacity() {
-        let reg = TimeSeriesRegistry::new(Duration::from_secs(1), 3);
-        reg.register_fn(|out| out.push(Sample::gauge("g", 1)));
+        let reg =
+            TimeSeriesRegistry::new(Duration::from_secs(1), 3, || vec![Sample::gauge("g", 1)]);
         for t in 0..10 {
             reg.sample_at(t);
         }
@@ -339,25 +281,9 @@ mod tests {
     }
 
     #[test]
-    fn quantiles_over_the_retention_window() {
-        let reg = TimeSeriesRegistry::new(Duration::from_secs(1), 100);
-        let level = Arc::new(crate::Gauge::new());
-        let g = level.clone();
-        reg.register_fn(move |out| out.push(Sample::gauge("q", g.get())));
-        for t in 0..100u64 {
-            level.set(t + 1);
-            reg.sample_at(t);
-        }
-        assert_eq!(reg.series_quantile("q", 0.50), Some(50));
-        assert_eq!(reg.series_quantile("q", 0.99), Some(99));
-        assert_eq!(reg.series_quantile("q", 1.0), Some(100));
-        assert_eq!(reg.series_quantile("missing", 0.5), None);
-    }
-
-    #[test]
     fn json_snapshot_has_the_scrape_schema() {
-        let reg = TimeSeriesRegistry::new(Duration::from_secs(1), 4);
-        reg.register_fn(|out| out.push(Sample::counter("c", 7)));
+        let reg =
+            TimeSeriesRegistry::new(Duration::from_secs(1), 4, || vec![Sample::counter("c", 7)]);
         reg.sample_at(42);
         let j = reg.to_json();
         assert_eq!(j.get("capacity").and_then(json::Value::as_u64), Some(4));
@@ -372,8 +298,9 @@ mod tests {
 
     #[test]
     fn sampler_thread_ticks_and_stops() {
-        let reg = TimeSeriesRegistry::new(Duration::from_millis(5), 64);
-        reg.register_fn(|out| out.push(Sample::gauge("tick", 1)));
+        let reg = TimeSeriesRegistry::new(Duration::from_millis(5), 64, || {
+            vec![Sample::gauge("tick", 1)]
+        });
         let handle = reg.start_sampler();
         for _ in 0..200 {
             if reg.series_points("tick").len() >= 2 {

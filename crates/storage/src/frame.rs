@@ -1,12 +1,18 @@
-//! Checksummed frames: the one writer of `[len: u32 LE][crc32: u32 LE][payload]`.
+//! Checksummed frames: the one writer and the one reader of
+//! `[len: u32 LE][crc32: u32 LE][payload]`.
 //!
 //! The WAL ([`crate::wal`]) and the durability layer's catalog, journals and
-//! checkpoints all store records in this layout, so the checksum and the
-//! frame writer live here once. Readers stay with their logs: each scan has
-//! its own torn-tail discipline.
+//! checkpoints all store records in this layout, so the checksum, the frame
+//! writer and the torn-tail scan live here once. A scan ([`frames`]) walks
+//! frames from the front and stops at the first torn or corrupt one: short
+//! header, short payload, length over [`MAX_FRAME`], or checksum mismatch.
+//! What each log does with a frame it cannot decode stays with the log.
 
 /// Frame header size in bytes.
 pub const HEADER: usize = 8;
+
+/// Upper bound on one frame's payload; anything larger is corruption.
+pub const MAX_FRAME: u32 = 16 * 1024 * 1024;
 
 const POLY: u32 = 0xEDB8_8320;
 
@@ -78,9 +84,55 @@ pub fn put_frame(out: &mut Vec<u8>, payload: impl FnOnce(&mut Vec<u8>)) {
     out[at + 4..body].copy_from_slice(&crc.to_le_bytes());
 }
 
+/// The intact frames at the front of `data`: `(offset, payload)` pairs,
+/// where `offset` is where the frame's header starts. Iteration ends at
+/// the first torn or corrupt frame, so the end of the last frame yielded
+/// is the valid prefix a log may resume appending at.
+pub fn frames(data: &[u8]) -> Frames<'_> {
+    Frames { data, off: 0 }
+}
+
+/// Iterator returned by [`frames`].
+#[derive(Debug, Clone)]
+pub struct Frames<'a> {
+    data: &'a [u8],
+    off: usize,
+}
+
+impl<'a> Iterator for Frames<'a> {
+    type Item = (usize, &'a [u8]);
+
+    fn next(&mut self) -> Option<(usize, &'a [u8])> {
+        let at = self.off;
+        let header = self.data.get(at..at.checked_add(HEADER)?)?;
+        let len = u32::from_le_bytes(header[..4].try_into().unwrap());
+        let crc = u32::from_le_bytes(header[4..].try_into().unwrap());
+        if len > MAX_FRAME {
+            return None;
+        }
+        let payload = self.data.get(at + HEADER..at + HEADER + len as usize)?;
+        if crc32(payload) != crc {
+            return None;
+        }
+        self.off = at + HEADER + payload.len();
+        Some((at, payload))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Payloads of every intact frame and the valid prefix length.
+    fn scan(data: &[u8]) -> (Vec<&[u8]>, usize) {
+        let all: Vec<_> = frames(data).collect();
+        let valid = all.last().map_or(0, |(at, p)| at + HEADER + p.len());
+        (all.into_iter().map(|(_, p)| p).collect(), valid)
+    }
+
+    fn put(out: &mut Vec<u8>, payload: &[u8]) {
+        put_frame(out, |b| b.extend_from_slice(payload));
+    }
 
     /// The bit-at-a-time definition the tables are derived from.
     fn crc32_bitwise(data: &[u8]) -> u32 {
@@ -140,5 +192,58 @@ mod tests {
         assert_eq!(out[6..10], 9u32.to_le_bytes());
         assert_eq!(out[10..14], 0xCBF4_3926u32.to_le_bytes());
         assert_eq!(&out[14..], b"123456789");
+    }
+
+    #[test]
+    fn roundtrip_and_tail_stop() {
+        let mut buf = Vec::new();
+        put(&mut buf, b"one");
+        put(&mut buf, b"two two");
+        let good_len = buf.len();
+        // Torn tail: header of a third frame without its payload.
+        buf.extend_from_slice(&10u32.to_le_bytes());
+        buf.extend_from_slice(&0u32.to_le_bytes());
+        buf.extend_from_slice(b"sho");
+        let offsets: Vec<usize> = frames(&buf).map(|(at, _)| at).collect();
+        assert_eq!(offsets, [0, HEADER + 3]);
+        assert_eq!(scan(&buf), (vec![&b"one"[..], b"two two"], good_len));
+        assert_eq!(buf.len() - good_len, 11);
+    }
+
+    #[test]
+    fn frame_bytes_are_pinned() {
+        // What `put_frame` wrote for this payload before it moved into
+        // `storage::frame` (commit 4427bb8).
+        let payload = b"sentinel journal record \x00\x01\xFE\xFF";
+        let mut buf = Vec::new();
+        put(&mut buf, payload);
+        assert_eq!(buf[..4], 28u32.to_le_bytes());
+        assert_eq!(buf[4..8], [49, 78, 0, 243]);
+        assert_eq!(&buf[8..], payload);
+    }
+
+    #[test]
+    fn bit_flip_stops_the_scan() {
+        let mut buf = Vec::new();
+        put(&mut buf, b"alpha");
+        put(&mut buf, b"beta");
+        let first_len = HEADER + 5;
+        // Flip one payload bit of the second frame.
+        buf[first_len + HEADER] ^= 0x40;
+        assert_eq!(scan(&buf), (vec![&b"alpha"[..]], first_len));
+    }
+
+    #[test]
+    fn insane_length_is_corruption_not_allocation() {
+        let mut buf = Vec::new();
+        buf.extend_from_slice(&u32::MAX.to_le_bytes());
+        buf.extend_from_slice(&0u32.to_le_bytes());
+        buf.extend_from_slice(&[0u8; 64]);
+        assert_eq!(scan(&buf), (vec![], 0));
+    }
+
+    #[test]
+    fn empty_input_is_fine() {
+        assert_eq!(scan(&[]), (vec![], 0));
     }
 }

@@ -24,7 +24,7 @@ use sentinel_obs::span::TraceStore;
 use sentinel_obs::{Counter, Field};
 
 use crate::common::{Lsn, PageId, Rid, StorageError, StorageResult, TxnId};
-use crate::frame::{crc32, put_frame};
+use crate::frame::{frames, put_frame, HEADER};
 use crate::iospan::IoTracer;
 
 /// One logical WAL record.
@@ -460,24 +460,13 @@ impl Wal {
     /// corrupt frame (returning what was read before it).
     pub fn scan(&self) -> StorageResult<Vec<(Lsn, LogRecord)>> {
         let raw = Bytes::from(self.store.read_all()?);
-        let mut out = Vec::new();
-        let mut pos = 0usize;
-        while pos + 8 <= raw.len() {
-            let len =
-                u32::from_le_bytes([raw[pos], raw[pos + 1], raw[pos + 2], raw[pos + 3]]) as usize;
-            let crc = u32::from_le_bytes([raw[pos + 4], raw[pos + 5], raw[pos + 6], raw[pos + 7]]);
-            if pos + 8 + len > raw.len() {
-                break; // torn tail
-            }
-            let payload = raw.slice(pos + 8..pos + 8 + len);
-            if crc32(&payload) != crc {
-                break; // torn or corrupt: treat as end of log
-            }
-            let rec = LogRecord::decode(payload, pos as u64)?;
-            out.push((Lsn(pos as u64), rec));
-            pos += 8 + len;
-        }
-        Ok(out)
+        frames(&raw)
+            .map(|(at, payload)| {
+                let body = at + HEADER;
+                let rec = LogRecord::decode(raw.slice(body..body + payload.len()), at as u64)?;
+                Ok((Lsn(at as u64), rec))
+            })
+            .collect()
     }
 
     /// Underlying store (tests use this to simulate crashes).

@@ -329,12 +329,12 @@ fn run_full_command_set(client: &SentinelClient, tag: &str) {
     client.drop_rule(&format!("rule_{tag}")).unwrap();
 }
 
-/// Pillar 4: `connect` negotiates version 2, and the session pings on it.
+/// Pillar 4: `connect` succeeds only on a version-2 grant, and the session
+/// pings on it.
 #[test]
 fn version_negotiation_matrix() {
     let (_s, _server, addr) = start_server();
-    let client = SentinelClient::connect(&addr, "bin").unwrap();
-    assert_eq!(client.negotiated_version(), protocol::VERSION_BINARY);
+    let client = SentinelClient::connect(&addr, "bin").expect("connect on a version-2 grant");
     let echo = json::Value::obj([("loops", json::Value::UInt(2))]);
     assert_eq!(client.ping(echo.clone()).unwrap(), echo);
 }
@@ -345,7 +345,7 @@ fn version_negotiation_matrix() {
 #[test]
 fn v1_client_completes_full_command_set_against_reactor() {
     let (_sentinel, _server, addr) = start_server();
-    let client = SentinelClient::connect(&addr, "modern").unwrap();
-    assert_eq!(client.negotiated_version(), protocol::VERSION_BINARY);
+    let client = SentinelClient::connect(&addr, "modern").expect("connect on a version-2 grant");
+    client.ping(json::Value::Null).unwrap();
     run_full_command_set(&client, "v2");
 }

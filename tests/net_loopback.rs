@@ -144,7 +144,7 @@ fn malformed_frames_get_error_and_hangup() {
     // The server is still healthy for well-behaved clients.
     let client = SentinelClient::connect(&addr, "survivor").unwrap();
     client.ping(json::Value::Null).unwrap();
-    assert!(server.metrics().snapshot().decode_errors >= 2);
+    assert!(server.metrics().decode_errors.get() >= 2);
 }
 
 /// Backpressure is explicit: a zero-length session queue answers every
@@ -169,7 +169,7 @@ fn backpressure_and_connection_limits() {
     let _second = SentinelClient::connect(&addr, "second").unwrap();
     let third = SentinelClient::connect(&addr, "third");
     assert!(third.is_err(), "connection over the cap must be refused");
-    assert!(server.metrics().snapshot().connections_refused >= 1);
+    assert!(server.metrics().connections_refused.get() >= 1);
 }
 
 /// The async path delivers every accepted signal through the detector
@@ -270,8 +270,6 @@ fn metrics_scrape_over_opcode_and_http() {
     use std::io::{Read as _, Write as _};
 
     let sentinel = Sentinel::in_memory();
-    // Telemetry must be on before the server starts so the net/service
-    // sources register into the same registry.
     let registry = sentinel.start_telemetry(Duration::from_secs(3600), 64);
     let cfg = ServerConfig { event_loops: 2, ..ServerConfig::default() };
     let server = NetServer::start(sentinel.serve_handle(), cfg).expect("bind loopback");
@@ -285,7 +283,7 @@ fn metrics_scrape_over_opcode_and_http() {
 
     let scrape = admin.metrics_scrape().unwrap();
     let prom = scrape.get("prom").and_then(json::Value::as_str).expect("prom text");
-    assert!(prom.contains("# TYPE sentinel_signals_total counter"));
+    assert!(prom.contains("# TYPE sentinel_detector_signals_total counter"));
     assert!(prom.contains("sentinel_net_frames_in_total"));
     assert!(prom.contains("sentinel_net_event_loops"));
     assert!(prom.contains("sentinel_service_queue_depth"));
@@ -301,7 +299,7 @@ fn metrics_scrape_over_opcode_and_http() {
     http.read_to_string(&mut body).unwrap();
     assert!(body.starts_with("HTTP/1.1 200 OK"), "got: {}", &body[..body.len().min(80)]);
     assert!(body.contains("Connection: close"));
-    assert!(body.contains("sentinel_signals_total"));
+    assert!(body.contains("sentinel_detector_signals_total"));
 
     // The JSON ring snapshot, and a 404 for anything else.
     let mut http = TcpStream::connect(&addr).unwrap();
@@ -318,4 +316,24 @@ fn metrics_scrape_over_opcode_and_http() {
     let mut body = String::new();
     http.read_to_string(&mut body).unwrap();
     assert!(body.starts_with("HTTP/1.1 404"));
+}
+
+/// Start order does not matter: telemetry started *after* the server
+/// still samples and scrapes the server's `net` and `service` sections,
+/// because they are part of the system's one stats snapshot.
+#[test]
+fn telemetry_started_after_the_server_sees_net_and_service() {
+    let (sentinel, _server, addr) = start_server(|_| {});
+    let admin = SentinelClient::connect(&addr, "admin").unwrap();
+    admin.ping(json::Value::Null).unwrap();
+    let registry = sentinel.start_telemetry(Duration::from_secs(3600), 8);
+    registry.sample_at(100);
+    assert!(!registry.series_points("net.frames_in").is_empty(), "net section sampled");
+    assert!(!registry.series_points("service.queue_depth").is_empty(), "service section sampled");
+
+    let mut http = TcpStream::connect(&addr).unwrap();
+    std::io::Write::write_all(&mut http, b"GET /metrics HTTP/1.1\r\n\r\n").unwrap();
+    let mut body = String::new();
+    std::io::Read::read_to_string(&mut http, &mut body).unwrap();
+    assert!(body.contains("\nsentinel_service_queue_depth "), "got: {body}");
 }
