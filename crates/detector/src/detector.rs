@@ -52,8 +52,7 @@
 //! [`LocalEventDetector::route_generation`] moves.
 use std::borrow::Cow;
 use std::cell::Cell;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BTreeSet, HashMap};
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -66,7 +65,7 @@ use sentinel_snoop::ast::{EventExpr, EventModifier};
 use sentinel_snoop::ParamContext;
 
 use crate::clock::{LogicalClock, Timestamp};
-use crate::graph::{EventGraph, EventId, GraphError, PrimTarget};
+use crate::graph::{EventGraph, EventId, GraphError, Node, NodeKind, PrimTarget};
 use crate::log::LoggedEvent;
 use crate::nodes::Emission;
 use crate::occurrence::{Occurrence, Value};
@@ -178,24 +177,51 @@ impl MethodRoute {
 /// leaves count; the oid filter runs at propagation.
 fn routes(graph: &EventGraph, leaves: &[EventId], sig: &str, edge: EventModifier) -> bool {
     leaves.iter().any(|&leaf| {
-        matches!(&graph.node(leaf).kind, crate::graph::NodeKind::Primitive {
+        matches!(&graph.node(leaf).kind, NodeKind::Primitive {
             modifier, sig: Some(s), ..
         } if &**s == sig && modifier.matches(edge))
     })
 }
 
 /// What one signal addresses: a method of a class (routed to the shard
-/// holding the class's leaves) or an explicit leaf (routed to its shard).
+/// holding the class's leaves) or an explicit event by name (routed to its
+/// leaf's shard).
 #[derive(Debug, Clone, Copy)]
 enum Signal<'a> {
     Method { class: &'a str, sig: &'a str, edge: EventModifier, oid: u64 },
-    Explicit { name: &'a str, leaf: EventId },
+    Explicit { name: &'a str },
+}
+
+/// One signal's propagation: what every step reads, read once per signal,
+/// and the buffers every step reuses. Nothing is allocated until a step
+/// needs it.
+struct Propagation<'g> {
+    graph: &'g EventGraph,
+    shards: &'g [Arc<ShardState>],
+    /// The trace bus, when one is attached.
+    bus: Option<Arc<TraceBus>>,
+    /// The span store, when it is enabled.
+    tracer: Option<Arc<TraceStore>>,
+    /// Composite occurrences still to deliver: `(node, occurrence, context)`.
+    work: Vec<(EventId, Arc<Occurrence>, ParamContext)>,
+    /// Emissions of the delivery in progress.
+    emissions: Vec<Emission>,
+    /// Emissions of the alarm firing in progress.
+    fired: Vec<Emission>,
+    /// The signal's detections, in detection order.
+    detections: Vec<Detection>,
+}
+
+/// Which context each emission of one delivery belongs to: `ends[i]` is
+/// the emission count after context `ParamContext::ALL[i]` was fed.
+fn context_of(ends: &[usize; 4], emission: usize) -> ParamContext {
+    ParamContext::ALL[ends.partition_point(|&e| e <= emission)]
 }
 
 /// Mutable per-shard detector state: the signal-order guard plus the
-/// shard's alarm heap and occurrence counters, and its observability
-/// counters. Indexed by shard label; labels merged away by DDL leave an
-/// idle entry behind (labels are never recycled).
+/// shard's alarm queue and its observability counters. Indexed by shard
+/// label; labels merged away by DDL leave an idle entry behind (labels are
+/// never recycled).
 #[derive(Debug, Default)]
 struct ShardState {
     /// Serializes timestamp draws with graph propagation for signals
@@ -204,12 +230,9 @@ struct ShardState {
     /// order-sensitive operators (SEQ's strict `initiator.at <
     /// terminator.at`) silently drop pairs.
     order: Mutex<()>,
-    /// Min-heap of pending temporal alarms `(due, node)` for nodes of
-    /// this shard.
-    alarms: Mutex<BinaryHeap<Reverse<(Timestamp, EventId)>>>,
-    /// Occurrence counters per event of this shard (primitive signals and
-    /// composite detections alike).
-    counts: Mutex<HashMap<EventId, u64>>,
+    /// Pending temporal alarms `(due, node)` for nodes of this shard,
+    /// earliest first; a `(due, node)` is queued at most once.
+    alarms: Mutex<BTreeSet<(Timestamp, EventId)>>,
     /// Primitive signals processed by this shard.
     signals: AtomicU64,
     /// Times a signal found this shard's order lock already held.
@@ -493,7 +516,7 @@ impl LocalEventDetector {
     }
 
     /// Grows the shard table to the graph's label count and applies any
-    /// pending component merges (migrating alarm heaps and counters from
+    /// pending component merges (migrating alarm queues and counters from
     /// the merged-away label to the surviving one). Must be called with
     /// the graph write lock held after any node-creating DDL, which also
     /// guarantees no signal is in flight.
@@ -510,15 +533,8 @@ impl LocalEventDetector {
         let merged = !merges.is_empty();
         for (winner, loser) in merges {
             let (w, l) = (winner as usize, loser as usize);
-            let moved: Vec<_> = shards[l].alarms.lock().drain().collect();
+            let moved = std::mem::take(&mut *shards[l].alarms.lock());
             shards[w].alarms.lock().extend(moved);
-            let moved_counts: Vec<(EventId, u64)> = shards[l].counts.lock().drain().collect();
-            {
-                let mut wc = shards[w].counts.lock();
-                for (id, n) in moved_counts {
-                    *wc.entry(id).or_default() += n;
-                }
-            }
             let s = shards[l].signals.swap(0, Ordering::Relaxed);
             shards[w].signals.fetch_add(s, Ordering::Relaxed);
             let c = shards[l].contention.swap(0, Ordering::Relaxed);
@@ -710,10 +726,8 @@ impl LocalEventDetector {
         let pre_commit = graph.declare_explicit("pre-commit-transaction");
         let inner_name = graph.name_of(event);
         let name = format!("A*(begin-transaction, {inner_name}, pre-commit-transaction)");
-        let id = graph.compose(
-            &name,
-            crate::graph::NodeKind::AperiodicStar { start: begin, mid: event, end: pre_commit },
-        );
+        let id = graph
+            .compose(&name, NodeKind::AperiodicStar { start: begin, mid: event, end: pre_commit });
         self.sync_shards(&mut graph);
         id
     }
@@ -747,25 +761,18 @@ impl LocalEventDetector {
     /// event, per-shard counters).
     pub fn stats(&self) -> DetectorStats {
         self.quiesce(|graph, shards| {
-            let mut counts: HashMap<EventId, u64> = HashMap::new();
-            for shard in shards {
-                for (id, n) in shard.counts.lock().iter() {
-                    *counts.entry(*id).or_default() += n;
+            let (mut per_event, mut nodes) = (Vec::new(), Vec::new());
+            for n in graph.nodes() {
+                let st = n.state.lock();
+                if st.count > 0 {
+                    per_event.push((n.name.clone(), st.count));
+                }
+                if st.total_emitted() + st.total_consumed() > 0 {
+                    let (emitted, consumed) = (st.emitted, st.consumed);
+                    nodes.push(NodeStats { name: n.name.clone(), emitted, consumed });
                 }
             }
-            let mut per_event: Vec<(Arc<str>, u64)> =
-                counts.iter().map(|(id, n)| (graph.name_of(*id), *n)).collect();
             per_event.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-            let mut nodes: Vec<NodeStats> = graph
-                .node_ids()
-                .map(|id| graph.node(id))
-                .filter(|n| n.total_emitted() + n.total_consumed() > 0)
-                .map(|n| NodeStats {
-                    name: n.name.clone(),
-                    emitted: n.emitted,
-                    consumed: n.consumed,
-                })
-                .collect();
             nodes.sort_by(|a, b| a.name.cmp(&b.name));
             let mut nodes_per_label: HashMap<u32, u64> = HashMap::new();
             for &label in graph.shard_labels() {
@@ -903,7 +910,7 @@ impl LocalEventDetector {
         if !self.signaling() {
             return Vec::new();
         }
-        self.signal(self.explicit(name), Cow::Owned(params), txn, None, true)
+        self.signal(Signal::Explicit { name }, Cow::Owned(params), txn, None, true)
     }
 
     /// Explicit signal with a pre-assigned timestamp: `live` for pool
@@ -920,25 +927,15 @@ impl LocalEventDetector {
         if live && !self.signaling() {
             return Vec::new();
         }
-        self.signal(self.explicit(name), Cow::Owned(params), txn, Some(ts), live)
-    }
-
-    /// The explicit signal addressing `name`, declaring the event (and
-    /// its shard) if new — a write-lock DDL step taken before routing.
-    fn explicit<'a>(&self, name: &'a str) -> Signal<'a> {
-        if let Some(leaf) = self.graph.read().lookup(name) {
-            return Signal::Explicit { name, leaf };
-        }
-        let mut graph = self.graph.write();
-        let leaf = graph.declare_explicit(name);
-        self.sync_shards(&mut graph);
-        Signal::Explicit { name, leaf }
+        self.signal(Signal::Explicit { name }, Cow::Owned(params), txn, Some(ts), live)
     }
 
     /// The one routing step of every signal, live or replayed: drop a
-    /// method class-edge no leaf routes, route to the signal's shard, take
-    /// that shard's order lock, draw the timestamp, record the signal
-    /// (live signals only) and propagate it on that shard alone.
+    /// method class-edge no leaf routes, resolve an explicit event's leaf
+    /// (declaring it and its shard first if new), route to the signal's
+    /// shard, take that shard's order lock, draw the timestamp, record the
+    /// signal (live signals only) and propagate it on that shard alone —
+    /// all under one graph read lock.
     fn signal(
         &self,
         target: Signal<'_>,
@@ -948,8 +945,10 @@ impl LocalEventDetector {
         live: bool,
     ) -> Vec<Detection> {
         let graph = self.graph.read();
+        let explicit_leaf;
         // `name` is the graph's interned class or leaf name (the flight
-        // label); `leaves` the class's primitive leaves.
+        // label); `leaves` the class's primitive leaves, or the explicit
+        // event's leaf.
         let (label, name, leaves) = match target {
             Signal::Method { class, sig, edge, .. } => {
                 let Some((name, leaves)) = graph.class_entry(class) else { return Vec::new() };
@@ -958,7 +957,15 @@ impl LocalEventDetector {
                 }
                 (graph.shard_of(leaves[0]), name.clone(), leaves)
             }
-            Signal::Explicit { leaf, .. } => (graph.shard_of(leaf), graph.name_of(leaf), &[][..]),
+            Signal::Explicit { name } => {
+                let Some(leaf) = graph.lookup(name) else {
+                    drop(graph);
+                    self.declare_explicit(name);
+                    return self.signal(target, params, txn, at, live);
+                };
+                explicit_leaf = leaf;
+                (graph.shard_of(leaf), graph.name_of(leaf), std::slice::from_ref(&explicit_leaf))
+            }
         };
         let shards = self.shards.read();
         let _order = self.lock_shard(&shards[label as usize]);
@@ -968,25 +975,45 @@ impl LocalEventDetector {
         }
         self.signals.fetch_add(1, Ordering::Relaxed);
         shards[label as usize].signals.fetch_add(1, Ordering::Relaxed);
+        let mut p = self.propagation(&graph, &shards);
         match target {
-            Signal::Method { class, sig, edge, oid } => self.method_core(
-                &graph, &shards, label, leaves, class, sig, edge, oid, &params, txn, ts,
-            ),
-            Signal::Explicit { leaf, .. } => {
-                self.explicit_core(&graph, &shards, label, leaf, name, params.into_owned(), txn, ts)
+            Signal::Method { class, sig, edge, oid } => {
+                self.method_core(&mut p, label, leaves, class, sig, edge, oid, &params, txn, ts)
             }
+            Signal::Explicit { .. } => {
+                self.explicit_core(&mut p, label, leaves[0], name, params.into_owned(), txn, ts)
+            }
+        }
+        p.detections
+    }
+
+    /// A propagation over `graph` and `shards` with the observability
+    /// handles read once.
+    fn propagation<'g>(
+        &self,
+        graph: &'g EventGraph,
+        shards: &'g [Arc<ShardState>],
+    ) -> Propagation<'g> {
+        Propagation {
+            graph,
+            shards,
+            bus: self.trace.read().clone(),
+            tracer: self.tracer(),
+            work: Vec::new(),
+            emissions: Vec::new(),
+            fired: Vec::new(),
+            detections: Vec::new(),
         }
     }
 
     /// Propagates one timestamped method signal to the class's `leaves`
     /// that match it, on the class's shard `label`, whose order lock the
     /// caller holds together with the graph read lock. `params` is cloned
-    /// once per matching leaf.
+    /// once per matching leaf that has a consumer.
     #[allow(clippy::too_many_arguments)]
     fn method_core(
         &self,
-        graph: &EventGraph,
-        shards: &[Arc<ShardState>],
+        p: &mut Propagation<'_>,
         label: u32,
         leaves: &[EventId],
         class: &str,
@@ -996,68 +1023,72 @@ impl LocalEventDetector {
         params: &[(Arc<str>, Value)],
         txn: Option<u64>,
         ts: Timestamp,
-    ) -> Vec<Detection> {
-        let tracer = self.tracer();
-        let signal_span = tracer
+    ) {
+        let signal_span = p
+            .tracer
             .as_deref()
             .map(|s| Self::open_signal_span(s, Arc::from(format!("{class}::{sig}"))));
         let signal_ctx = signal_span.as_ref().map(|h| h.ctx);
-        let mut detections = self.fire_due_alarms(graph, shards, label, ts);
+        self.fire_due_alarms(p, label, ts);
         // "When the local event detector is notified of a method invocation
         // for a class, the invocation is propagated only to the primitive
         // events defined for that class" (§3.2).
         for &leaf in leaves {
-            // The leaf guard must be dropped before propagation (which
-            // re-locks the leaf to deliver to its subscribers).
-            let (name, prim_ctx) = {
-                let node = graph.node(leaf);
-                let crate::graph::NodeKind::Primitive { modifier, sig: node_sig, target, .. } =
-                    &node.kind
-                else {
-                    continue;
-                };
-                // Signature check, then begin/end variant, then instance
-                // filter.
-                if node_sig.as_deref() != Some(sig) {
-                    continue;
-                }
-                if !modifier.matches(edge) {
-                    continue;
-                }
-                if let PrimTarget::Instance(want) = target {
-                    if *want != oid {
-                        continue;
-                    }
-                }
-                let prim_ctx = match (tracer.as_deref(), signal_ctx) {
-                    (Some(s), Some(sig_ctx)) => Some(Self::record_primitive_span(
-                        s,
-                        sig_ctx,
-                        node.name.clone(),
-                        ts,
-                        txn,
-                        Some(oid),
-                    )),
-                    _ => None,
-                };
-                (node.name.clone(), prim_ctx)
+            let node = p.graph.node(leaf);
+            let NodeKind::Primitive { modifier, sig: node_sig, target, .. } = &node.kind else {
+                continue;
             };
-            let occ = Occurrence::primitive_spanned(
-                leaf,
-                name,
-                ts,
-                txn,
-                self.app,
-                Some(oid),
-                params.to_vec(),
-                prim_ctx,
-            );
-            detections.extend(self.propagate(graph, shards, leaf, occ, None));
+            // Signature check, then begin/end variant, then instance filter.
+            if node_sig.as_deref() != Some(sig) || !modifier.matches(edge) {
+                continue;
+            }
+            if matches!(target, PrimTarget::Instance(want) if *want != oid) {
+                continue;
+            }
+            let prim_ctx = match (p.tracer.as_deref(), signal_ctx) {
+                (Some(s), Some(sig_ctx)) => Some(Self::record_primitive_span(
+                    s,
+                    sig_ctx,
+                    node.name.clone(),
+                    ts,
+                    txn,
+                    Some(oid),
+                )),
+                _ => None,
+            };
+            self.deliver_leaf(p, node, || {
+                let name = node.name.clone();
+                let params = params.to_vec();
+                Occurrence::primitive_spanned(
+                    leaf,
+                    name,
+                    ts,
+                    txn,
+                    self.app,
+                    Some(oid),
+                    params,
+                    prim_ctx,
+                )
+            });
         }
-        if let (Some(s), Some(h)) = (tracer.as_deref(), signal_span) {
-            s.finish(h, 0, vec![("detections", Field::U64(detections.len() as u64))]);
+        if let (Some(s), Some(h)) = (p.tracer.as_deref(), signal_span) {
+            s.finish(h, 0, vec![("detections", Field::U64(p.detections.len() as u64))]);
         }
-        detections
+    }
+
+    /// Counts one occurrence of `leaf` and propagates it, built by `occ`,
+    /// unless nothing consumes it: an occurrence no parent or rule sees is
+    /// never built.
+    fn deliver_leaf(
+        &self,
+        p: &mut Propagation<'_>,
+        leaf: &Node,
+        occ: impl FnOnce() -> Arc<Occurrence>,
+    ) {
+        leaf.state.lock().count += 1;
+        if leaf.has_consumers() {
+            self.propagate(p, leaf.id, occ(), None);
+        }
     }
 
     /// Records the (point) span of one primitive occurrence, parented on
@@ -1089,17 +1120,16 @@ impl LocalEventDetector {
     #[allow(clippy::too_many_arguments)]
     fn explicit_core(
         &self,
-        graph: &EventGraph,
-        shards: &[Arc<ShardState>],
+        p: &mut Propagation<'_>,
         label: u32,
         leaf: EventId,
         leaf_name: Arc<str>,
         params: Vec<(Arc<str>, Value)>,
         txn: Option<u64>,
         ts: Timestamp,
-    ) -> Vec<Detection> {
-        let tracer = self.tracer();
-        let mut detections = self.fire_due_alarms(graph, shards, label, ts);
+    ) {
+        self.fire_due_alarms(p, label, ts);
+        let tracer = p.tracer.clone();
         let signal_span = tracer.as_deref().map(|s| Self::open_signal_span(s, leaf_name.clone()));
         let prim_ctx = match (tracer.as_deref(), signal_span.as_ref()) {
             (Some(s), Some(h)) => {
@@ -1107,14 +1137,14 @@ impl LocalEventDetector {
             }
             _ => None,
         };
-        let occ = Occurrence::primitive_spanned(
-            leaf, leaf_name, ts, txn, self.app, None, params, prim_ctx,
-        );
-        detections.extend(self.propagate(graph, shards, leaf, occ, None));
+        self.deliver_leaf(p, p.graph.node(leaf), || {
+            Occurrence::primitive_spanned(
+                leaf, leaf_name, ts, txn, self.app, None, params, prim_ctx,
+            )
+        });
         if let (Some(s), Some(h)) = (tracer.as_deref(), signal_span) {
-            s.finish(h, 0, vec![("detections", Field::U64(detections.len() as u64))]);
+            s.finish(h, 0, vec![("detections", Field::U64(p.detections.len() as u64))]);
         }
-        detections
     }
 
     /// Advances logical time (firing due temporal alarms in every shard)
@@ -1122,12 +1152,12 @@ impl LocalEventDetector {
     pub fn advance_time(&self, to: Timestamp) -> Vec<Detection> {
         self.clock.advance_to(to);
         self.quiesce(|graph, shards| {
-            let mut detections = Vec::new();
+            let mut p = self.propagation(graph, shards);
             for label in 0..shards.len() as u32 {
-                detections.extend(self.fire_due_alarms(graph, shards, label, to));
+                self.fire_due_alarms(&mut p, label, to);
             }
             self.cut_fence(FenceKind::AdvanceTime(to));
-            detections
+            p.detections
         })
     }
 
@@ -1140,129 +1170,98 @@ impl LocalEventDetector {
     /// lives in `origin`'s shard, whose order lock the caller holds.
     fn propagate(
         &self,
-        graph: &EventGraph,
-        shards: &[Arc<ShardState>],
+        p: &mut Propagation<'_>,
         origin: EventId,
         occ: Arc<Occurrence>,
         ctx_filter: Option<ParamContext>,
-    ) -> Vec<Detection> {
-        let mut detections = Vec::new();
-        let bus = self.trace.read().clone();
-        let tracer = self.tracer();
-        let mut work: Vec<(EventId, Arc<Occurrence>, Option<ParamContext>)> =
-            vec![(origin, occ, ctx_filter)];
-        while let Some((node_id, occ, filter)) = work.pop() {
-            // Statistics: one occurrence of this node's event. Composite
-            // occurrences are tagged with their context; count once per
-            // (node, context-or-leaf) pop, which matches detection counts.
-            *shards[graph.shard_of(node_id) as usize].counts.lock().entry(node_id).or_default() +=
-                1;
+    ) {
+        let graph = p.graph;
+        let mut next = Some((origin, occ, ctx_filter));
+        while let Some((node_id, occ, filter)) =
+            next.take().or_else(|| p.work.pop().map(|(id, occ, ctx)| (id, occ, Some(ctx))))
+        {
+            let node = graph.node(node_id);
             // Deliver to rule subscribers of this node.
-            {
-                let node = graph.node(node_id);
-                let contexts: &[ParamContext] = match filter {
-                    Some(ref ctx) => std::slice::from_ref(ctx),
-                    // A primitive occurrence satisfies a direct rule
-                    // subscription in any context (contexts only matter
-                    // for composite grouping).
-                    None => &ParamContext::ALL,
-                };
-                for &ctx in contexts {
-                    if node.rule_subs[ctx.index()].is_empty() {
-                        continue;
-                    }
-                    if let Some(bus) = bus.as_deref().filter(|b| b.is_active()) {
-                        bus.emit(
-                            "detector",
-                            "detection",
-                            vec![
-                                ("event", Field::Str(node.name.clone())),
-                                ("context", Field::Str(Arc::from(ctx_name(ctx)))),
-                                ("at", Field::U64(occ.at)),
-                                (
-                                    "subscribers",
-                                    Field::U64(node.rule_subs[ctx.index()].len() as u64),
-                                ),
-                            ],
-                        );
-                    }
-                    detections.push(Detection {
-                        event: node_id,
-                        context: ctx,
-                        occurrence: occ.clone(),
-                        subscribers: node.rule_subs[ctx.index()].clone(),
-                    });
+            let contexts: &[ParamContext] = match filter {
+                Some(ref ctx) => std::slice::from_ref(ctx),
+                // A primitive occurrence satisfies a direct rule
+                // subscription in any context (contexts only matter for
+                // composite grouping).
+                None => &ParamContext::ALL,
+            };
+            for &ctx in contexts {
+                let subscribers = &node.rule_subs[ctx.index()];
+                if subscribers.is_empty() {
+                    continue;
                 }
-            }
-            // Feed parents. Edges to the same parent are grouped: a binary
-            // operator whose two children are the same node (`a ; a`)
-            // receives the occurrence once through the dual-role path;
-            // other multi-role deliveries go terminator-role first
-            // (descending), so an occurrence can close a window opened by
-            // an earlier occurrence before re-initiating.
-            let mut parents = graph.node(node_id).parents.clone();
-            parents.sort_by_key(|(p, r)| (p.0, std::cmp::Reverse(*r)));
-            let mut i = 0;
-            while i < parents.len() {
-                let (parent_id, first_role) = parents[i];
-                let mut roles = vec![first_role];
-                while i + 1 < parents.len() && parents[i + 1].0 == parent_id {
-                    i += 1;
-                    roles.push(parents[i].1);
-                }
-                i += 1;
-                let (contexts, is_binary, is_temporal) = {
-                    let parent = graph.node(parent_id);
-                    let contexts: Vec<ParamContext> = match filter {
-                        Some(c) => {
-                            if parent.active(c) {
-                                vec![c]
-                            } else {
-                                Vec::new()
-                            }
-                        }
-                        None => {
-                            ParamContext::ALL.into_iter().filter(|c| parent.active(*c)).collect()
-                        }
-                    };
-                    let is_binary = matches!(
-                        parent.kind,
-                        crate::graph::NodeKind::And(..)
-                            | crate::graph::NodeKind::Or(..)
-                            | crate::graph::NodeKind::Seq(..)
+                if let Some(bus) = p.bus.as_deref().filter(|b| b.is_active()) {
+                    bus.emit(
+                        "detector",
+                        "detection",
+                        vec![
+                            ("event", Field::Str(node.name.clone())),
+                            ("context", Field::Str(Arc::from(ctx_name(ctx)))),
+                            ("at", Field::U64(occ.at)),
+                            ("subscribers", Field::U64(subscribers.len() as u64)),
+                        ],
                     );
-                    (contexts, is_binary, parent.kind.is_temporal())
-                };
-                for ctx in contexts {
-                    // The parent guard must be dropped before building the
-                    // occurrence (which re-locks the parent for its name).
-                    let emissions = {
-                        let mut parent = graph.node(parent_id);
-                        parent.consumed[ctx.index()] += 1;
-                        let ems = if roles.len() == 2 && is_binary {
-                            parent.on_child_dual(&occ, ctx)
-                        } else {
-                            let mut ems = Vec::new();
-                            for &role in &roles {
-                                ems.extend(parent.on_child(role, &occ, ctx));
+                }
+                p.detections.push(Detection {
+                    event: node_id,
+                    context: ctx,
+                    occurrence: occ.clone(),
+                    subscribers: subscribers.clone(),
+                });
+            }
+            // Feed parents, one lock of each per delivery. The edges to one
+            // parent are adjacent: a binary operator whose two children are
+            // the same node (`a ; a`) receives the occurrence once through
+            // the dual-role path; other multi-role deliveries go
+            // terminator-role first (descending), so an occurrence can close
+            // a window opened by an earlier occurrence before re-initiating.
+            for edges in node.parents.chunk_by(|a, b| a.0 == b.0) {
+                let parent = graph.node(edges[0].0);
+                let dual = edges.len() == 2 && parent.kind.is_binary();
+                let mut ends = [0; 4];
+                let due = {
+                    let mut st = parent.state.lock();
+                    let mut fed = false;
+                    for ctx in ParamContext::ALL {
+                        let i = ctx.index();
+                        if filter.unwrap_or(ctx) == ctx && parent.active(ctx) {
+                            fed = true;
+                            let before = p.emissions.len();
+                            st.consumed[i] += 1;
+                            let state = &mut st.ctx[i];
+                            if dual {
+                                parent.kind.on_child_dual(state, &occ, ctx, &mut p.emissions);
+                            } else {
+                                for &(_, role) in edges {
+                                    parent.kind.on_child(state, role, &occ, ctx, &mut p.emissions);
+                                }
                             }
-                            ems
-                        };
-                        parent.emitted[ctx.index()] += ems.len() as u64;
-                        ems
-                    };
-                    for em in emissions {
-                        let comp =
-                            self.make_occurrence(graph, parent_id, em, ctx, tracer.as_deref());
-                        work.push((parent_id, comp, Some(ctx)));
+                            let emitted = (p.emissions.len() - before) as u64;
+                            st.emitted[i] += emitted;
+                            st.count += emitted;
+                        }
+                        ends[i] = p.emissions.len();
                     }
-                    if is_temporal {
-                        self.reschedule(graph, shards, parent_id);
+                    if fed && parent.kind.is_temporal() {
+                        st.earliest_due()
+                    } else {
+                        None
                     }
+                };
+                for (k, em) in p.emissions.drain(..).enumerate() {
+                    let ctx = context_of(&ends, k);
+                    let comp = self.make_occurrence(parent, em, ctx, p.tracer.as_deref());
+                    p.work.push((parent.id, comp, ctx));
+                }
+                if let Some(due) = due {
+                    Self::schedule(graph, p.shards, parent.id, due);
                 }
             }
         }
-        detections
     }
 
     /// Builds the composite occurrence for one operator emission. When a
@@ -1272,13 +1271,12 @@ impl LocalEventDetector {
     /// span — the linked parameter list, lifted into the trace model.
     fn make_occurrence(
         &self,
-        graph: &EventGraph,
-        node: EventId,
+        node: &Node,
         em: Emission,
         ctx: ParamContext,
         tracer: Option<&TraceStore>,
     ) -> Arc<Occurrence> {
-        let name = graph.name_of(node);
+        let name = node.name.clone();
         let span = tracer.map(|s| {
             let terminator = em.constituents.iter().max_by_key(|o| o.at);
             let anchor = terminator
@@ -1297,14 +1295,14 @@ impl LocalEventDetector {
             ctx_out
         });
         if em.at.is_none() && em.params.is_empty() {
-            Occurrence::composite_spanned(node, name, em.constituents, span)
+            Occurrence::composite_spanned(node.id, name, em.constituents, span)
         } else {
             let mut constituents = em.constituents;
             constituents.sort_by_key(|o| o.at);
             let at = em.at.unwrap_or_else(|| constituents.last().map_or(0, |o| o.at));
             let txn = constituents.last().and_then(|o| o.txn);
             Arc::new(Occurrence {
-                event: node,
+                event: node.id,
                 event_name: name,
                 at,
                 txn,
@@ -1317,52 +1315,56 @@ impl LocalEventDetector {
         }
     }
 
-    /// Re-queues a temporal node's next alarm on its shard's heap.
-    fn reschedule(&self, graph: &EventGraph, shards: &[Arc<ShardState>], node: EventId) {
-        if let Some(due) = graph.node(node).earliest_due() {
-            shards[graph.shard_of(node) as usize].alarms.lock().push(Reverse((due, node)));
-        }
+    /// Queues a temporal node's next alarm on its shard, unless that
+    /// `(due, node)` is queued already.
+    fn schedule(graph: &EventGraph, shards: &[Arc<ShardState>], node: EventId, due: Timestamp) {
+        shards[graph.shard_of(node) as usize].alarms.lock().insert((due, node));
     }
 
     /// Fires every alarm due at `now` in shard `label` (a signal fires its
     /// own shard's alarms; `advance_time` fires every shard's).
-    fn fire_due_alarms(
-        &self,
-        graph: &EventGraph,
-        shards: &[Arc<ShardState>],
-        label: u32,
-        now: Timestamp,
-    ) -> Vec<Detection> {
-        let mut detections = Vec::new();
-        let tracer = self.tracer();
-        let shard = &shards[label as usize];
+    fn fire_due_alarms(&self, p: &mut Propagation<'_>, label: u32, now: Timestamp) {
+        let shard = &p.shards[label as usize];
         loop {
             let next = {
                 let mut alarms = shard.alarms.lock();
-                match alarms.peek() {
-                    Some(Reverse((due, _))) if *due <= now => alarms.pop(),
+                match alarms.first() {
+                    Some(&(due, _)) if due <= now => alarms.pop_first(),
                     _ => None,
                 }
             };
-            let Some(Reverse((_, node_id))) = next else { break };
-            for ctx in ParamContext::ALL {
-                if !graph.node(node_id).active(ctx) {
-                    continue;
+            let Some((_, node_id)) = next else { break };
+            let node = p.graph.node(node_id);
+            // Every context fires before any emission propagates: the
+            // propagation only reaches the node's ancestors, never its
+            // own state.
+            let mut ends = [0; 4];
+            let due = {
+                let mut st = node.state.lock();
+                for ctx in ParamContext::ALL {
+                    let i = ctx.index();
+                    if node.active(ctx) {
+                        let before = p.fired.len();
+                        node.kind.fire_alarms(&mut st.ctx[i], now, &mut p.fired);
+                        let emitted = (p.fired.len() - before) as u64;
+                        st.emitted[i] += emitted;
+                        st.count += emitted;
+                    }
+                    ends[i] = p.fired.len();
                 }
-                let emissions = {
-                    let mut node = graph.node(node_id);
-                    let ems = node.fire_alarms(now, ctx);
-                    node.emitted[ctx.index()] += ems.len() as u64;
-                    ems
-                };
-                for em in emissions {
-                    let occ = self.make_occurrence(graph, node_id, em, ctx, tracer.as_deref());
-                    detections.extend(self.propagate(graph, shards, node_id, occ, Some(ctx)));
-                }
+                st.earliest_due()
+            };
+            let mut fired = std::mem::take(&mut p.fired);
+            for (k, em) in fired.drain(..).enumerate() {
+                let ctx = context_of(&ends, k);
+                let occ = self.make_occurrence(node, em, ctx, p.tracer.as_deref());
+                self.propagate(p, node_id, occ, Some(ctx));
             }
-            self.reschedule(graph, shards, node_id);
+            p.fired = fired;
+            if let Some(due) = due {
+                Self::schedule(p.graph, p.shards, node_id, due);
+            }
         }
-        detections
     }
 
     // --- transaction hygiene -------------------------------------------
@@ -1372,10 +1374,8 @@ impl LocalEventDetector {
     /// transaction boundaries", §3.2 item 3). Quiesces all shards.
     pub fn flush_txn(&self, txn: u64) {
         self.quiesce(|graph, _| {
-            let mut removed = 0u64;
-            for id in graph.node_ids() {
-                removed += graph.node(id).flush_txn(txn) as u64;
-            }
+            let removed: u64 =
+                graph.nodes().iter().map(|n| n.state.lock().flush_txn(txn) as u64).sum();
             self.flush_calls.inc();
             self.flushed.add(removed);
             if let Some(bus) = self.trace.read().as_deref().filter(|b| b.is_active()) {
@@ -1407,7 +1407,7 @@ impl LocalEventDetector {
                 for (child, _) in graph.node(id).kind.children() {
                     stack.push(child);
                 }
-                graph.node(id).flush_all_state();
+                graph.node(id).state.lock().flush_all_state();
             }
             self.cut_fence(FenceKind::Barrier);
             Ok(())
@@ -1417,8 +1417,8 @@ impl LocalEventDetector {
     /// Flushes the entire event graph.
     pub fn flush_all(&self) {
         self.quiesce(|graph, shards| {
-            for id in graph.node_ids() {
-                graph.node(id).flush_all_state();
+            for n in graph.nodes() {
+                n.state.lock().flush_all_state();
             }
             for shard in shards {
                 shard.alarms.lock().clear();
@@ -1524,14 +1524,16 @@ impl LocalEventDetector {
     pub fn snapshot_state(&self) -> GraphSnapshot {
         self.quiesce(|graph, _| {
             let nodes = graph
-                .node_ids()
-                .map(|id| graph.node(id))
-                .filter(|n| n.state.iter().any(|s| !s.is_empty()))
-                .map(|n| NodeSnapshot {
-                    id: n.id,
-                    name: n.name.clone(),
-                    shard: graph.shard_of(n.id),
-                    state: n.state.clone(),
+                .nodes()
+                .iter()
+                .filter_map(|n| {
+                    let st = n.state.lock();
+                    st.ctx.iter().any(|s| !s.is_empty()).then(|| NodeSnapshot {
+                        id: n.id,
+                        name: n.name.clone(),
+                        shard: graph.shard_of(n.id),
+                        state: st.ctx.clone(),
+                    })
                 })
                 .collect();
             GraphSnapshot { clock: self.clock.peek(), nodes }
@@ -1563,19 +1565,19 @@ impl LocalEventDetector {
                     });
                 }
             }
-            for id in graph.node_ids() {
-                graph.node(id).state = Default::default();
+            for n in graph.nodes() {
+                n.state.lock().ctx = Default::default();
             }
             for ns in &snap.nodes {
-                graph.node(ns.id).state = ns.state.clone();
+                graph.node(ns.id).state.lock().ctx = ns.state.clone();
             }
             self.clock.advance_to(snap.clock);
             for shard in shards {
                 shard.alarms.lock().clear();
             }
             for id in graph.temporal_nodes() {
-                if let Some(due) = graph.node(id).earliest_due() {
-                    shards[graph.shard_of(id) as usize].alarms.lock().push(Reverse((due, id)));
+                if let Some(due) = graph.node(id).state.lock().earliest_due() {
+                    Self::schedule(graph, shards, id, due);
                 }
             }
             Ok(())
@@ -2046,5 +2048,90 @@ mod tests {
         d.restore_snapshot(&a).unwrap();
         let dets = set_price(&d, 1, 2.0, 1);
         assert_eq!(dets.len(), 1, "restored initiator still pairs");
+    }
+
+    /// No `(due, node)` is queued twice, and every temporal node's earliest
+    /// alarm is covered by a queued entry for it that is due no later.
+    fn check_alarm_queues(d: &LocalEventDetector) {
+        d.quiesce(|graph, shards| {
+            let queued: Vec<(Timestamp, EventId)> = shards
+                .iter()
+                .flat_map(|s| s.alarms.lock().iter().copied().collect::<Vec<_>>())
+                .collect();
+            let mut distinct = queued.clone();
+            distinct.sort_unstable();
+            distinct.dedup();
+            assert_eq!(distinct.len(), queued.len(), "an alarm is queued twice: {queued:?}");
+            for id in graph.temporal_nodes() {
+                if let Some(due) = graph.node(id).state.lock().earliest_due() {
+                    assert!(queued.iter().any(|&(q, n)| n == id && q <= due), "{id:?} due {due}");
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn alarms_are_queued_once_and_a_restored_queue_detects_the_same() {
+        // P, P* and PLUS over one start leaf in all four contexts; `u`
+        // shares their shard through `s | u` but feeds no temporal node.
+        let build = || {
+            let d = LocalEventDetector::new(0);
+            for leaf in ["s", "t", "u"] {
+                d.declare_explicit(leaf);
+            }
+            for (i, expr) in ["P(s, 3, t)", "P*(s, 5, t)", "PLUS(s, 4)", "s | u"].iter().enumerate()
+            {
+                let id =
+                    d.define_named(&format!("r{i}"), &parse_event_expr(expr).unwrap()).unwrap();
+                for ctx in ParamContext::ALL {
+                    d.subscribe(id, ctx, i as u64).unwrap();
+                }
+            }
+            d
+        };
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let script: Vec<u64> = (0..600)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x % 8
+            })
+            .collect();
+        // Each step's detections, order-free: a stale queue entry may fire
+        // a node's due alarms ahead of another node's earlier ones.
+        let run = |restore_at: usize| -> Vec<Vec<String>> {
+            let d = build();
+            let mut steps = Vec::new();
+            for (i, &r) in script.iter().enumerate() {
+                if i == restore_at {
+                    let snap = d.snapshot_state();
+                    d.restore_snapshot(&snap).unwrap();
+                }
+                let dets = match r {
+                    0..=2 => d.signal_explicit("s", Vec::new(), None),
+                    3 | 4 => d.signal_explicit("t", Vec::new(), None),
+                    5 | 6 => d.signal_explicit("u", Vec::new(), None),
+                    _ => d.advance_time(d.clock().peek() + 3),
+                };
+                check_alarm_queues(&d);
+                let mut step: Vec<String> = dets
+                    .iter()
+                    .map(|d| {
+                        let o = &d.occurrence;
+                        let cons: Vec<Timestamp> = o.constituents.iter().map(|c| c.at).collect();
+                        format!("{:?} {} {} {cons:?} {:?}", d.event, d.context, o.at, o.params)
+                    })
+                    .collect();
+                step.sort();
+                steps.push(step);
+            }
+            steps
+        };
+        let live = run(usize::MAX);
+        let or_root = format!("{:?} ", build().lookup("r3").unwrap());
+        let temporal = live.iter().flatten().filter(|f| !f.starts_with(&or_root)).count();
+        assert!(temporal > 100, "the script must fire temporal operators, fired {temporal}");
+        assert_eq!(live, run(script.len() / 2));
     }
 }

@@ -17,7 +17,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use parking_lot::{Mutex, MutexGuard};
+use parking_lot::Mutex;
 use sentinel_snoop::ast::{EventExpr, EventModifier};
 use sentinel_snoop::ParamContext;
 
@@ -156,6 +156,12 @@ impl NodeKind {
 }
 
 /// One node of the event graph.
+///
+/// Its topology — `kind`, `name`, `parents`, `ctx_count` and `rule_subs` —
+/// changes only under the graph write lock (`&mut EventGraph`), so a
+/// signal holding the read lock reads it without locking the node. Only
+/// the detection state and its counters, which signals mutate, sit behind
+/// the node's own mutex.
 #[derive(Debug)]
 pub struct Node {
     /// This node's id.
@@ -165,20 +171,31 @@ pub struct Node {
     pub name: Arc<str>,
     /// Operator or leaf flavour.
     pub kind: NodeKind,
-    /// Subscriber edges to parent operator nodes: `(parent, role at parent)`.
+    /// Subscriber edges to parent operator nodes: `(parent, role at
+    /// parent)`, kept sorted by parent and then by descending role, so the
+    /// edges to one parent are adjacent and terminator roles come first.
     pub parents: Vec<(EventId, u8)>,
     /// Per-context active-subscription counters.
     pub ctx_count: [u32; 4],
-    /// Per-context detection state.
-    pub state: [CtxState; 4],
     /// Rule subscribers per context.
     pub rule_subs: [Vec<SubscriberId>; 4],
+    /// Detection state and traffic counters.
+    pub state: Mutex<NodeState>,
+}
+
+/// The part of a node that signals mutate, behind the node's mutex.
+#[derive(Debug, Default)]
+pub struct NodeState {
+    /// Per-context detection state.
+    pub ctx: [CtxState; 4],
     /// Occurrences this node emitted, per context (composite detections
-    /// and temporal firings). Plain integers: all node access happens
-    /// under the graph lock.
+    /// and temporal firings).
     pub emitted: [u64; 4],
     /// Child occurrences delivered to this node, per context.
     pub consumed: [u64; 4],
+    /// Occurrences of this node's event: one per signal of a leaf, one per
+    /// emission of an operator.
+    pub count: u64,
 }
 
 impl Node {
@@ -189,21 +206,9 @@ impl Node {
             kind,
             parents: Vec::new(),
             ctx_count: [0; 4],
-            state: Default::default(),
             rule_subs: Default::default(),
-            emitted: [0; 4],
-            consumed: [0; 4],
+            state: Mutex::default(),
         }
-    }
-
-    /// Total occurrences emitted across all contexts.
-    pub fn total_emitted(&self) -> u64 {
-        self.emitted.iter().sum()
-    }
-
-    /// Total child occurrences consumed across all contexts.
-    pub fn total_consumed(&self) -> u64 {
-        self.consumed.iter().sum()
     }
 
     /// Whether any context is active on this node.
@@ -215,6 +220,24 @@ impl Node {
     #[inline]
     pub fn active(&self, ctx: ParamContext) -> bool {
         self.ctx_count[ctx.index()] > 0
+    }
+
+    /// Whether the occurrence of this node's event reaches anything: a
+    /// parent operator or a rule subscriber.
+    pub fn has_consumers(&self) -> bool {
+        !self.parents.is_empty() || self.rule_subs.iter().any(|s| !s.is_empty())
+    }
+}
+
+impl NodeState {
+    /// Total occurrences emitted across all contexts.
+    pub fn total_emitted(&self) -> u64 {
+        self.emitted.iter().sum()
+    }
+
+    /// Total child occurrences consumed across all contexts.
+    pub fn total_consumed(&self) -> u64 {
+        self.consumed.iter().sum()
     }
 }
 
@@ -247,14 +270,14 @@ impl std::error::Error for GraphError {}
 
 /// The event graph.
 ///
-/// Nodes sit behind individual mutexes so shard workers can mutate
+/// Each node's state sits behind its own mutex so shard workers can mutate
 /// disjoint connected components concurrently while sharing one graph
 /// behind a read lock; the detector's per-shard order locks serialize all
 /// access *within* a component, so the node mutexes are uncontended in
 /// practice and exist to make the sharing data-race-free.
 #[derive(Debug, Default)]
 pub struct EventGraph {
-    nodes: Vec<Mutex<Node>>,
+    nodes: Vec<Node>,
     /// name -> node (named events: primitives, explicit, named composites).
     names: HashMap<Arc<str>, EventId>,
     /// Structural sharing of operator nodes.
@@ -294,15 +317,20 @@ impl EventGraph {
         }
     }
 
-    /// Locks and borrows a node. The guard derefs mutably, so shard
-    /// workers holding the graph read lock use this for state updates too.
-    pub fn node(&self, id: EventId) -> MutexGuard<'_, Node> {
-        self.nodes[id.0 as usize].lock()
+    /// Borrows a node. Its topology reads need no lock; its state is
+    /// behind [`Node::state`].
+    pub fn node(&self, id: EventId) -> &Node {
+        &self.nodes[id.0 as usize]
     }
 
     /// Mutably borrow a node (exclusive graph access, no locking).
     pub fn node_mut(&mut self, id: EventId) -> &mut Node {
-        self.nodes[id.0 as usize].get_mut()
+        &mut self.nodes[id.0 as usize]
+    }
+
+    /// All nodes, in id order.
+    pub fn nodes(&self) -> &[Node] {
+        &self.nodes
     }
 
     /// Shard (connected component) label of a node.
@@ -379,10 +407,12 @@ impl EventGraph {
             }
             winner
         };
-        self.nodes.push(Mutex::new(Node::new(id, name, kind)));
+        self.nodes.push(Node::new(id, name, kind));
         self.labels.push(shard);
         for (child, role) in children {
-            self.nodes[child.0 as usize].get_mut().parents.push((id, role));
+            let parents = &mut self.nodes[child.0 as usize].parents;
+            parents.push((id, role));
+            parents.sort_by_key(|&(p, r)| (p, std::cmp::Reverse(r)));
         }
         id
     }
@@ -415,7 +445,7 @@ impl EventGraph {
             target,
         };
         if let Some(&existing) = self.names.get(name) {
-            return if self.nodes[existing.0 as usize].get_mut().kind == kind {
+            return if self.nodes[existing.0 as usize].kind == kind {
                 Ok(existing)
             } else {
                 Err(GraphError::Redefinition(name.to_string()))
@@ -583,7 +613,7 @@ impl EventGraph {
         self.names.insert(name.clone(), id);
         // Upgrade the node's display name from the anonymous expression
         // string to its first user-given name (for traces/DOT/stats).
-        let node = self.nodes[id.0 as usize].get_mut();
+        let node = &mut self.nodes[id.0 as usize];
         if !matches!(node.kind, NodeKind::Primitive { .. }) && node.name.contains(['(', ' ']) {
             node.name = name;
         }
@@ -601,7 +631,7 @@ impl EventGraph {
     ) -> Result<(), GraphError> {
         self.check(event)?;
         self.bump_ctx(event, ctx, 1);
-        self.nodes[event.0 as usize].get_mut().rule_subs[ctx.index()].push(sub);
+        self.nodes[event.0 as usize].rule_subs[ctx.index()].push(sub);
         Ok(())
     }
 
@@ -615,7 +645,7 @@ impl EventGraph {
         sub: SubscriberId,
     ) -> Result<(), GraphError> {
         self.check(event)?;
-        let subs = &mut self.nodes[event.0 as usize].get_mut().rule_subs[ctx.index()];
+        let subs = &mut self.nodes[event.0 as usize].rule_subs[ctx.index()];
         let Some(pos) = subs.iter().position(|s| *s == sub) else {
             return Err(GraphError::NotSubscribed);
         };
@@ -627,14 +657,14 @@ impl EventGraph {
     fn bump_ctx(&mut self, event: EventId, ctx: ParamContext, delta: i32) {
         let mut stack = vec![event];
         while let Some(id) = stack.pop() {
-            let node = self.nodes[id.0 as usize].get_mut();
+            let node = &mut self.nodes[id.0 as usize];
             let c = &mut node.ctx_count[ctx.index()];
             if delta > 0 {
                 *c += delta as u32;
             } else {
                 *c = c.saturating_sub((-delta) as u32);
                 if *c == 0 {
-                    node.state[ctx.index()] = CtxState::default();
+                    node.state.get_mut().ctx[ctx.index()] = CtxState::default();
                 }
             }
             for (child, _) in node.kind.children() {
@@ -646,12 +676,7 @@ impl EventGraph {
     /// Ids of all temporal nodes with at least one active context (the
     /// detector's alarm scan set).
     pub fn temporal_nodes(&self) -> Vec<EventId> {
-        self.nodes
-            .iter()
-            .map(|m| m.lock())
-            .filter(|n| n.kind.is_temporal() && n.any_active())
-            .map(|n| n.id)
-            .collect()
+        self.nodes.iter().filter(|n| n.kind.is_temporal() && n.any_active()).map(|n| n.id).collect()
     }
 
     /// All node ids (diagnostics).

@@ -2,10 +2,10 @@
 //!
 //! Each graph node keeps one [`CtxState`] per context, populated lazily
 //! while the context's subscription counter is non-zero. An arriving child
-//! occurrence is fed to [`Node::on_child`], which applies the operator's
-//! pairing/consumption policy for the given context and returns zero or
-//! more *emissions* (constituent groups that become composite occurrences
-//! of this node).
+//! occurrence is fed to [`NodeKind::on_child`], which applies the
+//! operator's pairing/consumption policy for the given context and pushes
+//! zero or more *emissions* (constituent groups that become composite
+//! occurrences of this node) onto the caller's buffer.
 //!
 //! Consumption policies (VLDB '94 semantics, see crate docs and DESIGN.md):
 //!
@@ -18,12 +18,12 @@
 //!   by) the next detection.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
 use sentinel_snoop::ParamContext;
 
 use crate::clock::Timestamp;
-use crate::graph::{Node, NodeKind};
+use crate::graph::{NodeKind, NodeState};
 use crate::occurrence::{Occurrence, Value};
 
 /// An open detection window (for `NOT`, `A`, `A*`, `P`, `P*`).
@@ -88,42 +88,42 @@ impl Emission {
     }
 }
 
-impl Node {
-    /// Feeds a child occurrence (arriving in `role`) for context `ctx`.
+/// The parameter name of a `PLUS` firing's alarm time.
+static FIRED_AT: LazyLock<Arc<str>> = LazyLock::new(|| Arc::from("fired_at"));
+/// The parameter name of a `P` tick (and of each tick a `P*` reports).
+static TICK: LazyLock<Arc<str>> = LazyLock::new(|| Arc::from("tick"));
+
+impl NodeKind {
+    /// Feeds a child occurrence (arriving in `role`) to `state`, the
+    /// node's state for context `ctx`, pushing what it detects onto `out`.
     ///
-    /// The caller guarantees `self.active(ctx)`.
+    /// The caller guarantees the node is active in `ctx`.
     pub fn on_child(
-        &mut self,
+        &self,
+        state: &mut CtxState,
         role: u8,
         occ: &Arc<Occurrence>,
         ctx: ParamContext,
-    ) -> Vec<Emission> {
-        let state = &mut self.state[ctx.index()];
-        match &self.kind {
-            NodeKind::Primitive { .. } => Vec::new(), // leaves have no children
-            NodeKind::Or(_, _) => vec![Emission::of(vec![occ.clone()])],
-            NodeKind::And(_, _) => on_and(state, role, occ, ctx),
-            NodeKind::Seq(_, _) => on_seq(state, role, occ, ctx),
+        out: &mut Vec<Emission>,
+    ) {
+        match self {
+            NodeKind::Primitive { .. } => {} // leaves have no children
+            NodeKind::Or(_, _) => out.push(Emission::of(vec![occ.clone()])),
+            NodeKind::And(_, _) => on_and(state, role, occ, ctx, out),
+            NodeKind::Seq(_, _) => on_seq(state, role, occ, ctx, out),
             NodeKind::Any { m, children } => {
-                let (m, n) = (*m as usize, children.len());
-                on_any(state, role, occ, ctx, m, n)
+                on_any(state, role, occ, ctx, *m as usize, children.len(), out)
             }
-            NodeKind::Not { .. } => on_not(state, role, occ, ctx),
-            NodeKind::Aperiodic { .. } => on_aperiodic(state, role, occ, ctx),
-            NodeKind::AperiodicStar { .. } => on_aperiodic_star(state, role, occ, ctx),
+            NodeKind::Not { .. } => on_not(state, role, occ, ctx, out),
+            NodeKind::Aperiodic { .. } => on_aperiodic(state, role, occ, ctx, out),
+            NodeKind::AperiodicStar { .. } => on_aperiodic_star(state, role, occ, ctx, out),
             NodeKind::Periodic { period, .. } => {
-                let period = *period;
-                on_periodic(state, role, occ, ctx, period, false)
+                on_periodic(state, role, occ, ctx, *period, false, out)
             }
             NodeKind::PeriodicStar { period, .. } => {
-                let period = *period;
-                on_periodic(state, role, occ, ctx, period, true)
+                on_periodic(state, role, occ, ctx, *period, true, out)
             }
-            NodeKind::Plus { delta, .. } => {
-                let delta = *delta;
-                state.pending.push((occ.at + delta, occ.clone()));
-                Vec::new()
-            }
+            NodeKind::Plus { delta, .. } => state.pending.push((occ.at + delta, occ.clone())),
         }
     }
 
@@ -138,108 +138,90 @@ impl Node {
     /// consuming contexts only when it did not terminate — becomes an
     /// initiator itself. `OR` self-composition fires exactly once per
     /// occurrence.
-    pub fn on_child_dual(&mut self, occ: &Arc<Occurrence>, ctx: ParamContext) -> Vec<Emission> {
-        let state = &mut self.state[ctx.index()];
-        match &self.kind {
-            NodeKind::Or(_, _) => vec![Emission::of(vec![occ.clone()])],
+    pub fn on_child_dual(
+        &self,
+        state: &mut CtxState,
+        occ: &Arc<Occurrence>,
+        ctx: ParamContext,
+        out: &mut Vec<Emission>,
+    ) {
+        match self {
+            NodeKind::Or(_, _) => out.push(Emission::of(vec![occ.clone()])),
             NodeKind::And(_, _) | NodeKind::Seq(_, _) => {
                 let buf = state.buf(0, 2);
                 match ctx {
                     ParamContext::Recent => {
-                        let out = buf
-                            .back()
-                            .map(|prev| vec![Emission::of(vec![prev.clone(), occ.clone()])])
-                            .unwrap_or_default();
+                        if let Some(prev) = buf.back() {
+                            out.push(Emission::of(vec![prev.clone(), occ.clone()]));
+                        }
                         buf.clear();
                         buf.push_back(occ.clone());
-                        out
                     }
                     ParamContext::Chronicle => {
                         if let Some(prev) = buf.pop_front() {
-                            vec![Emission::of(vec![prev, occ.clone()])]
+                            out.push(Emission::of(vec![prev, occ.clone()]));
                         } else {
                             buf.push_back(occ.clone());
-                            Vec::new()
                         }
                     }
                     ParamContext::Continuous => {
-                        if buf.is_empty() {
-                            buf.push_back(occ.clone());
-                            Vec::new()
-                        } else {
-                            let out: Vec<Emission> = buf
-                                .drain(..)
-                                .map(|prev| Emission::of(vec![prev, occ.clone()]))
-                                .collect();
-                            buf.push_back(occ.clone());
-                            out
-                        }
+                        out.extend(buf.drain(..).map(|prev| Emission::of(vec![prev, occ.clone()])));
+                        buf.push_back(occ.clone());
                     }
                     ParamContext::Cumulative => {
                         if buf.is_empty() {
                             buf.push_back(occ.clone());
-                            Vec::new()
                         } else {
                             let mut cons: Vec<_> = buf.drain(..).collect();
                             cons.push(occ.clone());
-                            vec![Emission::of(cons)]
+                            out.push(Emission::of(cons));
                         }
                     }
                 }
             }
             // Other operators with duplicated children keep per-role
             // delivery (handled by the caller in descending role order).
-            _ => Vec::new(),
+            _ => {}
         }
     }
 
-    /// Fires all temporal alarms due at or before `now` for context `ctx`.
-    pub fn fire_alarms(&mut self, now: Timestamp, ctx: ParamContext) -> Vec<Emission> {
-        let state = &mut self.state[ctx.index()];
-        match &self.kind {
+    /// Fires every temporal alarm of `state` (the node's state for one
+    /// context) due at or before `now`, pushing the emissions onto `out`.
+    pub fn fire_alarms(&self, state: &mut CtxState, now: Timestamp, out: &mut Vec<Emission>) {
+        match self {
             NodeKind::Plus { .. } => {
-                let mut due: Vec<(Timestamp, Arc<Occurrence>)> = Vec::new();
+                let first = out.len();
                 state.pending.retain(|(d, o)| {
                     if *d <= now {
-                        due.push((*d, o.clone()));
+                        out.push(Emission {
+                            constituents: vec![o.clone()],
+                            params: vec![(FIRED_AT.clone(), Value::Int(*d as i64))],
+                            at: Some(*d),
+                        });
                         false
                     } else {
                         true
                     }
                 });
-                due.sort_by_key(|(d, _)| *d);
-                due.into_iter()
-                    .map(|(d, o)| Emission {
-                        constituents: vec![o],
-                        params: vec![(Arc::from("fired_at"), Value::Int(d as i64))],
-                        at: Some(d),
-                    })
-                    .collect()
+                out[first..].sort_by_key(|e| e.at);
             }
             NodeKind::Periodic { period, .. } => {
-                let period = *period;
-                let mut out = Vec::new();
                 for w in state.windows.iter_mut() {
                     while let Some(d) = w.next_due {
                         if d > now {
                             break;
                         }
-                        let mut cons = Vec::new();
-                        if let Some(s) = &w.start {
-                            cons.push(s.clone());
-                        }
                         out.push(Emission {
-                            constituents: cons,
-                            params: vec![(Arc::from("tick"), Value::Int(d as i64))],
+                            constituents: w.start.iter().cloned().collect(),
+                            params: vec![(TICK.clone(), Value::Int(d as i64))],
                             at: Some(d),
                         });
                         w.next_due = Some(d + period);
                     }
                 }
-                out
             }
             NodeKind::PeriodicStar { period, .. } => {
-                let period = *period;
+                // P* only emits at `end`: a due alarm is only recorded.
                 for w in state.windows.iter_mut() {
                     while let Some(d) = w.next_due {
                         if d > now {
@@ -249,16 +231,23 @@ impl Node {
                         w.next_due = Some(d + period);
                     }
                 }
-                Vec::new() // P* only emits at `end`
             }
-            _ => Vec::new(),
+            _ => {}
         }
     }
 
+    /// Whether this is a binary operator (whose two roles a
+    /// self-composition fills at once, see [`Self::on_child_dual`]).
+    pub fn is_binary(&self) -> bool {
+        matches!(self, NodeKind::And(..) | NodeKind::Or(..) | NodeKind::Seq(..))
+    }
+}
+
+impl NodeState {
     /// Earliest pending alarm across all contexts (None if none).
     pub fn earliest_due(&self) -> Option<Timestamp> {
         let mut best: Option<Timestamp> = None;
-        for state in &self.state {
+        for state in &self.ctx {
             for (d, _) in &state.pending {
                 best = Some(best.map_or(*d, |b| b.min(*d)));
             }
@@ -281,7 +270,7 @@ impl Node {
     /// statistics).
     pub fn flush_txn(&mut self, txn: u64) -> usize {
         let mut removed = 0;
-        for state in &mut self.state {
+        for state in &mut self.ctx {
             for buf in &mut state.bufs {
                 let before = buf.len();
                 buf.retain(|o| !o.involves_txn(txn));
@@ -308,9 +297,7 @@ impl Node {
 
     /// Clears all buffered state in every context (full event-graph flush).
     pub fn flush_all_state(&mut self) {
-        for state in &mut self.state {
-            *state = CtxState::default();
-        }
+        self.ctx = Default::default();
     }
 }
 
@@ -321,7 +308,8 @@ fn on_and(
     role: u8,
     occ: &Arc<Occurrence>,
     ctx: ParamContext,
-) -> Vec<Emission> {
+    out: &mut Vec<Emission>,
+) {
     let other = 1 - role as usize;
     let role = role as usize;
     match ctx {
@@ -329,29 +317,25 @@ fn on_and(
             let buf = state.buf(role, 2);
             buf.clear();
             buf.push_back(occ.clone());
-            state.bufs[other]
-                .back()
-                .map(|o| vec![Emission::of(vec![o.clone(), occ.clone()])])
-                .unwrap_or_default()
+            if let Some(o) = state.bufs[other].back() {
+                out.push(Emission::of(vec![o.clone(), occ.clone()]));
+            }
         }
         ParamContext::Chronicle => {
             state.buf(role, 2).push_back(occ.clone());
-            let mut out = Vec::new();
             while !state.bufs[0].is_empty() && !state.bufs[1].is_empty() {
                 if let (Some(l), Some(r)) = (state.bufs[0].pop_front(), state.bufs[1].pop_front()) {
                     out.push(Emission::of(vec![l, r]));
                 }
             }
-            out
         }
         ParamContext::Continuous => {
             state.buf(role, 2);
             if state.bufs[other].is_empty() {
                 state.bufs[role].push_back(occ.clone());
-                Vec::new()
             } else {
-                let partners: Vec<_> = state.bufs[other].drain(..).collect();
-                partners.into_iter().map(|p| Emission::of(vec![p, occ.clone()])).collect()
+                let partners = state.bufs[other].drain(..);
+                out.extend(partners.map(|p| Emission::of(vec![p, occ.clone()])));
             }
         }
         ParamContext::Cumulative => {
@@ -359,9 +343,7 @@ fn on_and(
             if !state.bufs[0].is_empty() && !state.bufs[1].is_empty() {
                 let mut cons: Vec<_> = state.bufs[0].drain(..).collect();
                 cons.extend(state.bufs[1].drain(..));
-                vec![Emission::of(cons)]
-            } else {
-                Vec::new()
+                out.push(Emission::of(cons));
             }
         }
     }
@@ -374,40 +356,33 @@ fn on_seq(
     role: u8,
     occ: &Arc<Occurrence>,
     ctx: ParamContext,
-) -> Vec<Emission> {
+    out: &mut Vec<Emission>,
+) {
     match (role, ctx) {
         (0, ParamContext::Recent) => {
             let buf = state.buf(0, 2);
             buf.clear();
             buf.push_back(occ.clone());
-            Vec::new()
         }
-        (0, _) => {
-            state.buf(0, 2).push_back(occ.clone());
-            Vec::new()
+        (0, _) => state.buf(0, 2).push_back(occ.clone()),
+        (1, ParamContext::Recent) => {
+            if let Some(l) = state.buf(0, 2).back().filter(|l| l.at < occ.at) {
+                out.push(Emission::of(vec![l.clone(), occ.clone()]));
+            }
         }
-        (1, ParamContext::Recent) => state
-            .buf(0, 2)
-            .back()
-            .filter(|l| l.at < occ.at)
-            .map(|l| vec![Emission::of(vec![l.clone(), occ.clone()])])
-            .unwrap_or_default(),
         (1, ParamContext::Chronicle) => {
             // Oldest initiator strictly before the terminator.
             let buf = state.buf(0, 2);
-            match buf.front() {
-                Some(l) if l.at < occ.at => {
-                    let l = buf.pop_front().expect("front() was Some");
-                    vec![Emission::of(vec![l, occ.clone()])]
-                }
-                _ => Vec::new(),
+            if buf.front().is_some_and(|l| l.at < occ.at) {
+                let l = buf.pop_front().expect("front() was Some");
+                out.push(Emission::of(vec![l, occ.clone()]));
             }
         }
         (1, ParamContext::Continuous) => {
             let buf = state.buf(0, 2);
-            let lefts: Vec<_> = buf.iter().filter(|l| l.at < occ.at).cloned().collect();
+            let lefts = buf.iter().filter(|l| l.at < occ.at);
+            out.extend(lefts.map(|l| Emission::of(vec![l.clone(), occ.clone()])));
             buf.retain(|l| l.at >= occ.at);
-            lefts.into_iter().map(|l| Emission::of(vec![l, occ.clone()])).collect()
         }
         (1, ParamContext::Cumulative) => {
             let buf = state.buf(0, 2);
@@ -415,12 +390,10 @@ fn on_seq(
                 let mut cons: Vec<_> = buf.iter().filter(|l| l.at < occ.at).cloned().collect();
                 buf.retain(|l| l.at >= occ.at);
                 cons.push(occ.clone());
-                vec![Emission::of(cons)]
-            } else {
-                Vec::new()
+                out.push(Emission::of(cons));
             }
         }
-        _ => Vec::new(),
+        _ => {}
     }
 }
 
@@ -433,7 +406,8 @@ fn on_any(
     ctx: ParamContext,
     m: usize,
     n: usize,
-) -> Vec<Emission> {
+    out: &mut Vec<Emission>,
+) {
     let role = role as usize;
     match ctx {
         ParamContext::Recent => {
@@ -454,9 +428,7 @@ fn on_any(
                 others.truncate(m - 1);
                 let mut cons = others;
                 cons.push(occ.clone());
-                vec![Emission::of(cons)]
-            } else {
-                Vec::new()
+                out.push(Emission::of(cons));
             }
         }
         ParamContext::Chronicle | ParamContext::Continuous => {
@@ -469,9 +441,7 @@ fn on_any(
                 heads.truncate(m);
                 let cons: Vec<_> =
                     heads.into_iter().filter_map(|i| state.bufs[i].pop_front()).collect();
-                vec![Emission::of(cons)]
-            } else {
-                Vec::new()
+                out.push(Emission::of(cons));
             }
         }
         ParamContext::Cumulative => {
@@ -482,9 +452,7 @@ fn on_any(
                 for b in &mut state.bufs {
                     cons.extend(b.drain(..));
                 }
-                vec![Emission::of(cons)]
-            } else {
-                Vec::new()
+                out.push(Emission::of(cons));
             }
         }
     }
@@ -497,7 +465,8 @@ fn on_not(
     role: u8,
     occ: &Arc<Occurrence>,
     ctx: ParamContext,
-) -> Vec<Emission> {
+    out: &mut Vec<Emission>,
+) {
     match role {
         0 => {
             // start: open a window.
@@ -505,76 +474,48 @@ fn on_not(
                 state.windows.clear();
             }
             state.windows.push_back(Window { start: Some(occ.clone()), ..Window::default() });
-            Vec::new()
         }
         1 => {
             // inner: poison — open windows can never complete.
             state.last_inner = Some(occ.at);
             state.windows.clear();
-            Vec::new()
         }
         2 => {
             // end: fire unpoisoned windows whose start precedes it.
-            let fires: Vec<Window> = match ctx {
-                ParamContext::Recent => state
-                    .windows
-                    .back()
-                    .filter(|w| w.start.as_ref().is_some_and(|s| s.at < occ.at))
-                    .cloned()
-                    .into_iter()
-                    .collect(), // window retained: recent does not consume
-                ParamContext::Chronicle => state
-                    .windows
-                    .front()
-                    .filter(|w| w.start.as_ref().is_some_and(|s| s.at < occ.at))
-                    .cloned()
-                    .into_iter()
-                    .collect::<Vec<_>>()
-                    .tap(|fired| {
-                        if !fired.is_empty() {
-                            state.windows.pop_front();
-                        }
-                    }),
-                ParamContext::Continuous | ParamContext::Cumulative => {
-                    let all: Vec<Window> = state
-                        .windows
-                        .iter()
-                        .filter(|w| w.start.as_ref().is_some_and(|s| s.at < occ.at))
-                        .cloned()
-                        .collect();
-                    state.windows.retain(|w| !w.start.as_ref().is_some_and(|s| s.at < occ.at));
-                    all
-                }
-            };
-            if fires.is_empty() {
-                return Vec::new();
-            }
+            let opened_before = |w: &Window| w.start.as_ref().is_some_and(|s| s.at < occ.at);
+            let pair = |s: Arc<Occurrence>| Emission::of(vec![s, occ.clone()]);
             match ctx {
-                ParamContext::Cumulative => {
-                    let mut cons: Vec<Arc<Occurrence>> =
-                        fires.into_iter().filter_map(|w| w.start).collect();
-                    cons.push(occ.clone());
-                    vec![Emission::of(cons)]
+                // The window is retained: recent does not consume.
+                ParamContext::Recent => {
+                    let fired = state.windows.back().filter(|w| opened_before(w));
+                    out.extend(fired.and_then(|w| w.start.clone()).map(pair));
                 }
-                _ => fires
-                    .into_iter()
-                    .filter_map(|w| w.start)
-                    .map(|s| Emission::of(vec![s, occ.clone()]))
-                    .collect(),
+                ParamContext::Chronicle => {
+                    if state.windows.front().is_some_and(opened_before) {
+                        out.extend(state.windows.pop_front().and_then(|w| w.start).map(pair));
+                    }
+                }
+                ParamContext::Continuous | ParamContext::Cumulative => {
+                    let mut starts = Vec::new();
+                    state.windows.retain(|w| {
+                        let fire = opened_before(w);
+                        if fire {
+                            starts.extend(w.start.clone());
+                        }
+                        !fire
+                    });
+                    if ctx == ParamContext::Continuous {
+                        out.extend(starts.into_iter().map(pair));
+                    } else if !starts.is_empty() {
+                        starts.push(occ.clone());
+                        out.push(Emission::of(starts));
+                    }
+                }
             }
         }
-        _ => Vec::new(),
+        _ => {}
     }
 }
-
-/// Tiny tap helper (keeps the chronicle branch above readable).
-trait Tap: Sized {
-    fn tap(self, f: impl FnOnce(&Self)) -> Self {
-        f(&self);
-        self
-    }
-}
-impl<T> Tap for T {}
 
 // --- A --------------------------------------------------------------------
 
@@ -583,7 +524,8 @@ fn on_aperiodic(
     role: u8,
     occ: &Arc<Occurrence>,
     ctx: ParamContext,
-) -> Vec<Emission> {
+    out: &mut Vec<Emission>,
+) {
     match role {
         0 => {
             if ctx == ParamContext::Recent || ctx == ParamContext::Cumulative {
@@ -591,29 +533,23 @@ fn on_aperiodic(
                 state.windows.clear();
             }
             state.windows.push_back(Window { start: Some(occ.clone()), ..Window::default() });
-            Vec::new()
         }
         1 => match ctx {
-            ParamContext::Recent | ParamContext::Chronicle => state
-                .windows
-                .front()
-                .and_then(|w| w.start.clone())
-                .map(|s| vec![Emission::of(vec![s, occ.clone()])])
-                .unwrap_or_default(),
-            ParamContext::Continuous => state
-                .windows
-                .iter()
-                .filter_map(|w| w.start.clone())
-                .map(|s| Emission::of(vec![s, occ.clone()]))
-                .collect(),
+            ParamContext::Recent | ParamContext::Chronicle => {
+                if let Some(s) = state.windows.front().and_then(|w| w.start.clone()) {
+                    out.push(Emission::of(vec![s, occ.clone()]));
+                }
+            }
+            ParamContext::Continuous => {
+                let starts = state.windows.iter().filter_map(|w| w.start.clone());
+                out.extend(starts.map(|s| Emission::of(vec![s, occ.clone()])));
+            }
             ParamContext::Cumulative => {
                 if let Some(w) = state.windows.front_mut() {
                     w.mids.push(occ.clone());
                     let mut cons = vec![w.start.clone().expect("A window has a start")];
                     cons.extend(w.mids.iter().cloned());
-                    vec![Emission::of(cons)]
-                } else {
-                    Vec::new()
+                    out.push(Emission::of(cons));
                 }
             }
         },
@@ -625,9 +561,8 @@ fn on_aperiodic(
                 }
                 _ => state.windows.clear(),
             }
-            Vec::new()
         }
-        _ => Vec::new(),
+        _ => {}
     }
 }
 
@@ -638,46 +573,39 @@ fn on_aperiodic_star(
     role: u8,
     occ: &Arc<Occurrence>,
     ctx: ParamContext,
-) -> Vec<Emission> {
+    out: &mut Vec<Emission>,
+) {
     match role {
         0 => {
             if ctx == ParamContext::Recent || ctx == ParamContext::Cumulative {
                 state.windows.clear();
             }
             state.windows.push_back(Window { start: Some(occ.clone()), ..Window::default() });
-            Vec::new()
         }
-        1 => {
-            match ctx {
-                ParamContext::Continuous => {
-                    for w in state.windows.iter_mut() {
-                        w.mids.push(occ.clone());
-                    }
-                }
-                _ => {
-                    if let Some(w) = state.windows.front_mut() {
-                        w.mids.push(occ.clone());
-                    }
+        1 => match ctx {
+            ParamContext::Continuous => {
+                for w in state.windows.iter_mut() {
+                    w.mids.push(occ.clone());
                 }
             }
-            Vec::new()
-        }
+            _ => {
+                if let Some(w) = state.windows.front_mut() {
+                    w.mids.push(occ.clone());
+                }
+            }
+        },
         2 => {
             let closing: Vec<Window> = match ctx {
                 ParamContext::Chronicle => state.windows.pop_front().into_iter().collect(),
                 _ => state.windows.drain(..).collect(),
             };
-            let mut out = Vec::new();
+            // A* fires only for windows with at least one mid.
+            let closing = closing.into_iter().filter(|w| !w.mids.is_empty());
             match ctx {
                 ParamContext::Cumulative => {
                     let mut cons: Vec<Arc<Occurrence>> = Vec::new();
                     for w in closing {
-                        if w.mids.is_empty() {
-                            continue;
-                        }
-                        if let Some(s) = w.start {
-                            cons.push(s);
-                        }
+                        cons.extend(w.start);
                         cons.extend(w.mids);
                     }
                     if !cons.is_empty() {
@@ -687,22 +615,16 @@ fn on_aperiodic_star(
                 }
                 _ => {
                     for w in closing {
-                        if w.mids.is_empty() {
-                            continue; // A* fires only if ≥1 mid accumulated
-                        }
                         let mut cons = Vec::with_capacity(w.mids.len() + 2);
-                        if let Some(s) = w.start {
-                            cons.push(s);
-                        }
+                        cons.extend(w.start);
                         cons.extend(w.mids);
                         cons.push(occ.clone());
                         out.push(Emission::of(cons));
                     }
                 }
             }
-            out
         }
-        _ => Vec::new(),
+        _ => {}
     }
 }
 
@@ -715,7 +637,8 @@ fn on_periodic(
     ctx: ParamContext,
     period: u64,
     star: bool,
-) -> Vec<Emission> {
+    out: &mut Vec<Emission>,
+) {
     match role {
         0 => {
             if ctx == ParamContext::Recent || ctx == ParamContext::Cumulative {
@@ -726,7 +649,6 @@ fn on_periodic(
                 next_due: Some(occ.at + period),
                 ..Window::default()
             });
-            Vec::new()
         }
         2 => {
             let closing: Vec<Window> = match ctx {
@@ -734,25 +656,18 @@ fn on_periodic(
                 _ => state.windows.drain(..).collect(),
             };
             if !star {
-                return Vec::new(); // P emits per tick, nothing at close.
+                return; // P emits per tick, nothing at close.
             }
-            let mut out = Vec::new();
-            for w in closing {
-                if w.ticks.is_empty() {
-                    continue;
-                }
-                let mut cons = Vec::new();
-                if let Some(s) = w.start {
-                    cons.push(s);
-                }
+            for w in closing.into_iter().filter(|w| !w.ticks.is_empty()) {
+                let mut cons = Vec::with_capacity(2);
+                cons.extend(w.start);
                 cons.push(occ.clone());
-                let params: Vec<(Arc<str>, Value)> =
-                    w.ticks.iter().map(|t| (Arc::from("tick"), Value::Int(*t as i64))).collect();
+                let params =
+                    w.ticks.iter().map(|t| (TICK.clone(), Value::Int(*t as i64))).collect();
                 out.push(Emission { constituents: cons, params, at: None });
             }
-            out
         }
-        _ => Vec::new(),
+        _ => {}
     }
 }
 
@@ -815,15 +730,42 @@ mod tests {
                 .filter(|(c, _)| *c == child)
                 .map(|(_, r)| r)
                 .collect();
-            let mut out = Vec::new();
+            let mut ems = Vec::new();
+            let node = self.g.node(self.node);
             for role in roles {
-                for em in self.g.node_mut(self.node).on_child(role, &occ, ctx) {
+                node.kind.on_child(
+                    &mut node.state.lock().ctx[ctx.index()],
+                    role,
+                    &occ,
+                    ctx,
+                    &mut ems,
+                );
+            }
+            ems.iter()
+                .map(|em| {
                     let mut ts: Vec<_> = em.constituents.iter().map(|o| o.at).collect();
                     ts.sort_unstable();
-                    out.push(ts);
-                }
-            }
-            out
+                    ts
+                })
+                .collect()
+        }
+
+        /// Fires the node's alarms due at `now` in `ctx`.
+        fn fire(&self, now: Timestamp, ctx: ParamContext) -> Vec<Emission> {
+            let (node, mut ems) = (self.g.node(self.node), Vec::new());
+            node.kind.fire_alarms(&mut node.state.lock().ctx[ctx.index()], now, &mut ems);
+            ems
+        }
+
+        /// Feeds `occ` to both roles of the binary node at once.
+        fn dual(&self, occ: &Arc<Occurrence>, ctx: ParamContext) -> Vec<Emission> {
+            let (node, mut ems) = (self.g.node(self.node), Vec::new());
+            node.kind.on_child_dual(&mut node.state.lock().ctx[ctx.index()], occ, ctx, &mut ems);
+            ems
+        }
+
+        fn state(&self) -> parking_lot::MutexGuard<'_, NodeState> {
+            self.g.node(self.node).state.lock()
         }
     }
 
@@ -1025,14 +967,14 @@ mod tests {
         let ctx = ParamContext::Recent;
         let mut h = Harness::new("PLUS(a, 10)", ctx);
         h.send("a", ctx); // at=1, due=11
-        let due = h.g.node(h.node).earliest_due();
+        let due = h.state().earliest_due();
         assert_eq!(due, Some(11));
-        let ems = h.g.node_mut(h.node).fire_alarms(10, ctx);
+        let ems = h.fire(10, ctx);
         assert!(ems.is_empty(), "not due yet");
-        let ems = h.g.node_mut(h.node).fire_alarms(11, ctx);
+        let ems = h.fire(11, ctx);
         assert_eq!(ems.len(), 1);
         assert_eq!(ems[0].at, Some(11));
-        assert_eq!(h.g.node(h.node).earliest_due(), None);
+        assert_eq!(h.state().earliest_due(), None);
     }
 
     #[test]
@@ -1040,11 +982,11 @@ mod tests {
         let ctx = ParamContext::Recent;
         let mut h = Harness::new("P(s, 5, t)", ctx);
         h.send("s", ctx); // at=1 -> due 6, 11, 16…
-        let ems = h.g.node_mut(h.node).fire_alarms(13, ctx);
+        let ems = h.fire(13, ctx);
         let ticks: Vec<_> = ems.iter().map(|e| e.at.unwrap()).collect();
         assert_eq!(ticks, vec![6, 11]);
         h.send("t", ctx); // close
-        assert!(h.g.node_mut(h.node).fire_alarms(100, ctx).is_empty());
+        assert!(h.fire(100, ctx).is_empty());
     }
 
     #[test]
@@ -1052,7 +994,7 @@ mod tests {
         let ctx = ParamContext::Recent;
         let mut h = Harness::new("P*(s, 5, t)", ctx);
         h.send("s", ctx);
-        assert!(h.g.node_mut(h.node).fire_alarms(13, ctx).is_empty());
+        assert!(h.fire(13, ctx).is_empty());
         let fired = h.send("t", ctx);
         assert_eq!(fired.len(), 1, "one emission with accumulated ticks");
     }
@@ -1139,11 +1081,11 @@ mod tests {
         let mut h = Harness::new("P(s, 5, t)", ctx);
         h.send("s", ctx); // w1@1: ticks 6, 11…
         h.send("s", ctx); // w2@2: ticks 7, 12…
-        let ems = h.g.node_mut(h.node).fire_alarms(8, ctx);
+        let ems = h.fire(8, ctx);
         let ticks: Vec<_> = ems.iter().map(|e| e.at.unwrap()).collect();
         assert_eq!(ticks, vec![6, 7], "both windows tick");
         h.send("t", ctx); // closes w1 only
-        let ems = h.g.node_mut(h.node).fire_alarms(13, ctx);
+        let ems = h.fire(13, ctx);
         let ticks: Vec<_> = ems.iter().map(|e| e.at.unwrap()).collect();
         assert_eq!(ticks, vec![12], "only w2 remains");
     }
@@ -1154,7 +1096,7 @@ mod tests {
         let mut h = Harness::new("PLUS(a, 10)", ctx);
         h.send("a", ctx); // @1 due 11
         h.send("a", ctx); // @2 due 12
-        let ems = h.g.node_mut(h.node).fire_alarms(20, ctx);
+        let ems = h.fire(20, ctx);
         let due: Vec<_> = ems.iter().map(|e| e.at.unwrap()).collect();
         assert_eq!(due, vec![11, 12]);
     }
@@ -1177,8 +1119,7 @@ mod tests {
                 None,
                 Vec::new(),
             );
-            h.g.node_mut(h.node)
-                .on_child_dual(&occ, ctx)
+            h.dual(&occ, ctx)
                 .into_iter()
                 .map(|em| {
                     let mut ts: Vec<_> = em.constituents.iter().map(|o| o.at).collect();
@@ -1207,11 +1148,7 @@ mod tests {
                 None,
                 Vec::new(),
             );
-            h.g.node_mut(h.node)
-                .on_child_dual(&occ, ctx)
-                .into_iter()
-                .map(|em| em.constituents.len())
-                .collect::<Vec<_>>()
+            h.dual(&occ, ctx).into_iter().map(|em| em.constituents.len()).collect::<Vec<_>>()
         };
         assert!(send_dual(&mut h).is_empty()); // 1 buffered
         assert_eq!(send_dual(&mut h), vec![2]); // (1,2)
@@ -1224,7 +1161,7 @@ mod tests {
         let ctx = ParamContext::Chronicle;
         let mut h = Harness::new("a ; b", ctx);
         h.send("a", ctx); // txn 1 buffered
-        h.g.node_mut(h.node).flush_txn(1);
+        h.state().flush_txn(1);
         assert!(h.send("b", ctx).is_empty(), "initiator flushed with its txn");
     }
 
@@ -1238,7 +1175,7 @@ mod tests {
         let mut h = Harness::new("A*(s, m, t)", ctx);
         h.send_txn("s", ctx, 1); // window opened by txn 1
         h.send_txn("m", ctx, 2); // mid from txn 2
-        let removed = h.g.node_mut(h.node).flush_txn(1);
+        let removed = h.state().flush_txn(1);
         assert_eq!(removed, 2, "initiator + the mid stranded with it");
         assert!(
             h.send_txn("t", ctx, 2).is_empty(),
@@ -1255,7 +1192,7 @@ mod tests {
         h.send_txn("s", ctx, 2); // window owned by txn 2        (at=1)
         h.send_txn("m", ctx, 1); // mid from txn 1, to be flushed (at=2)
         h.send_txn("m", ctx, 2); // mid from txn 2               (at=3)
-        let removed = h.g.node_mut(h.node).flush_txn(1);
+        let removed = h.state().flush_txn(1);
         assert_eq!(removed, 1, "only the aborted mid");
         let fired = h.send_txn("t", ctx, 2); // terminator        (at=4)
         assert_eq!(fired, vec![vec![1, 3, 4]], "window closes without the flushed mid");

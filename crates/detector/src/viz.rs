@@ -59,15 +59,12 @@ pub fn to_dot(graph: &EventGraph) -> String {
             let c = &node.ctx_count;
             let subs: usize = node.rule_subs.iter().map(Vec::len).sum();
             let _ = write!(attrs, "\\nctx R{}/C{}/O{}/U{} rules={subs}", c[0], c[1], c[2], c[3]);
-            // Live traffic counters (see `Node::emitted`/`consumed`), shown
-            // once the node has seen any occurrence.
-            if node.total_emitted() + node.total_consumed() > 0 {
-                let _ = write!(
-                    attrs,
-                    "\\nemit={} cons={}",
-                    node.total_emitted(),
-                    node.total_consumed()
-                );
+            // Live traffic counters (see `NodeState::emitted`/`consumed`),
+            // shown once the node has seen any occurrence.
+            let st = node.state.lock();
+            if st.total_emitted() + st.total_consumed() > 0 {
+                let _ =
+                    write!(attrs, "\\nemit={} cons={}", st.total_emitted(), st.total_consumed());
             }
             attrs.push_str("\", style=bold");
         } else {

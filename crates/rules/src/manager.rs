@@ -8,11 +8,11 @@
 //! deleting a rule unsubscribes, decrementing the context counters so
 //! detection stops when no rule needs it (§3.2 item 1).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 
 use sentinel_detector::{EventId, LocalEventDetector};
 use sentinel_snoop::{CouplingMode, ParamContext, TriggerMode};
@@ -99,6 +99,9 @@ pub struct RuleManager {
     by_name: RwLock<HashMap<Arc<str>, RuleId>>,
     /// Named, totally ordered priority classes (name -> level).
     priority_classes: RwLock<HashMap<String, u32>>,
+    /// Firing counter per rule name, kept across delete and redefine;
+    /// each rule holds its name's counter ([`Rule::hits`]).
+    hits: Mutex<BTreeMap<Arc<str>, Arc<AtomicU64>>>,
 }
 
 impl RuleManager {
@@ -111,6 +114,7 @@ impl RuleManager {
             rules: RwLock::new(HashMap::new()),
             by_name: RwLock::new(HashMap::new()),
             priority_classes: RwLock::new(HashMap::new()),
+            hits: Mutex::default(),
         }
     }
 
@@ -162,9 +166,11 @@ impl RuleManager {
             CouplingMode::Deferred => self.detector.define_deferred(event),
             _ => event,
         };
+        let name: Arc<str> = Arc::from(name);
+        let hits = self.hits.lock().entry(name.clone()).or_default().clone();
         let rule = Rule {
             id,
-            name: Arc::from(name),
+            name,
             event,
             subscribed_event,
             context,
@@ -178,6 +184,7 @@ impl RuleManager {
             enabled: true,
             condition,
             action,
+            hits,
         };
         self.detector.subscribe(subscribed_event, context, id.0)?;
         self.by_name.write().insert(rule.name.clone(), id);
@@ -268,6 +275,13 @@ impl RuleManager {
     /// True when no rules are defined.
     pub fn is_empty(&self) -> bool {
         self.rules.read().is_empty()
+    }
+
+    /// `(rule name, firings)` for every name that fired, ascending by name.
+    pub fn hit_counts(&self) -> Vec<(Arc<str>, u64)> {
+        let hits = self.hits.lock();
+        let counts = hits.iter().map(|(name, n)| (name.clone(), n.load(Ordering::Relaxed)));
+        counts.filter(|&(_, n)| n > 0).collect()
     }
 
     /// Snapshot of `(id, name, enabled)` for tooling.

@@ -2,6 +2,7 @@
 //! (`RULE *R1 = new RULE("R1", STOCK_e4, cond1, action1, CUMULATIVE)`).
 
 use std::fmt;
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 use sentinel_detector::clock::Timestamp;
@@ -71,6 +72,9 @@ pub struct Rule {
     pub condition: CondFn,
     /// Action.
     pub action: ActionFn,
+    /// Firings of this rule's name: shared by every rule defined under it
+    /// (see [`crate::manager::RuleManager::hit_counts`]).
+    pub hits: Arc<AtomicU64>,
 }
 
 impl fmt::Debug for Rule {
@@ -155,6 +159,7 @@ mod tests {
             enabled: true,
             condition: Arc::new(|_| true),
             action: Arc::new(|_| {}),
+            hits: Arc::default(),
         }
     }
 

@@ -27,6 +27,7 @@
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -158,10 +159,8 @@ pub struct SchedulerMetrics {
     fired_deferred: Counter,
     /// Detached-coupling rules queued for the detached executor.
     queued_detached: Counter,
-    /// Rules dispatched per priority class.
+    /// Rules dispatched per priority class, added once per dispatch.
     per_priority: Mutex<BTreeMap<u32, u64>>,
-    /// Rules dispatched per rule name (all couplings).
-    per_rule: Mutex<BTreeMap<Arc<str>, u64>>,
     /// Condition wall-time, ns.
     condition_ns: Histogram,
     /// Action wall-time, ns.
@@ -311,7 +310,7 @@ impl RuleScheduler {
             fired_deferred: self.metrics.fired_deferred.get(),
             queued_detached: self.metrics.queued_detached.get(),
             per_priority: self.metrics.per_priority.lock().iter().map(|(p, n)| (*p, *n)).collect(),
-            per_rule: self.metrics.per_rule.lock().iter().map(|(r, n)| (r.clone(), *n)).collect(),
+            per_rule: self.manager.hit_counts(),
             condition: self.metrics.condition_ns.snapshot(),
             action: self.metrics.action_ns.snapshot(),
             panics: self.metrics.panics.get(),
@@ -377,6 +376,7 @@ impl RuleScheduler {
                     if !r.accepts(&det.occurrence) {
                         return Err("trigger mode NOW: pre-definition constituents");
                     }
+                    r.hits.fetch_add(1, Ordering::Relaxed);
                     let firing = Firing {
                         rule: rule_id,
                         name: r.name.clone(),
@@ -396,7 +396,6 @@ impl RuleScheduler {
                     Err(_) => continue, // rule deleted concurrently
                 };
                 let (name, priority) = (&firing.name, firing.priority);
-                *self.metrics.per_rule.lock().entry(name.clone()).or_default() += 1;
                 if coupling == CouplingMode::Detached {
                     // Queue for the detached executor; runs in its own
                     // top-level transaction.
@@ -422,7 +421,6 @@ impl RuleScheduler {
                     CouplingMode::Deferred => self.metrics.fired_deferred.inc(),
                     _ => self.metrics.fired_immediate.inc(),
                 }
-                *self.metrics.per_priority.lock().entry(priority).or_default() += 1;
                 sentinel_obs::flight::global().record(
                     sentinel_obs::flight::FlightKind::RuleFired,
                     name.clone(),
@@ -458,6 +456,12 @@ impl RuleScheduler {
         // Priority classes, highest first; a stable sort keeps detection
         // order within a class.
         agenda.sort_by_key(|f| std::cmp::Reverse(f.priority));
+        {
+            let mut per_priority = self.metrics.per_priority.lock();
+            for class in agenda.chunk_by(|a, b| a.priority == b.priority) {
+                *per_priority.entry(class[0].priority).or_default() += class.len() as u64;
+            }
+        }
 
         // Anchor: the caller's subtransaction (nested triggering) or the
         // root subtransaction of the occurrence's top-level transaction.
@@ -994,5 +998,21 @@ mod tests {
             let fired = (st.fired_immediate, st.fired_deferred, st.queued_detached);
             assert_eq!(fired, (70, 1, 2), "{mode:?}");
         }
+    }
+
+    #[test]
+    fn per_rule_counts_a_name_across_delete_and_redefine() {
+        let fx = fixture(ExecutionMode::Inline);
+        let first = fx.rule("R", "ev", Arc::new(|_| {}), RuleOptions::default());
+        fx.rule("idle", "ev2", Arc::new(|_| {}), RuleOptions::default());
+        fx.signal("void f()");
+        fx.sched.manager().delete(first).unwrap();
+        fx.signal("void f()"); // no rule named R
+        fx.rule("R", "ev", Arc::new(|_| {}), RuleOptions::default());
+        fx.signal("void f()");
+        fx.signal("void f()");
+        let st = fx.sched.stats();
+        let per_rule: Vec<(&str, u64)> = st.per_rule.iter().map(|(n, c)| (&**n, *c)).collect();
+        assert_eq!(per_rule, [("R", 3)], "one count for R; `idle` never fired");
     }
 }

@@ -9,23 +9,32 @@
 //! pre-commit; a chronicle composite. Measured here at commit 4427bb8,
 //! before the wrapper decoded the receiver once and wrote it back once: 73
 //! and 1 280; after: 25 and 524. Once wrappers notified only the edges
-//! their route names and the scheduler read each rule once: 13 and 380. The
-//! budgets keep the 1.6× and 1.72× headroom of the first ones.
+//! their route names and the scheduler read each rule once: 13 and 380.
+//! Once propagation reused its buffers, built no occurrence nothing
+//! consumes and counted rule firings without a map: 13 and 299. The budgets
+//! keep the 1.6× and 1.72× headroom of the first ones.
 //!
 //! A passive invoke has a budget of its own: it allocates exactly what the
 //! same invoke on a `Database` with no hooks does — the bridge adds nothing.
+//!
+//! `Sentinel::raise` into a graph of every Snoop operator, subscribed in all
+//! four contexts by rules that only count, is the `embedded_detect` shape:
+//! 64 allocations per raise before that propagation change, 35 after; its
+//! budget keeps the 1.6× headroom. An explicit signal to a leaf no parent or
+//! rule consumes allocates nothing at all.
 //!
 //! The allocator also counts the bytes requested, which bounds what a
 //! decoder reserves for a count it has read but not yet backed by input.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
 use bytes::Bytes;
 use sentinel_core::detector::graph::PrimTarget;
 use sentinel_core::detector::log::decode_log;
-use sentinel_core::detector::{GraphSnapshot, Value};
+use sentinel_core::detector::{GraphSnapshot, LocalEventDetector, Value};
 use sentinel_core::oodb::schema::{AttrType, ClassDef};
 use sentinel_core::oodb::{AttrValue, Database, ObjectState, Oid};
 use sentinel_core::rules::manager::RuleOptions;
@@ -312,7 +321,7 @@ fn the_write_path_stays_within_its_allocation_budget() {
             scripted_txn(&sys, round as usize);
         }
     }) / rounds;
-    assert!(per_txn <= 653, "{per_txn} allocations per scripted transaction, budget 653");
+    assert!(per_txn <= 514, "{per_txn} allocations per scripted transaction, budget 514");
     println!("allocations: {passive} per passive invoke, {per_txn} per scripted transaction");
 }
 
@@ -350,6 +359,98 @@ fn a_passive_invoke_allocates_what_it_does_without_hooks() {
     });
     s.commit(txn).unwrap();
     assert_eq!(with, without, "allocations of {rounds} passive invokes with and without hooks");
+}
+
+/// Explicit leaves of the every-operator graph.
+const LEAVES: [&str; 6] = ["a", "b", "c", "d", "e", "f"];
+
+/// A Sentinel whose event graph holds every Snoop operator over
+/// [`LEAVES`], each root subscribed in all four contexts by a rule that
+/// only counts.
+fn every_operator() -> Arc<Sentinel> {
+    let s = Sentinel::in_memory();
+    for leaf in LEAVES {
+        s.declare_explicit(leaf).unwrap();
+    }
+    let roots = [
+        ("r_and", "a ^ b"),
+        ("r_or", "c | d"),
+        ("r_seq", "a ; b"),
+        ("r_any", "ANY(2, a, c, e)"),
+        ("r_not", "NOT(f)[a, b]"),
+        ("r_a", "A(a, c, b)"),
+        ("r_a_star", "A*(a, d, b)"),
+        ("r_p", "P(a, 3, b)"),
+        ("r_p_star", "P*(c, 5, d)"),
+        ("r_plus", "PLUS(e, 4)"),
+    ];
+    let fired = Arc::new(AtomicU64::new(0));
+    for (root, expr) in roots {
+        s.define_event(root, expr).unwrap();
+        for ctx in ParamContext::ALL {
+            let fired = fired.clone();
+            let count = Arc::new(move |_: &RuleInvocation| {
+                fired.fetch_add(1, Ordering::Relaxed);
+            });
+            let opts = RuleOptions::default().context(ctx);
+            s.define_rule(&format!("{root}_{ctx}"), root, Arc::new(|_| true), count, opts).unwrap();
+        }
+    }
+    s
+}
+
+/// Raises one chunk of 64 signals as transaction `chunk` and returns the
+/// allocations of the raises; then, uncounted, ends the chunk as the
+/// benchmark's `embedded_detect` does: flush, advance time, forget the
+/// transaction.
+fn raise_chunk(s: &Sentinel, chunk: u64) -> u64 {
+    let v: Arc<str> = Arc::from("v");
+    let signals: Vec<_> = (0..64u64)
+        .map(|i| {
+            let params = vec![(v.clone(), Value::Int(i as i64))];
+            (LEAVES[((i * 5 + i / 3 + chunk) % 6) as usize], params)
+        })
+        .collect();
+    let n = allocations(|| {
+        for (leaf, params) in signals {
+            s.raise(Some(TxnId(chunk)), leaf, params).unwrap();
+        }
+    });
+    let det = s.detector();
+    det.flush_txn(chunk);
+    s.scheduler().dispatch(det.advance_time(det.clock().peek() + 4));
+    s.scheduler().on_txn_end(chunk, true);
+    n
+}
+
+#[test]
+fn raising_into_every_operator_stays_within_its_allocation_budget() {
+    let s = every_operator();
+    for chunk in 1..=8 {
+        raise_chunk(&s, chunk);
+    }
+    let chunks = 32;
+    let total: u64 = (9..9 + chunks).map(|chunk| raise_chunk(&s, chunk)).sum();
+    let per_raise = total / (chunks * 64);
+    let fired = s.scheduler().stats().fired_immediate;
+    assert!(fired > 1000, "the script fires the rules: {fired}");
+    assert!(per_raise <= 56, "{per_raise} allocations per raise, budget 56");
+    println!("allocations: {per_raise} per raise");
+}
+
+#[test]
+fn an_explicit_signal_nothing_consumes_allocates_nothing() {
+    let det = LocalEventDetector::new(0);
+    det.declare_explicit("lonely");
+    let params = || vec![(Arc::<str>::from("v"), Value::Int(1))];
+    det.signal_explicit("lonely", params(), None); // warm-up: the flight recorder
+    let (det, p) = (&det, params());
+    let n = allocations(move || {
+        det.signal_explicit("lonely", p, None);
+    });
+    assert_eq!(n, 0, "allocations of a signal no parent or rule consumes");
+    let stats = det.stats();
+    assert_eq!(stats.per_event, [(Arc::from("lonely"), 2)], "the signal still counts");
 }
 
 #[test]

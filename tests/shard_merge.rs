@@ -47,6 +47,34 @@ fn two_components() -> (Arc<LocalEventDetector>, EventId, EventId) {
 const PAIRS: usize = 120;
 
 #[test]
+fn per_event_counts_signalled_before_a_merge_survive_it() {
+    let (det, _, _) = two_components();
+    let signal_pairs = || {
+        for _ in 0..PAIRS {
+            for name in ["xa", "xb", "ya", "yb"] {
+                det.signal_explicit(name, Vec::new(), None);
+            }
+        }
+    };
+    // `n` pairs per component: one occurrence per leaf signal, and one
+    // detection per pair in each of the four contexts.
+    let want = |n: u64| {
+        let counts = [("sx", 4 * n), ("sy", 4 * n), ("xa", n), ("xb", n), ("ya", n), ("yb", n)];
+        counts.map(|(name, c)| (name.to_string(), c)).to_vec()
+    };
+    let per_event = || -> Vec<(String, u64)> {
+        det.stats().per_event.iter().map(|(name, c)| (name.to_string(), *c)).collect()
+    };
+    signal_pairs();
+    assert_ne!(det.shard_of_event("xa"), det.shard_of_event("ya"));
+    det.define_named("bridge", &parse_event_expr("sx ; sy").unwrap()).unwrap();
+    assert_eq!(det.shard_of_event("xa"), det.shard_of_event("ya"), "the bridge merged them");
+    assert_eq!(per_event(), want(PAIRS as u64), "counts of the merged-away shard are kept");
+    signal_pairs();
+    assert_eq!(per_event(), want(2 * PAIRS as u64));
+}
+
+#[test]
 fn mid_stream_bridge_merges_shards_without_losing_occurrences() {
     let (det, sx, sy) = two_components();
     let pool = DetectorPool::spawn(det.clone(), 4);
