@@ -51,6 +51,7 @@ pub const METRICS: &[MetricRow] = &[
     ("net.connections_active", Gauge, "Open connections"),
     ("net.event_loops", Gauge, "Reactor event loops"),
     ("net.epoll_wakeups", Counter, "epoll_wait returns across reactor loops"),
+    ("net.write_calls", Counter, "write(2) calls that sent bytes"),
     ("net.partial_writes", Counter, "Writes resumed under EPOLLOUT"),
     ("net.stall_evictions", Counter, "Connections evicted for stalling mid-frame or mid-write"),
     ("net.overflow_evictions", Counter, "Connections evicted for overflowing the write queue"),

@@ -233,27 +233,38 @@ pub fn encode(frame: &Frame) -> Result<Vec<u8>, EncodeError> {
 /// Encodes a frame to wire bytes in the given protocol version
 /// (`1` = JSON text payload, `2` = compact binary payload).
 pub fn encode_with(frame: &Frame, version: u8) -> Result<Vec<u8>, EncodeError> {
-    let body: Vec<u8> = match version {
-        VERSION_BINARY => match &frame.payload {
-            json::Value::Null => Vec::new(),
-            p => codec::encode_to_vec(p).map_err(|_| EncodeError::Oversized(usize::MAX))?,
-        },
-        _ => match &frame.payload {
-            json::Value::Null => Vec::new(),
-            p => p.to_string().into_bytes(),
-        },
-    };
-    if body.len() > MAX_PAYLOAD {
-        return Err(EncodeError::Oversized(body.len()));
-    }
-    let mut out = Vec::with_capacity(HEADER_LEN + body.len());
+    let mut out = Vec::with_capacity(64);
+    encode_into(frame, version, &mut out)?;
+    Ok(out)
+}
+
+/// Appends one frame's wire bytes to `out` (see [`encode_with`]). On
+/// error `out` is left exactly as it was, so a caller can encode straight
+/// into a queue that already holds other frames.
+pub fn encode_into(frame: &Frame, version: u8, out: &mut Vec<u8>) -> Result<(), EncodeError> {
+    let start = out.len();
     out.extend_from_slice(&MAGIC);
     out.push(if version == VERSION_BINARY { VERSION_BINARY } else { VERSION });
     out.push(frame.opcode as u8);
     out.extend_from_slice(&frame.request_id.to_le_bytes());
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(&body);
-    Ok(out)
+    out.extend_from_slice(&[0; 4]); // payload length, patched below
+    let body = match &frame.payload {
+        json::Value::Null => Ok(()),
+        p if version == VERSION_BINARY => {
+            codec::encode_value(p, out).map_err(|_| EncodeError::Oversized(usize::MAX))
+        }
+        p => {
+            write!(out, "{p}").expect("a Vec takes every byte");
+            Ok(())
+        }
+    };
+    let len = out.len() - start - HEADER_LEN;
+    if body.is_ok() && len <= MAX_PAYLOAD {
+        out[start + 12..start + HEADER_LEN].copy_from_slice(&(len as u32).to_le_bytes());
+        return Ok(());
+    }
+    out.truncate(start);
+    Err(body.err().unwrap_or(EncodeError::Oversized(len)))
 }
 
 /// Validates a 16-byte header, returning
@@ -465,6 +476,50 @@ mod tests {
     fn oversized_payload_refuses_to_encode() {
         let f = Frame::new(Opcode::Ping, 0, json::Value::str("x".repeat(MAX_PAYLOAD)));
         assert!(matches!(encode(&f), Err(EncodeError::Oversized(_))));
+    }
+
+    #[test]
+    fn encode_into_appends_what_encode_with_returns() {
+        for version in [VERSION, VERSION_BINARY] {
+            for op in Opcode::ALL {
+                for f in [frame(op), Frame::new(op, 3, json::Value::Null)] {
+                    let mut out = Vec::new();
+                    encode_into(&f, version, &mut out).unwrap();
+                    assert_eq!(out, encode_with(&f, version).unwrap(), "{op:?} v{version}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn encode_into_keeps_the_bytes_already_queued() {
+        for version in [VERSION, VERSION_BINARY] {
+            let first = encode_with(&frame(Opcode::Ping), version).unwrap();
+            let mut out = first.clone();
+            encode_into(&frame(Opcode::Ok), version, &mut out).unwrap();
+            assert_eq!(&out[..first.len()], &first[..]);
+            let (a, used) = decode(&out).unwrap().expect("first frame");
+            let (b, rest) = decode(&out[used..]).unwrap().expect("second frame");
+            assert_eq!((a, b), (frame(Opcode::Ping), frame(Opcode::Ok)));
+            assert_eq!(used + rest, out.len());
+        }
+    }
+
+    #[test]
+    fn encode_into_leaves_out_unchanged_on_error() {
+        let big = Frame::new(Opcode::Ping, 0, json::Value::str("x".repeat(MAX_PAYLOAD)));
+        let mut deep = json::Value::Null;
+        for _ in 0..=codec::MAX_DEPTH + 1 {
+            deep = json::Value::Arr(vec![deep]);
+        }
+        let deep = Frame::new(Opcode::Ok, 1, deep);
+        let cases = [(&big, VERSION), (&big, VERSION_BINARY), (&deep, VERSION_BINARY)];
+        for (f, version) in cases {
+            let mut out = encode_with(&frame(Opcode::Stats), VERSION_BINARY).unwrap();
+            let before = out.clone();
+            assert!(encode_into(f, version, &mut out).is_err(), "v{version} must refuse");
+            assert_eq!(out, before, "v{version} left bytes behind");
+        }
     }
 
     #[test]

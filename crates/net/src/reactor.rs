@@ -10,14 +10,24 @@
 //! Each connection is a tiny state machine:
 //!
 //! * a **read buffer** accumulates partial frames; every readiness event
-//!   drains the socket and decodes as many complete frames as arrived
+//!   drains the socket (up to `MAX_READS_PER_EVENT` reads) and, after
+//!   each read, decodes as many complete frames as arrived
 //!   ([`protocol::decode_with`] is resumable by construction — `Ok(None)`
-//!   means "need more bytes");
-//! * a **bounded write queue** holds response bytes a slow peer has not
-//!   accepted yet. A short write registers `EPOLLOUT` interest and the
+//!   means "need more bytes"). Frames are decoded at an offset into the
+//!   buffer and their bytes dropped once per read;
+//! * a **bounded write queue**: each reply is encoded straight onto it
+//!   ([`protocol::encode_into`]), and the replies of one read go out in
+//!   one `write(2)` after that read's frames are executed — so k
+//!   pipelined requests cost one send, not k. Flushing per read, not per
+//!   event, means at most one 64 KiB read's replies queue between
+//!   flushes. A short write registers `EPOLLOUT` interest and the
 //!   remainder goes out when the socket drains (partial-write
 //!   resumption); queue overflow evicts the connection
-//!   (`overflow_evictions`) rather than buffering without bound;
+//!   (`overflow_evictions`) rather than buffering without bound, so the
+//!   bound catches a peer that stops reading, not one that pipelines.
+//!   A `Shutdown` acknowledgment is flushed before the server is told to
+//!   stop, and a read that returns EOF flushes the queued replies before
+//!   the connection is evicted (a half-closed peer gets every answer);
 //! * a **progress stamp** updated by every productive read/write. A
 //!   connection sitting mid-frame or mid-write past
 //!   [`crate::server::ServerConfig::stall_timeout`] is evicted
@@ -255,7 +265,8 @@ impl Conn {
         self.wbuf.len() - self.woff
     }
 
-    /// Drains the socket and executes every complete frame that arrived.
+    /// Drains the socket and executes every complete frame that arrived,
+    /// answering each read with one write of all the replies it earned.
     fn readable(
         &mut self,
         state: &Arc<State>,
@@ -264,15 +275,23 @@ impl Conn {
     ) -> Result<(), Evict> {
         for _ in 0..MAX_READS_PER_EVENT {
             match (&self.stream).read(scratch) {
-                Ok(0) => return Err(Evict), // peer hung up
+                Ok(0) => {
+                    // Peer hung up (or half-closed): hand over what its
+                    // last frames earned before the connection goes.
+                    let _ = self.flush(state, epfd);
+                    return Err(Evict);
+                }
                 Ok(n) => {
                     state.metrics.bytes_in.add(n as u64);
                     self.rbuf.extend_from_slice(&scratch[..n]);
                     self.last_progress = Instant::now();
-                    // Decode between reads so a pipelining blaster can't
-                    // balloon `rbuf`: frames are executed (and their
-                    // bytes freed) as fast as they arrive.
+                    // Decode and answer between reads, not once per event,
+                    // so at most one read's replies queue between flushes:
+                    // a pipelining peer can't balloon `rbuf` or `wbuf`.
                     self.process(state, epfd)?;
+                    if self.pending_out() > 0 {
+                        self.flush(state, epfd)?;
+                    }
                     if n < scratch.len() {
                         break;
                     }
@@ -286,90 +305,89 @@ impl Conn {
     }
 
     /// Decodes and executes everything complete in `rbuf` (or serves one
-    /// sniffed HTTP request).
+    /// sniffed HTTP request), queueing the replies for the caller's flush.
+    /// Frames are decoded at an offset and their bytes dropped once, at
+    /// the end.
     fn process(&mut self, state: &Arc<State>, epfd: RawFd) -> Result<(), Evict> {
+        self.compact_out();
         if commands::is_http_prefix(&self.rbuf) {
             if let Some(end) = self.rbuf.windows(4).position(|w| w == b"\r\n\r\n") {
                 let resp = commands::http_response(state, &self.rbuf[..end]);
                 self.rbuf.clear();
                 self.close_after_flush = true;
-                return self.enqueue_bytes(state, epfd, &resp);
+                self.wbuf.extend_from_slice(&resp);
+                return self.admit(state);
             }
             if self.rbuf.len() > 16 * 1024 {
                 return Err(Evict); // runaway header block
             }
             return Ok(());
         }
-        loop {
-            if self.close_after_flush {
-                // A terminal reply is already queued; ignore the rest.
-                return Ok(());
-            }
-            match protocol::decode_with(&self.rbuf, protocol::VERSION_MAX) {
+        let mut at = 0;
+        // A terminal reply (`close_after_flush`) ignores the rest.
+        while !self.close_after_flush {
+            match protocol::decode_with(&self.rbuf[at..], protocol::VERSION_MAX) {
                 Ok(Some((frame, wire, used))) => {
-                    self.rbuf.drain(..used);
+                    at += used;
                     state.metrics.frames_in.inc();
                     match commands::execute(state, &mut self.session, frame) {
-                        Outcome::Reply(f) => self.enqueue_frame(state, epfd, &f, wire)?,
+                        Outcome::Reply(f) => self.enqueue_frame(state, &f, wire)?,
                         Outcome::ReplyClose(f) => {
-                            self.enqueue_frame(state, epfd, &f, wire)?;
+                            self.enqueue_frame(state, &f, wire)?;
                             self.close_after_flush = true;
                         }
                         Outcome::ReplyShutdown(f) => {
                             // Flush the acknowledgment *before* signaling
                             // shutdown so the requester's reply can't be
                             // cut off by the teardown it asked for.
-                            self.enqueue_frame(state, epfd, &f, wire)?;
+                            self.enqueue_frame(state, &f, wire)?;
+                            self.flush(state, epfd)?;
                             let _ = state.shutdown_tx.send(());
                         }
                     }
                 }
-                Ok(None) => return Ok(()),
+                Ok(None) => break,
                 Err(e) => {
                     // Corrupt stream: report once, then hang up — resync
                     // inside a length-prefixed stream is impossible.
                     state.metrics.decode_errors.inc();
                     let f = commands::err_frame(0, "decode", &e.to_string());
                     self.close_after_flush = true;
-                    return self.enqueue_frame(state, epfd, &f, protocol::VERSION);
+                    self.enqueue_frame(state, &f, protocol::VERSION)?;
                 }
             }
         }
+        self.rbuf.drain(..at);
+        Ok(())
     }
 
-    /// Encodes a response in the request's wire version and queues it.
-    /// An oversized body degrades to an error frame.
-    fn enqueue_frame(
-        &mut self,
-        state: &Arc<State>,
-        epfd: RawFd,
-        frame: &Frame,
-        wire: u8,
-    ) -> Result<(), Evict> {
-        let bytes = match protocol::encode_with(frame, wire) {
-            Ok(b) => b,
-            Err(_) => {
-                let fb = commands::err_frame(
-                    frame.request_id,
-                    "oversized",
-                    "response exceeds frame limit",
-                );
-                protocol::encode_with(&fb, wire).expect("error frame fits in a frame")
-            }
-        };
+    /// Encodes a response in the request's wire version straight onto the
+    /// write queue. An oversized body degrades to an error frame.
+    fn enqueue_frame(&mut self, state: &Arc<State>, frame: &Frame, wire: u8) -> Result<(), Evict> {
+        if protocol::encode_into(frame, wire, &mut self.wbuf).is_err() {
+            let fb =
+                commands::err_frame(frame.request_id, "oversized", "response exceeds frame limit");
+            protocol::encode_into(&fb, wire, &mut self.wbuf).expect("error frame fits in a frame");
+        }
         state.metrics.frames_out.inc();
-        self.enqueue_bytes(state, epfd, &bytes)
+        self.admit(state)
     }
 
-    /// Appends to the bounded write queue and flushes as much as the
-    /// socket will take.
-    fn enqueue_bytes(
-        &mut self,
-        state: &Arc<State>,
-        epfd: RawFd,
-        bytes: &[u8],
-    ) -> Result<(), Evict> {
-        let pending = self.pending_out() + bytes.len();
+    /// Drops the written prefix of the write queue once it is all sent or
+    /// has grown past 64 KiB, so appends don't grow it without bound.
+    fn compact_out(&mut self) {
+        if self.woff == self.wbuf.len() {
+            self.wbuf.clear();
+            self.woff = 0;
+        } else if self.woff > 64 * 1024 {
+            self.wbuf.drain(..self.woff);
+            self.woff = 0;
+        }
+    }
+
+    /// Holds the write queue to its bound after an append.
+    fn admit(&self, state: &Arc<State>) -> Result<(), Evict> {
+        let pending = self.pending_out();
         // The cap always admits one maximum-size frame so a single big
         // response (e.g. a replication snapshot) can never evict on its
         // own — the queue bounds *accumulation* against slow readers.
@@ -379,16 +397,8 @@ impl Conn {
             state.metrics.overflow_evictions.inc();
             return Err(Evict);
         }
-        if self.woff == self.wbuf.len() {
-            self.wbuf.clear();
-            self.woff = 0;
-        } else if self.woff > 64 * 1024 {
-            self.wbuf.drain(..self.woff);
-            self.woff = 0;
-        }
-        self.wbuf.extend_from_slice(bytes);
         state.metrics.write_queue_hwm.set(pending as u64);
-        self.flush(state, epfd)
+        Ok(())
     }
 
     /// Writes queued bytes until done or the socket pushes back, managing
@@ -399,6 +409,7 @@ impl Conn {
                 Ok(0) => return Err(Evict),
                 Ok(n) => {
                     self.woff += n;
+                    state.metrics.write_calls.inc();
                     state.metrics.bytes_out.add(n as u64);
                     self.last_progress = Instant::now();
                 }

@@ -35,6 +35,10 @@ pub struct NetMetrics {
     pub event_loops: Gauge,
     /// `epoll_wait` returns across all reactor loops.
     pub epoll_wakeups: Counter,
+    /// `write(2)` calls that sent bytes, `EPOLLOUT` resumptions included.
+    /// The reactor writes once per read, so `frames_out ÷ write_calls` is
+    /// the replies each write carries.
+    pub write_calls: Counter,
     /// Writes that could not complete in one syscall and left bytes queued
     /// for `EPOLLOUT` resumption.
     pub partial_writes: Counter,
@@ -67,6 +71,7 @@ impl NetMetrics {
             ("busy_rejections", u(self.busy_rejections.get())),
             ("event_loops", u(self.event_loops.get())),
             ("epoll_wakeups", u(self.epoll_wakeups.get())),
+            ("write_calls", u(self.write_calls.get())),
             ("partial_writes", u(self.partial_writes.get())),
             ("stall_evictions", u(self.stall_evictions.get())),
             ("overflow_evictions", u(self.overflow_evictions.get())),

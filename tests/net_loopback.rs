@@ -337,3 +337,81 @@ fn telemetry_started_after_the_server_sees_net_and_service() {
     std::io::Read::read_to_string(&mut http, &mut body).unwrap();
     assert!(body.contains("\nsentinel_service_queue_depth "), "got: {body}");
 }
+
+/// Opens a raw session the way the client does — `Hello` in v1 JSON
+/// asking for v2 — and returns the socket, ready for v2 frames.
+fn raw_v2_session(addr: &str) -> TcpStream {
+    let mut raw = TcpStream::connect(addr).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let hello = json::Value::obj([
+        ("client", json::Value::str("raw")),
+        ("max_version", json::Value::UInt(u64::from(protocol::VERSION_BINARY))),
+    ]);
+    protocol::write_frame(&mut raw, &Frame::new(Opcode::Hello, 0, hello)).unwrap();
+    let (reply, _) = protocol::read_frame(&mut raw).unwrap();
+    assert_eq!(reply.opcode, Opcode::Ok);
+    raw
+}
+
+/// `n` `SignalSync` frames of `event` in v2, request ids `1..=n`, in one
+/// buffer.
+fn signal_burst(event: &str, n: u64) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    for id in 1..=n {
+        let payload = json::Value::obj([("event", json::Value::str(event))]);
+        let frame = Frame::new(Opcode::SignalSync, id, payload);
+        protocol::encode_into(&frame, protocol::VERSION_BINARY, &mut bytes).unwrap();
+    }
+    bytes
+}
+
+/// A burst of pipelined requests that arrives in one read is answered
+/// with (about) one write, not one write per reply.
+#[test]
+fn pipelined_burst_is_answered_in_few_writes() {
+    let (_sentinel, _server, addr) = start_server(|_| {});
+    let admin = SentinelClient::connect(&addr, "admin").unwrap();
+    admin.define_event("tick", None).unwrap();
+    let mut raw = raw_v2_session(&addr);
+    // Stats on the raw session itself: the snapshot is taken on the loop
+    // that did the writes, so every counter bump is already visible.
+    let net_stats = |raw: &mut TcpStream| {
+        let stats = Frame::new(Opcode::Stats, 0, json::Value::Null);
+        protocol::write_frame_with(raw, &stats, protocol::VERSION_BINARY).unwrap();
+        let (reply, _) = protocol::read_frame(raw).unwrap();
+        let net = |k: &str| stat_u64(&reply.payload, &["net", k]);
+        (net("frames_out"), net("write_calls"))
+    };
+
+    let (frames0, writes0) = net_stats(&mut raw);
+    std::io::Write::write_all(&mut raw, &signal_burst("tick", 64)).unwrap();
+    for id in 1..=64 {
+        let (reply, _) = protocol::read_frame(&mut raw).unwrap();
+        assert_eq!((reply.opcode, reply.request_id), (Opcode::Ok, id));
+    }
+    let (frames1, writes1) = net_stats(&mut raw);
+    // Both deltas include the first Stats reply: one frame, one write.
+    assert_eq!(frames1 - frames0, 1 + 64);
+    let burst_writes = writes1 - writes0 - 1;
+    assert!((1..=4).contains(&burst_writes), "64 replies took {burst_writes} writes");
+}
+
+/// A peer that half-closes after pipelining still gets every reply: the
+/// server flushes what the last read earned before it closes on EOF.
+#[test]
+fn half_closed_peer_gets_every_reply_before_close() {
+    let (_sentinel, _server, addr) = start_server(|_| {});
+    let admin = SentinelClient::connect(&addr, "admin").unwrap();
+    admin.define_event("tick", None).unwrap();
+    let mut raw = raw_v2_session(&addr);
+
+    std::io::Write::write_all(&mut raw, &signal_burst("tick", 16)).unwrap();
+    raw.shutdown(std::net::Shutdown::Write).unwrap();
+    for id in 1..=16 {
+        let (reply, _) = protocol::read_frame(&mut raw).expect("reply before close");
+        assert_eq!((reply.opcode, reply.request_id), (Opcode::Ok, id));
+    }
+    let mut rest = Vec::new();
+    std::io::Read::read_to_end(&mut raw, &mut rest).expect("clean close");
+    assert!(rest.is_empty(), "{} stray bytes after the last reply", rest.len());
+}

@@ -12,7 +12,8 @@
 //! * a peer that sends requests but never reads replies (a SIGSTOP'd or
 //!   half-open client) must hit the bounded write queue and be evicted
 //!   (`overflow_evictions`) instead of growing server memory without
-//!   bound.
+//!   bound — while a peer that pipelines *and* reads is never evicted,
+//!   even under the smallest queue bound.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -198,4 +199,38 @@ fn non_reading_peer_overflows_bounded_write_queue() {
     assert_eq!(healthy.ping(echo.clone()).unwrap(), echo);
     let hwm = net_stat(&admin, "write_queue_hwm");
     assert!(hwm > 0, "write-queue high-watermark should have registered backlog");
+}
+
+/// Pipelining is not overflow: a peer that pours 2 MiB of requests in
+/// one write while it reads every reply must never trip the write-queue
+/// bound, even at the smallest cap (one max-size frame, ~1 MiB). The
+/// reactor flushes after every read, so only one read's replies queue
+/// between writes.
+#[test]
+fn pipelining_reader_is_not_an_overflow() {
+    let (_sentinel, _server, addr) = start_reactor(|cfg| {
+        cfg.max_write_queue = 1;
+        cfg.stall_timeout = Duration::from_secs(3600);
+    });
+    let admin = SentinelClient::connect(&addr, "admin").unwrap();
+
+    let big = "x".repeat(256 * 1024);
+    let fill = json::Value::obj([("fill", json::Value::str(big.as_str()))]);
+    let burst: Vec<u8> = (0..8).flat_map(|_| ping_frame_bytes(fill.clone())).collect();
+    let pipeliner = TcpStream::connect(&addr).unwrap();
+    pipeliner.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut reader = pipeliner.try_clone().unwrap();
+    let echoes = std::thread::spawn(move || {
+        (0..8)
+            .map(|_| {
+                let (reply, _) = protocol::read_frame(&mut reader).expect("echo");
+                assert_eq!(reply.opcode, Opcode::Ok);
+                reply.payload.get("fill").and_then(json::Value::as_str).map_or(0, str::len)
+            })
+            .collect::<Vec<_>>()
+    });
+    (&pipeliner).write_all(&burst).unwrap();
+
+    assert_eq!(echoes.join().unwrap(), vec![big.len(); 8], "every echo arrives whole");
+    assert_eq!(net_stat(&admin, "overflow_evictions"), 0, "a reading pipeliner was evicted");
 }

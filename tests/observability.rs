@@ -224,6 +224,7 @@ const SERIES_IN_MEMORY: &[&str] = &[
     "net.overflow_evictions",
     "net.partial_writes",
     "net.stall_evictions",
+    "net.write_calls",
     "scheduler.action.p99_ns",
     "scheduler.condition.p99_ns",
     "scheduler.fired.deferred",
@@ -250,6 +251,7 @@ const TYPES_IN_MEMORY: &[&str] = &[
     "# TYPE sentinel_net_overflow_evictions_total counter",
     "# TYPE sentinel_net_partial_writes_total counter",
     "# TYPE sentinel_net_stall_evictions_total counter",
+    "# TYPE sentinel_net_write_calls_total counter",
     "# TYPE sentinel_scheduler_action histogram",
     "# TYPE sentinel_scheduler_condition histogram",
     "# TYPE sentinel_scheduler_fired_total counter",
