@@ -21,13 +21,18 @@
 
 use std::sync::Arc;
 
-use sentinel_bench::workload::{beast_system, objects, poke};
+use sentinel_core::detector::graph::PrimTarget;
 use sentinel_core::obs::span::{SpanRecord, TraceId};
+use sentinel_core::oodb::schema::{AttrType, ClassDef};
+use sentinel_core::oodb::{AttrValue, ObjectState, Oid};
 use sentinel_core::rules::manager::RuleOptions;
-use sentinel_core::rules::ExecutionMode;
+use sentinel_core::snoop::ast::EventModifier;
 use sentinel_core::snoop::ParamContext;
 use sentinel_core::storage::TxnId;
 use sentinel_core::Sentinel;
+
+/// The signature of the one reactive method the workload invokes.
+const SIG: &str = "void poke(int v)";
 
 struct Args {
     pokes: usize,
@@ -72,9 +77,46 @@ fn parse_args() -> Args {
     args
 }
 
+/// A Sentinel system with one reactive class `PROBE` whose `poke` method
+/// stores its argument and signals the primitive event `poke`.
+fn poke_system() -> Arc<Sentinel> {
+    let s = Sentinel::in_memory();
+    s.db()
+        .register_class(
+            ClassDef::new("PROBE").extends("REACTIVE").attr("v", AttrType::Int).method(SIG),
+        )
+        .expect("class");
+    s.db().register_method(
+        "PROBE",
+        SIG,
+        Arc::new(|ctx| {
+            let v = ctx.arg("v").and_then(|x| x.as_int()).unwrap_or(0);
+            ctx.set_attr("v", v)?;
+            Ok(AttrValue::Null)
+        }),
+    );
+    s.declare_event("poke", "PROBE", EventModifier::End, SIG, PrimTarget::AnyInstance)
+        .expect("event");
+    s
+}
+
+/// Creates `n` PROBE objects inside `txn`.
+fn objects(s: &Sentinel, txn: TxnId, n: usize) -> Vec<Oid> {
+    (0..n)
+        .map(|i| {
+            s.create_object(txn, &ObjectState::new("PROBE").with("v", i as i64)).expect("object")
+        })
+        .collect()
+}
+
+/// Invokes `poke` once.
+fn poke(s: &Sentinel, txn: TxnId, oid: Oid, v: i64) {
+    s.invoke(txn, oid, SIG, vec![("v".into(), v.into())]).expect("poke");
+}
+
 /// The traced workload: SEQ composite + cascading rules over `pokes` calls.
 fn run_workload(pokes: usize) -> Arc<Sentinel> {
-    let s = beast_system(ExecutionMode::Inline);
+    let s = poke_system();
     s.set_tracing(true);
 
     s.define_event("pokepair", "poke ; poke").expect("composite");

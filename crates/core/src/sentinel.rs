@@ -21,9 +21,8 @@ use sentinel_detector::graph::{GraphError, PrimTarget};
 use sentinel_detector::service::ServiceMetrics;
 use sentinel_detector::{Detection, DetectorStats, EventId, LocalEventDetector, Value};
 use sentinel_durable::{CatalogOp, DurableEngine, DurableError};
-use sentinel_obs::span::{self, TraceStore};
-use sentinel_obs::trace::Field;
-use sentinel_obs::{export, json, TraceBus, TraceBusStats};
+use sentinel_obs::span::{self, Field, TraceStore};
+use sentinel_obs::{export, json};
 use sentinel_obs::{FollowerLag, NetMetrics, ReplicationStats};
 use sentinel_oodb::invoke::{Database, DbError};
 use sentinel_oodb::{AttrValue, ObjectState, Oid};
@@ -150,9 +149,6 @@ pub struct SentinelStats {
     pub scheduler: SchedulerStats,
     /// Storage counters (WAL appends/forces, buffer hit ratio, page I/O).
     pub storage: StorageStats,
-    /// Trace-bus counters (records emitted, deliveries dropped to slow
-    /// subscribers, live subscribers).
-    pub trace_bus: TraceBusStats,
     /// Durability counters (journal/catalog/checkpoint activity), as
     /// rendered by `DurabilityMetrics::to_json`; `None` when the system
     /// was not opened durably.
@@ -179,7 +175,6 @@ impl SentinelStats {
             ("detector".to_string(), self.detector.to_json()),
             ("scheduler".to_string(), self.scheduler.to_json()),
             ("storage".to_string(), self.storage.to_json()),
-            ("trace_bus".to_string(), self.trace_bus.to_json()),
             (
                 "rule_hits".to_string(),
                 json::Value::Obj(
@@ -222,7 +217,6 @@ pub struct Sentinel {
     db: Arc<Database>,
     detector: Arc<LocalEventDetector>,
     scheduler: Arc<RuleScheduler>,
-    trace: Arc<TraceBus>,
     spans: Arc<TraceStore>,
     config: SentinelConfig,
     detached_thread: Mutex<Option<std::thread::JoinHandle<()>>>,
@@ -281,12 +275,6 @@ impl Sentinel {
         let manager = Arc::new(RuleManager::new(detector.clone()));
         let scheduler = RuleScheduler::new(manager.clone(), config.mode);
 
-        // One trace bus spans detector + scheduler; it stays silent (a
-        // single atomic load per emission site) until someone subscribes.
-        let trace = Arc::new(TraceBus::new());
-        detector.set_trace_bus(trace.clone());
-        scheduler.set_trace_bus(trace.clone());
-
         // One span store spans the whole causal chain — primitive signal,
         // composite detection, condition/action, WAL force, page I/O. It is
         // disabled until [`Sentinel::set_tracing`] turns it on.
@@ -342,7 +330,6 @@ impl Sentinel {
             db,
             detector,
             scheduler,
-            trace,
             spans,
             config: config.clone(),
             detached_thread: Mutex::new(None),
@@ -437,14 +424,6 @@ impl Sentinel {
         self.config.app_id
     }
 
-    /// The shared trace bus. Subscribe (e.g. via
-    /// [`RuleDebugger::attach_stream`]) to receive structured trace records
-    /// from the detector and the scheduler; with no subscribers the bus
-    /// costs one atomic load per would-be emission.
-    pub fn trace(&self) -> &Arc<TraceBus> {
-        &self.trace
-    }
-
     /// The provenance span store. Query it (by trace, by rule, by event,
     /// slowest-N) after enabling tracing with [`Sentinel::set_tracing`].
     pub fn trace_store(&self) -> &Arc<TraceStore> {
@@ -474,7 +453,6 @@ impl Sentinel {
             detector: self.detector.stats(),
             scheduler: self.scheduler.stats(),
             storage: self.db.engine().stats(),
-            trace_bus: self.trace.stats(),
             durability,
             replication: self.replication_stats(),
             rule_hits: self.rule_hits.lock().clone(),

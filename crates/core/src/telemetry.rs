@@ -31,6 +31,8 @@ pub const METRICS: &[MetricRow] = &[
     ("scheduler.per_rule{rule}", Counter, "Dispatches per rule"),
     ("scheduler.condition", Histogram, "Rule condition wall time, ns"),
     ("scheduler.action", Histogram, "Rule action wall time, ns"),
+    ("storage.locks.waits", Counter, "Storage lock requests that blocked"),
+    ("storage.locks.deadlocks", Counter, "Storage lock requests refused as deadlock victims"),
     ("durability.journal_appends", Counter, "Journal records appended"),
     ("durability.journal_fsyncs", Counter, "Journal fsyncs issued"),
     ("durability.group_commits", Counter, "Group commits performed"),

@@ -60,7 +60,7 @@ use std::sync::Arc;
 use parking_lot::{Mutex, MutexGuard, RwLock};
 
 use sentinel_obs::span::{self, SpanContext, SpanHandle, TraceStore};
-use sentinel_obs::{json, Counter, Field, TraceBus};
+use sentinel_obs::{json, Counter, Field};
 use sentinel_snoop::ast::{EventExpr, EventModifier};
 use sentinel_snoop::ParamContext;
 
@@ -198,8 +198,6 @@ enum Signal<'a> {
 struct Propagation<'g> {
     graph: &'g EventGraph,
     shards: &'g [Arc<ShardState>],
-    /// The trace bus, when one is attached.
-    bus: Option<Arc<TraceBus>>,
     /// The span store, when it is enabled.
     tracer: Option<Arc<TraceStore>>,
     /// Composite occurrences still to deliver: `(node, occurrence, context)`.
@@ -281,9 +279,6 @@ pub struct LocalEventDetector {
     flush_calls: Counter,
     /// Buffered occurrences dropped by transaction flushes.
     flushed: Counter,
-    /// Optional structured trace bus (detections and flushes are emitted
-    /// when a bus is attached and has subscribers).
-    trace: RwLock<Option<Arc<TraceBus>>>,
     /// Optional provenance span store (spans are recorded while the store
     /// is attached and enabled).
     span_store: RwLock<Option<Arc<TraceStore>>>,
@@ -447,15 +442,8 @@ impl LocalEventDetector {
             route_generation: AtomicU64::new(0),
             flush_calls: Counter::new(),
             flushed: Counter::new(),
-            trace: RwLock::new(None),
             span_store: RwLock::new(None),
         }
-    }
-
-    /// Attaches a structured trace bus; detections and transaction flushes
-    /// are emitted onto it while it has subscribers.
-    pub fn set_trace_bus(&self, bus: Arc<TraceBus>) {
-        *self.trace.write() = Some(bus);
     }
 
     /// Attaches a provenance span store; signals, primitive occurrences
@@ -997,7 +985,6 @@ impl LocalEventDetector {
         Propagation {
             graph,
             shards,
-            bus: self.trace.read().clone(),
             tracer: self.tracer(),
             work: Vec::new(),
             emissions: Vec::new(),
@@ -1194,18 +1181,6 @@ impl LocalEventDetector {
                 if subscribers.is_empty() {
                     continue;
                 }
-                if let Some(bus) = p.bus.as_deref().filter(|b| b.is_active()) {
-                    bus.emit(
-                        "detector",
-                        "detection",
-                        vec![
-                            ("event", Field::Str(node.name.clone())),
-                            ("context", Field::Str(Arc::from(ctx_name(ctx)))),
-                            ("at", Field::U64(occ.at)),
-                            ("subscribers", Field::U64(subscribers.len() as u64)),
-                        ],
-                    );
-                }
                 p.detections.push(Detection {
                     event: node_id,
                     context: ctx,
@@ -1378,13 +1353,6 @@ impl LocalEventDetector {
                 graph.nodes().iter().map(|n| n.state.lock().flush_txn(txn) as u64).sum();
             self.flush_calls.inc();
             self.flushed.add(removed);
-            if let Some(bus) = self.trace.read().as_deref().filter(|b| b.is_active()) {
-                bus.emit(
-                    "detector",
-                    "flush_txn",
-                    vec![("txn", Field::U64(txn)), ("removed", Field::U64(removed))],
-                );
-            }
             // A flush performed inside a traced span (commit/abort
             // processing within a rule action) shows up as a child of that
             // span.

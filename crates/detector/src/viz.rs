@@ -1,6 +1,6 @@
 //! Event-graph visualization: Graphviz DOT export.
 //!
-//! The Sentinel rule debugger (Tamizuddin, reference [12] of the paper)
+//! The Sentinel rule debugger (Tamizuddin, reference \[12\] of the paper)
 //! visualizes "the interaction among rules, among events and rules, and
 //! among rules and database objects". This module renders the *static*
 //! half of that picture — the event graph with its operator nodes,

@@ -14,7 +14,7 @@
 //!   later frame); strict size limits, total (never-panicking) decoding;
 //! * [`codec`] — the CBOR-style binary payload codec v2 frames carry;
 //! * [`server`] — [`server::NetServer`] serving a
-//!   [`sentinel_core::ServeHandle`] from an epoll [`reactor`]
+//!   [`sentinel_core::ServeHandle`] from an epoll `reactor`
 //!   (nonblocking sockets, bounded write queues, stall eviction) — named
 //!   sessions, the full command set, per-session/global backpressure,
 //!   graceful drain-on-shutdown;

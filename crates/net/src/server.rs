@@ -1,9 +1,9 @@
 //! The Sentinel network server: many clients, one shared active DBMS.
 //!
 //! Sockets are served by an epoll reactor: [`ServerConfig::event_loops`]
-//! event loops multiplexing nonblocking sockets — see [`crate::reactor`].
+//! event loops multiplexing nonblocking sockets — see `crate::reactor`.
 //! Connections cost a few KiB of buffers, not a thread. The command set
-//! lives in [`crate::commands`], apart from any socket.
+//! lives in `crate::commands`, apart from any socket.
 //!
 //! One *async pump* thread routes queued signals into a
 //! [`DetectorPool`] of [`ServerConfig::detector_threads`] workers — the
@@ -51,7 +51,7 @@ use sentinel_core::ServeHandle;
 use sentinel_detector::service::Signal;
 use sentinel_detector::DetectorPool;
 use sentinel_obs::span;
-use sentinel_obs::trace::Field;
+use sentinel_obs::span::Field;
 use sentinel_obs::NetMetrics;
 
 use crate::reactor::Reactor;

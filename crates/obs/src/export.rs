@@ -101,8 +101,7 @@ pub fn to_chrome_trace_json(spans: &[SpanRecord]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span::{SpanContext, SpanId, TraceId};
-    use crate::trace::Field;
+    use crate::span::{Field, SpanContext, SpanId, TraceId};
     use std::sync::Arc;
 
     fn span(trace: u64, id: u64, parent: Option<u64>, links: &[u64]) -> SpanRecord {

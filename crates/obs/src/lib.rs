@@ -12,8 +12,6 @@
 //! * [`json`] — a tiny hand-rolled JSON value for serializable snapshots
 //!   (the vendored `serde` shim has no real serialization, so snapshots
 //!   render themselves).
-//! * [`trace`] — a broadcast bus of structured [`trace::TraceRecord`]s
-//!   that the rule debugger and the `beast` bench binary both consume.
 //! * [`span`] — causal provenance: trace/span ids carried from primitive
 //!   `Notify` through composite detection to rule condition/action, with
 //!   a ring-buffer [`span::TraceStore`] and query API.
@@ -37,8 +35,7 @@
 //!   the last N notable events, dumped to `flight-recorder.json` on panic
 //!   and merged into the recovery report after a crash.
 //!
-//! Everything here is wait-free or a short critical section; when no one
-//! is listening the trace bus is a single relaxed atomic load.
+//! Everything here is wait-free or a short critical section.
 
 pub mod durability;
 pub mod export;
@@ -50,7 +47,6 @@ pub mod prom;
 pub mod repl;
 pub mod span;
 pub mod timeseries;
-pub mod trace;
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -61,9 +57,8 @@ pub use metrics::{MetricKind, MetricRow};
 pub use net::NetMetrics;
 pub use prom::PromText;
 pub use repl::{FollowerLag, ReplicationStats};
-pub use span::{SpanContext, SpanId, SpanRecord, TraceId, TraceStore};
+pub use span::{Field, SpanContext, SpanId, SpanRecord, TraceId, TraceStore};
 pub use timeseries::{Sample, SampleKind, SamplerHandle, TimeSeriesRegistry};
-pub use trace::{Field, TraceBus, TraceBusStats, TraceRecord};
 
 // ---------------------------------------------------------------------------
 // Counter

@@ -35,8 +35,69 @@ use std::time::Instant;
 use parking_lot::Mutex;
 
 use crate::json::Value;
-use crate::trace::Field;
 use crate::Counter;
+
+/// A typed field value on a span.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Field {
+    U64(u64),
+    I64(i64),
+    Str(Arc<str>),
+    Bool(bool),
+}
+
+impl Field {
+    /// Renders as a JSON value.
+    pub fn to_json(&self) -> Value {
+        match self {
+            Field::U64(n) => Value::UInt(*n),
+            Field::I64(n) => Value::Int(*n),
+            Field::Str(s) => Value::str(s.as_ref()),
+            Field::Bool(b) => Value::Bool(*b),
+        }
+    }
+}
+
+impl From<u64> for Field {
+    fn from(n: u64) -> Self {
+        Field::U64(n)
+    }
+}
+
+impl From<i64> for Field {
+    fn from(n: i64) -> Self {
+        Field::I64(n)
+    }
+}
+
+impl From<bool> for Field {
+    fn from(b: bool) -> Self {
+        Field::Bool(b)
+    }
+}
+
+impl From<&str> for Field {
+    fn from(s: &str) -> Self {
+        Field::Str(Arc::from(s))
+    }
+}
+
+impl From<Arc<str>> for Field {
+    fn from(s: Arc<str>) -> Self {
+        Field::Str(s)
+    }
+}
+
+impl fmt::Display for Field {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Field::U64(n) => write!(f, "{n}"),
+            Field::I64(n) => write!(f, "{n}"),
+            Field::Str(s) => write!(f, "{s}"),
+            Field::Bool(b) => write!(f, "{b}"),
+        }
+    }
+}
 
 /// Identifies one end-to-end causal chain (1-based; 0 is never issued).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]

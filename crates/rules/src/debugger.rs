@@ -2,7 +2,7 @@
 //!
 //! The paper's Sentinel includes "a rule debugger for visualizing the
 //! interaction among rules, among events and rules, and among rules and
-//! database objects" (Z. Tamizuddin's thesis, reference [12]). This module
+//! database objects" (Z. Tamizuddin's thesis, reference \[12\]). This module
 //! records a structured trace of every triggering, condition evaluation and
 //! action execution (with nesting depth), and renders it as an indented
 //! text tree.
@@ -11,11 +11,9 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use crossbeam::channel::Receiver;
 use parking_lot::Mutex;
 
 use sentinel_detector::clock::Timestamp;
-use sentinel_obs::TraceRecord;
 use sentinel_snoop::ParamContext;
 
 use crate::rule::RuleId;
@@ -81,13 +79,6 @@ impl TraceEvent {
 pub struct RuleDebugger {
     trace: Mutex<Vec<TraceEvent>>,
     enabled: AtomicBool,
-    /// Structured trace stream attached via [`Self::attach_stream`]
-    /// (subscription to a `sentinel_obs::TraceBus`).
-    stream: Mutex<Option<Receiver<Arc<TraceRecord>>>>,
-    /// Records already drained from the stream, retained (up to
-    /// [`Self::RETAINED_RECORDS`]) so [`Self::follow`] can filter a causal
-    /// chain interactively after the fact.
-    seen: Mutex<Vec<Arc<TraceRecord>>>,
 }
 
 impl RuleDebugger {
@@ -214,88 +205,6 @@ impl RuleDebugger {
         out
     }
 
-    /// Attaches a structured trace stream (a subscription obtained from
-    /// `sentinel_obs::TraceBus::subscribe`). The debugger then consumes
-    /// records from every instrumented subsystem — detector detections and
-    /// flushes as well as scheduler firings — not just its own scheduler
-    /// callbacks.
-    pub fn attach_stream(&self, rx: Receiver<Arc<TraceRecord>>) {
-        *self.stream.lock() = Some(rx);
-    }
-
-    /// Most stream records retained for [`Self::follow`].
-    const RETAINED_RECORDS: usize = 16_384;
-
-    /// Drains all records currently buffered on the attached stream
-    /// (empty when no stream is attached). Drained records are also
-    /// retained internally so [`Self::follow`] can revisit them.
-    pub fn drain_stream(&self) -> Vec<Arc<TraceRecord>> {
-        let drained: Vec<Arc<TraceRecord>> = match self.stream.lock().as_ref() {
-            Some(rx) => rx.try_iter().collect(),
-            None => Vec::new(),
-        };
-        if !drained.is_empty() {
-            let mut seen = self.seen.lock();
-            seen.extend(drained.iter().cloned());
-            let len = seen.len();
-            if len > Self::RETAINED_RECORDS {
-                seen.drain(..len - Self::RETAINED_RECORDS);
-            }
-        }
-        drained
-    }
-
-    /// All retained records belonging to causal chain `trace_id` (the
-    /// `trace` field the scheduler stamps on triggered/condition/action
-    /// records when provenance tracing is on), in emission order. Drains
-    /// the stream first, so a chain can be followed interactively while
-    /// rules are firing.
-    pub fn follow(&self, trace_id: u64) -> Vec<Arc<TraceRecord>> {
-        let _ = self.drain_stream();
-        self.seen
-            .lock()
-            .iter()
-            .filter(
-                |r| matches!(r.field("trace"), Some(sentinel_obs::Field::U64(t)) if *t == trace_id),
-            )
-            .cloned()
-            .collect()
-    }
-
-    /// Renders [`Self::follow`] output, one line per record, indented by
-    /// cascade depth.
-    pub fn render_follow(&self, trace_id: u64) -> String {
-        let mut out = String::new();
-        for rec in self.follow(trace_id) {
-            let depth = rec
-                .field("depth")
-                .and_then(|f| match f {
-                    sentinel_obs::Field::U64(d) => Some(*d as usize),
-                    _ => None,
-                })
-                .unwrap_or(0);
-            let _ = writeln!(out, "{}{rec}", "  ".repeat(depth));
-        }
-        out
-    }
-
-    /// Drains the attached stream and renders one line per record,
-    /// indented by the record's `depth` field where present.
-    pub fn render_stream(&self) -> String {
-        let mut out = String::new();
-        for rec in self.drain_stream() {
-            let depth = rec
-                .field("depth")
-                .and_then(|f| match f {
-                    sentinel_obs::Field::U64(d) => Some(*d as usize),
-                    _ => None,
-                })
-                .unwrap_or(0);
-            let _ = writeln!(out, "{}{rec}", "  ".repeat(depth));
-        }
-        out
-    }
-
     /// Simple statistics: `(triggered, conditions_true, actions, skipped)`.
     pub fn stats(&self) -> (usize, usize, usize, usize) {
         let trace = self.trace.lock();
@@ -385,58 +294,6 @@ mod tests {
         assert!(dot.contains("\"ev:e4\" -> \"rule:R1\" [label=\"2\"]"));
         assert!(dot.contains("\"ev:e5\" -> \"rule:R2\" [label=\"1\"]"));
         assert!(dot.contains("\"rule:R1\" -> \"rule:R2\" [style=dashed, label=\"1\"]"));
-    }
-
-    #[test]
-    fn stream_attach_drain_and_render() {
-        use sentinel_obs::{Field, TraceBus};
-        let bus = TraceBus::new();
-        let d = RuleDebugger::new();
-        assert!(d.drain_stream().is_empty(), "no stream attached");
-        d.attach_stream(bus.subscribe());
-        bus.emit(
-            "scheduler",
-            "triggered",
-            vec![("rule", Field::from("R1")), ("depth", Field::U64(1))],
-        );
-        bus.emit("detector", "flush_txn", vec![("txn", Field::U64(7))]);
-        let rendered = d.render_stream();
-        assert!(rendered.contains("scheduler/triggered rule=R1 depth=1"));
-        assert!(rendered.contains("detector/flush_txn txn=7"));
-        assert!(rendered.starts_with("  ["), "depth=1 record is indented");
-        assert!(d.drain_stream().is_empty(), "render drained the stream");
-    }
-
-    #[test]
-    fn follow_filters_one_causal_chain_across_drains() {
-        use sentinel_obs::{Field, TraceBus};
-        let bus = TraceBus::new();
-        let d = RuleDebugger::new();
-        d.attach_stream(bus.subscribe());
-        bus.emit(
-            "scheduler",
-            "triggered",
-            vec![("rule", Field::from("R1")), ("trace", 3u64.into())],
-        );
-        bus.emit(
-            "scheduler",
-            "condition",
-            vec![("rule", Field::from("R2")), ("trace", 4u64.into())],
-        );
-        // First chunk drained (and retained) before the chain continues.
-        assert_eq!(d.drain_stream().len(), 2);
-        bus.emit(
-            "scheduler",
-            "action",
-            vec![("rule", Field::from("R1")), ("depth", Field::U64(1)), ("trace", 3u64.into())],
-        );
-        let chain = d.follow(3);
-        assert_eq!(chain.len(), 2, "both T3 records, old and new");
-        assert!(chain.iter().all(|r| r.field("trace") == Some(&Field::U64(3))));
-        let rendered = d.render_follow(3);
-        assert!(rendered.contains("scheduler/triggered rule=R1"));
-        assert!(rendered.contains("  [") && rendered.contains("action"), "depth-1 indent");
-        assert!(d.follow(99).is_empty());
     }
 
     #[test]

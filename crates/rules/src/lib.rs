@@ -16,7 +16,7 @@
 //!   priorities, and suppression of event signalling during condition
 //!   evaluation (conditions are side-effect free).
 //! * **Rule debugger** ([`debugger`]): traces and visualizes the
-//!   interaction among events and rules (reference [12] of the paper).
+//!   interaction among events and rules (reference \[12\] of the paper).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -36,7 +36,7 @@ use parking_lot::Mutex;
 
 use sentinel_detector::{Detection, Occurrence};
 use sentinel_obs::span::{self, SpanContext, SpanId, TraceId, TraceStore};
-use sentinel_obs::{json, Counter, Field, Histogram, HistogramSnapshot, TraceBus};
+use sentinel_obs::{json, Counter, Field, Histogram, HistogramSnapshot};
 use sentinel_snoop::CouplingMode;
 use sentinel_txn::{NestedTxnManager, PriorityPool, SubTxnId};
 
@@ -112,23 +112,11 @@ struct DispatchCtx {
     /// The rule manager's deletion count before the rule table was read:
     /// a firing re-checks its rule only if it has moved since.
     deletions: u64,
-    /// The trace bus, when it has subscribers.
-    bus: Option<Arc<TraceBus>>,
     /// The span store, when it is enabled.
     tracer: Option<Arc<TraceStore>>,
     savepoints: Option<Arc<SavepointHooks>>,
     /// Whether the rule debugger records.
     debug: bool,
-}
-
-impl DispatchCtx {
-    /// Emits a trace record; `fields` is only built when the bus has
-    /// subscribers.
-    fn trace(&self, event: &'static str, fields: impl FnOnce() -> Vec<(&'static str, Field)>) {
-        if let Some(bus) = &self.bus {
-            bus.emit("scheduler", event, fields());
-        }
-    }
 }
 
 thread_local! {
@@ -240,8 +228,6 @@ pub struct RuleScheduler {
     detached_rx: Receiver<DetachedRequest>,
     savepoints: Mutex<Option<Arc<SavepointHooks>>>,
     metrics: SchedulerMetrics,
-    /// Optional structured trace bus.
-    trace: Mutex<Option<Arc<TraceBus>>>,
     /// Optional provenance span store (condition/action spans).
     span_store: Mutex<Option<Arc<TraceStore>>>,
 }
@@ -264,15 +250,8 @@ impl RuleScheduler {
             detached_rx,
             savepoints: Mutex::new(None),
             metrics: SchedulerMetrics::default(),
-            trace: Mutex::new(None),
             span_store: Mutex::new(None),
         })
-    }
-
-    /// Attaches a structured trace bus; rule triggering, condition/action
-    /// execution and panics are emitted while it has subscribers.
-    pub fn set_trace_bus(&self, bus: Arc<TraceBus>) {
-        *self.trace.lock() = Some(bus);
     }
 
     /// Attaches a provenance span store; condition/action spans (parented
@@ -288,7 +267,6 @@ impl RuleScheduler {
         DispatchCtx {
             depth,
             deletions: self.manager.deletions(),
-            bus: self.trace.lock().clone().filter(|b| b.is_active()),
             tracer: self.span_store.lock().clone().filter(|s| s.is_enabled()),
             savepoints: self.savepoints.lock().clone(),
             debug: self.debugger.enabled(),
@@ -406,12 +384,6 @@ impl RuleScheduler {
                         u64::from(priority),
                         2,
                     );
-                    ctx.trace("detached_queued", || {
-                        vec![
-                            ("rule", Field::Str(name.clone())),
-                            ("depth", Field::U64(u64::from(depth))),
-                        ]
-                    });
                     let _ = self
                         .detached_tx
                         .send(DetachedRequest { rule: rule_id, occurrence: firing.occurrence });
@@ -428,15 +400,6 @@ impl RuleScheduler {
                     u64::from(coupling == CouplingMode::Deferred),
                 );
                 let occ = &firing.occurrence;
-                ctx.trace("triggered", || {
-                    vec![
-                        ("rule", Field::Str(name.clone())),
-                        ("event", Field::Str(occ.event_name.clone())),
-                        ("priority", Field::U64(u64::from(priority))),
-                        ("depth", Field::U64(u64::from(depth))),
-                        ("trace", Field::U64(occ.span.map_or(0, |c| c.trace.0))),
-                    ]
-                });
                 if ctx.debug {
                     self.debugger.record(TraceEvent::Triggered {
                         rule: rule_id,
@@ -548,7 +511,6 @@ impl RuleScheduler {
             hooks.zip(occurrence.txn).and_then(|(h, txn)| (h.mark)(txn).map(|m| (txn, m)));
         let tracer = ctx.tracer.as_deref();
         let occ_span = occurrence.span;
-        let trace_id = occ_span.map_or(0, |c| c.trace.0);
         let result = catch_unwind(AssertUnwindSafe(|| {
             // Conditions are side-effect free: suppress event signalling
             // while the condition runs (the paper's global flag).
@@ -571,14 +533,6 @@ impl RuleScheduler {
             if ctx.debug {
                 self.debugger.record(TraceEvent::Condition { rule: rule_id, satisfied, depth });
             }
-            ctx.trace("condition", || {
-                vec![
-                    ("rule", Field::Str(rule_name.clone())),
-                    ("satisfied", Field::Bool(satisfied)),
-                    ("depth", Field::U64(u64::from(depth))),
-                    ("trace", Field::U64(trace_id)),
-                ]
-            });
             if satisfied {
                 let action_handle = tracer.map(|s| {
                     let (trace, parent) = span_anchor(s, occ_span);
@@ -598,13 +552,6 @@ impl RuleScheduler {
                 if ctx.debug {
                     self.debugger.record(TraceEvent::Action { rule: rule_id, depth });
                 }
-                ctx.trace("action", || {
-                    vec![
-                        ("rule", Field::Str(rule_name.clone())),
-                        ("depth", Field::U64(u64::from(depth))),
-                        ("trace", Field::U64(trace_id)),
-                    ]
-                });
             }
         }));
         FRAME.with(|f| {
@@ -622,13 +569,6 @@ impl RuleScheduler {
                 if let (Some(h), Some((txn, mark))) = (hooks, savepoint) {
                     (h.rollback)(txn, mark);
                 }
-                ctx.trace("panic", || {
-                    vec![
-                        ("rule", Field::Str(rule_name.clone())),
-                        ("depth", Field::U64(u64::from(depth))),
-                        ("trace", Field::U64(trace_id)),
-                    ]
-                });
                 if ctx.debug {
                     self.debugger.record(TraceEvent::Skipped {
                         rule: rule_id,
@@ -943,19 +883,15 @@ mod tests {
     fn debugger_and_tracing_switched_on_between_dispatches_apply_to_the_second() {
         let fx = fixture(ExecutionMode::Inline);
         fx.rule("R1", "ev", Arc::new(|_| {}), RuleOptions::default());
-        let (bus, spans) = (Arc::new(TraceBus::new()), Arc::new(TraceStore::new()));
-        fx.sched.set_trace_bus(bus.clone());
+        let spans = Arc::new(TraceStore::new());
         fx.sched.set_trace_store(spans.clone());
         fx.signal("void f()");
         assert!(fx.sched.debugger().snapshot().is_empty() && spans.is_empty());
 
         fx.sched.debugger().set_enabled(true);
-        let records = bus.subscribe();
         spans.set_enabled(true);
         fx.signal("void f()");
         assert_eq!(fx.sched.debugger().stats(), (1, 1, 1, 0));
-        let events: Vec<&str> = records.try_iter().map(|r| r.event).collect();
-        assert_eq!(events, ["triggered", "condition", "action"]);
         let kinds: Vec<&str> = spans.snapshot().iter().map(|s| s.kind).collect();
         assert_eq!(kinds, ["condition", "action"]);
     }

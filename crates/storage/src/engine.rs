@@ -15,18 +15,21 @@ use crate::buffer::{BufferPool, BufferPoolStats};
 use crate::common::{PageId, Rid, StorageResult, TxnId};
 use crate::disk::DiskManager;
 use crate::heap::HeapFile;
-use crate::lock::{LockManager, LockMode};
+use crate::lock::{LockManager, LockMode, LockStats};
 use crate::recovery;
 use crate::txn::{TxnEvent, TxnManager, TxnObserver, UndoOp};
 use crate::wal::{LogRecord, LogStore, MemLogStore, Wal, WalStats};
 
-/// Combined storage-layer counters: WAL traffic + buffer-pool behaviour.
+/// Combined storage-layer counters: WAL traffic, buffer-pool behaviour and
+/// lock contention.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StorageStats {
     /// WAL append/force counters.
     pub wal: WalStats,
     /// Buffer-pool hit/miss and page I/O counters.
     pub buffer: BufferPoolStats,
+    /// Lock waits and deadlock refusals.
+    pub locks: LockStats,
 }
 
 impl StorageStats {
@@ -49,6 +52,13 @@ impl StorageStats {
                     ("page_reads", self.buffer.page_reads.into()),
                     ("page_writes", self.buffer.page_writes.into()),
                     ("hit_ratio", self.buffer.hit_ratio().into()),
+                ]),
+            ),
+            (
+                "locks",
+                json::Value::obj([
+                    ("waits", self.locks.waits.into()),
+                    ("deadlocks", self.locks.deadlocks.into()),
                 ]),
             ),
         ])
@@ -269,7 +279,7 @@ impl StorageEngine {
 
     /// Snapshot of the storage-layer counters (WAL + buffer pool).
     pub fn stats(&self) -> StorageStats {
-        StorageStats { wal: self.wal.stats(), buffer: self.pool.stats() }
+        StorageStats { wal: self.wal.stats(), buffer: self.pool.stats(), locks: self.locks.stats() }
     }
 }
 

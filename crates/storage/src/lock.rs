@@ -19,6 +19,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
+use sentinel_obs::Counter;
 
 use crate::common::{StorageError, StorageResult, TxnId};
 
@@ -107,6 +108,15 @@ impl TableState {
     }
 }
 
+/// Lock-manager counters.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LockStats {
+    /// Requests that blocked behind an incompatible holder or waiter.
+    pub waits: u64,
+    /// Requests refused because waiting would have closed a cycle.
+    pub deadlocks: u64,
+}
+
 /// The lock manager.
 pub struct LockManager {
     state: Mutex<TableState>,
@@ -114,6 +124,10 @@ pub struct LockManager {
     /// Upper bound on a single wait, to bound the damage of any undetected
     /// stall (deadlocks themselves are detected eagerly, not by timeout).
     timeout: Duration,
+    /// Requests that blocked (bumped only on the blocking path).
+    waits: Counter,
+    /// Requests refused with [`StorageError::Deadlock`].
+    deadlocks: Counter,
 }
 
 impl Default for LockManager {
@@ -130,7 +144,13 @@ impl LockManager {
 
     /// A lock manager with an explicit wait bound.
     pub fn with_timeout(timeout: Duration) -> Self {
-        LockManager { state: Mutex::new(TableState::default()), wakeup: Condvar::new(), timeout }
+        LockManager {
+            state: Mutex::new(TableState::default()),
+            wakeup: Condvar::new(),
+            timeout,
+            waits: Counter::new(),
+            deadlocks: Counter::new(),
+        }
     }
 
     /// Acquires `mode` on `resource` for `txn`, blocking if necessary.
@@ -161,8 +181,10 @@ impl LockManager {
 
         // Must wait: first make sure the wait doesn't close a cycle.
         if self.would_deadlock(&st, txn, resource) {
+            self.deadlocks.inc();
             return Err(StorageError::Deadlock(txn));
         }
+        self.waits.inc();
         st.resources.get_mut(&resource).expect("created above").waiters.push((txn, mode));
         st.waiting_on.insert(txn, resource);
         let deadline = Instant::now() + self.timeout;
@@ -237,6 +259,11 @@ impl LockManager {
         if !st.waiting_on.is_empty() {
             self.wakeup.notify_all();
         }
+    }
+
+    /// Point-in-time counters.
+    pub fn stats(&self) -> LockStats {
+        LockStats { waits: self.waits.get(), deadlocks: self.deadlocks.get() }
     }
 
     /// Diagnostic: number of resources with at least one holder or waiter.
@@ -353,6 +380,7 @@ mod tests {
         // ... and T2 requesting resource 1 closes the cycle.
         let r2 = lm.lock(TxnId(2), 1, LockMode::Exclusive);
         let victim_here = matches!(r2, Err(StorageError::Deadlock(TxnId(2))));
+        assert_eq!(lm.stats().deadlocks, 1);
         if victim_here {
             lm.release_all(TxnId(2)); // victim aborts, T1 proceeds
             assert!(h.join().unwrap().is_ok());
@@ -360,6 +388,34 @@ mod tests {
             // The other side was the victim (scheduling-dependent).
             assert!(matches!(h.join().unwrap(), Err(StorageError::Deadlock(TxnId(1)))));
         }
+    }
+
+    #[test]
+    fn waits_and_deadlocks_are_counted() {
+        let lm = Arc::new(LockManager::new());
+        // Uncontended and re-entrant requests never wait.
+        lm.lock(TxnId(1), 1, LockMode::Exclusive).unwrap();
+        lm.lock(TxnId(1), 1, LockMode::Exclusive).unwrap();
+        lm.lock(TxnId(2), 2, LockMode::Exclusive).unwrap();
+        assert_eq!(lm.stats(), LockStats::default());
+        // Two transactions on one record: T2 waits for T1's.
+        let lm2 = lm.clone();
+        let waiter = thread::spawn(move || lm2.lock(TxnId(2), 1, LockMode::Exclusive));
+        while !lm.state.lock().waiting_on.contains_key(&TxnId(2)) {
+            thread::yield_now(); // until the waiter is blocked
+        }
+        assert_eq!(lm.stats(), LockStats { waits: 1, deadlocks: 0 });
+        // T1 asking for T2's record closes the cycle: refused, not counted
+        // as a wait.
+        assert!(matches!(
+            lm.lock(TxnId(1), 2, LockMode::Exclusive),
+            Err(StorageError::Deadlock(TxnId(1)))
+        ));
+        assert_eq!(lm.stats(), LockStats { waits: 1, deadlocks: 1 });
+        lm.release_all(TxnId(1));
+        waiter.join().unwrap().unwrap();
+        lm.release_all(TxnId(2));
+        assert_eq!(lm.stats(), LockStats { waits: 1, deadlocks: 1 });
     }
 
     #[test]

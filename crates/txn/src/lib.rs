@@ -2,7 +2,7 @@
 //!
 //! Nested transaction manager for rule execution — the substrate of the
 //! paper's §2.3/§3.2.3 rule execution model (designed in R. Badani's
-//! thesis, reference [2] of the paper):
+//! thesis, reference \[2\] of the paper):
 //!
 //! > "For rule execution, a nested transaction manager is implemented with
 //! > its own lock manager. This is in addition to the concurrency control

@@ -274,11 +274,8 @@ fn v_immediate_and_deferred_coupling() {
     s.invoke(t, ibm, SET_PRICE, vec![("price".into(), 2.0.into())]).unwrap();
     assert_eq!(*log.lock(), vec!["immediate", "immediate"], "deferred not yet");
     s.commit(t).unwrap();
-    assert_eq!(
-        *log.lock(),
-        vec!["immediate", "immediate", "deferred"],
-        "deferred exactly once at commit"
-    );
+    // How often it runs is pinned in `paper_shapes::r1_*`.
+    assert_eq!(log.lock().last(), Some(&"deferred"), "deferred at commit");
 }
 
 /// (vi) Prioritized serial + concurrent rule execution.

@@ -99,8 +99,7 @@ fn async_burst_registers_queue_depth_and_latency() {
     assert!(lat.max > 0);
 }
 
-/// Golden test for the snapshot shape the `beast` bench and external
-/// consumers parse: key order and nesting are part of the contract.
+/// Golden test for the snapshot shape external consumers parse: key order and nesting are part of the contract.
 #[test]
 fn stats_snapshot_shape_is_stable() {
     let s = Sentinel::in_memory();
@@ -138,8 +137,7 @@ fn stats_snapshot_shape_is_stable() {
     let det_pos = text.find(r#""detector""#).unwrap();
     let sched_pos = text.find(r#""scheduler""#).unwrap();
     let storage_pos = text.find(r#""storage""#).unwrap();
-    let bus_pos = text.find(r#""trace_bus""#).unwrap();
-    assert!(det_pos < sched_pos && sched_pos < storage_pos && storage_pos < bus_pos);
+    assert!(det_pos < sched_pos && sched_pos < storage_pos);
     for key in [
         r#""per_event""#,
         r#""nodes""#,
@@ -156,9 +154,9 @@ fn stats_snapshot_shape_is_stable() {
         r#""appends""#,
         r#""buffer""#,
         r#""hit_ratio""#,
-        r#""emitted""#,
-        r#""dropped""#,
-        r#""subscribers""#,
+        r#""locks""#,
+        r#""waits""#,
+        r#""deadlocks""#,
     ] {
         assert!(text.contains(key), "snapshot lost key {key}: {text}");
     }
@@ -234,6 +232,8 @@ const SERIES_IN_MEMORY: &[&str] = &[
     "service.drain_latency.p99_ns",
     "service.processed",
     "service.queue_depth",
+    "storage.locks.deadlocks",
+    "storage.locks.waits",
 ];
 const TYPES_IN_MEMORY: &[&str] = &[
     "# TYPE sentinel_detector_shards_contention_total counter",
@@ -259,6 +259,8 @@ const TYPES_IN_MEMORY: &[&str] = &[
     "# TYPE sentinel_service_drain_latency histogram",
     "# TYPE sentinel_service_processed_total counter",
     "# TYPE sentinel_service_queue_depth gauge",
+    "# TYPE sentinel_storage_locks_deadlocks_total counter",
+    "# TYPE sentinel_storage_locks_waits_total counter",
 ];
 /// What a durable system exports on top of [`SERIES_IN_MEMORY`].
 const SERIES_DURABLE_ONLY: &[&str] = &[

@@ -247,6 +247,73 @@ fn cascaded_firing_extends_trace_with_depth() {
     assert_eq!(sig2.parent, Some(a1.span));
 }
 
+/// One causal chain out of two interleaved ones: two transactions on two
+/// threads each run a four-rule cascade `c0 → c1 → c2 → c3`, and
+/// `TraceStore::trace` of the first returns only its own condition and
+/// action spans, in recording order (conditions on the way down, actions
+/// as each body returns), at depths 0..3.
+#[test]
+fn trace_query_follows_one_cascade_among_interleaved_ones() {
+    const DEPTH: usize = 4;
+    let s = Sentinel::in_memory();
+    s.set_tracing(true);
+    for i in 0..DEPTH {
+        s.detector().declare_explicit(&format!("c{i}"));
+    }
+    let traces = Arc::new(parking_lot::Mutex::new(Vec::new()));
+    for i in 0..DEPTH {
+        let (s2, traces) = (s.clone(), traces.clone());
+        s.define_rule(
+            &format!("r{i}"),
+            &format!("c{i}"),
+            Arc::new(|_| true),
+            Arc::new(move |inv| {
+                let txn = inv.txn.map(sentinel_core::storage::TxnId);
+                if i == 0 {
+                    traces.lock().push((txn, inv.occurrence.span.expect("traced").trace));
+                }
+                if i + 1 < DEPTH {
+                    s2.raise(txn, &format!("c{}", i + 1), Vec::new()).unwrap();
+                }
+            }),
+            RuleOptions::default(),
+        )
+        .unwrap();
+    }
+
+    let start = Arc::new(std::sync::Barrier::new(2));
+    let runs: Vec<_> = (0..2)
+        .map(|_| {
+            let (s, start) = (s.clone(), start.clone());
+            std::thread::spawn(move || {
+                let t = s.begin().unwrap();
+                start.wait();
+                s.raise(Some(t), "c0", Vec::new()).unwrap();
+                s.commit(t).unwrap();
+                t
+            })
+        })
+        .collect();
+    let first = runs.into_iter().map(|h| h.join().unwrap()).next().unwrap();
+    let traces = traces.lock().clone();
+    assert_eq!(traces.len(), 2);
+    assert_ne!(traces[0].1, traces[1].1, "one trace per transaction");
+    let a = traces.iter().find(|(txn, _)| *txn == Some(first)).unwrap().1;
+
+    let chain: Vec<(&str, String, u32)> = s
+        .trace_store()
+        .trace(a)
+        .iter()
+        .filter(|sp| matches!(sp.kind, "condition" | "action"))
+        .map(|sp| (sp.kind, sp.name.to_string(), sp.depth))
+        .collect();
+    let want: Vec<(&str, String, u32)> = (0..DEPTH as u32)
+        .map(|d| ("condition", format!("r{d}"), d))
+        .chain((0..DEPTH as u32).rev().map(|d| ("action", format!("r{d}"), d)))
+        .collect();
+    assert_eq!(chain, want);
+}
+
 /// WAL forces and page writes performed inside a rule action are tagged
 /// as children of the action span.
 #[test]
