@@ -180,7 +180,7 @@ fn render_params(occ: &Occurrence) -> String {
 
 /// The live journal hook: installed as the detector's [`EventSink`] once
 /// recovery completes. `record` runs under only the signalling shard's
-/// order lock — disjoint shards append to their streams concurrently —
+/// mutex — disjoint shards append to their streams concurrently —
 /// so it must never re-enter the detector; under
 /// [`sentinel_durable::FsyncPolicy::Always`] it blocks until the
 /// engine's next group commit covers the record. `fence` runs at every
@@ -203,7 +203,7 @@ impl EventSink for JournalSink {
         let _ = self.engine.append_event(shard, ev);
     }
 
-    fn fence(&self, _detector: &LocalEventDetector, kind: FenceKind, ts: Timestamp) {
+    fn fence(&self, kind: FenceKind, ts: Timestamp) {
         let _ = self.engine.append_fence(kind, ts);
     }
 }
@@ -367,9 +367,9 @@ impl Sentinel {
         let eng_weak = Arc::downgrade(&engine);
         engine.set_checkpoint_hook(Arc::new(move || {
             if let (Some(det), Some(eng)) = (det_weak.upgrade(), eng_weak.upgrade()) {
-                det.with_signals_paused(|| {
+                det.with_signals_paused(|p| {
                     let tag = eng.next_index();
-                    let snap = det.snapshot_state();
+                    let snap = p.snapshot_state();
                     let _ = eng.write_checkpoint(tag, &snap);
                 });
             }
@@ -491,9 +491,9 @@ impl Sentinel {
     /// non-durable systems.
     pub fn checkpoint_now(&self) -> SentinelResult<()> {
         let Some(engine) = self.durable.lock().clone() else { return Ok(()) };
-        self.detector().with_signals_paused(|| {
+        self.detector().with_signals_paused(|p| {
             let tag = engine.next_index();
-            let snap = self.detector().snapshot_state();
+            let snap = p.snapshot_state();
             engine.write_checkpoint(tag, &snap)
         })?;
         Ok(())

@@ -194,7 +194,7 @@ impl Sentinel {
         let engine = self.repl_engine()?;
         let repl = engine.replication().clone();
         let det = self.detector();
-        let (seq, snap) = det.with_signals_paused(|| (repl.tip(), det.snapshot_state()));
+        let (seq, snap) = det.with_signals_paused(|p| (repl.tip(), p.snapshot_state()));
         let catalog = repl.catalog_prefix(seq);
         flight::global().record_static(FlightKind::CatchUp, "snapshot", seq, catalog.len() as u64);
         Ok(json::Value::obj([

@@ -16,25 +16,30 @@
 //! The event graph is partitioned into *shards*: the connected components
 //! of the operator DAG (see [`EventGraph`]). Events in different shards
 //! can never contribute to the same composite, so signals addressed to
-//! different shards propagate concurrently, each under its own shard
-//! *order lock*. Timestamps still come from the single atomic
-//! [`LogicalClock`], and the order lock is held across the tick *and* the
-//! propagation, so within a shard occurrences are processed in strictly
-//! increasing timestamp order — the invariant the paper's order-sensitive
-//! operators (SEQ's strict `initiator.at < terminator.at`, NOT, A*, P*)
-//! depend on. Cross-shard timestamp order needs no serialization because
-//! no operator ever compares occurrences from two shards.
+//! different shards propagate concurrently. Two locks guard everything:
+//! one `RwLock` over the graph topology and the shard table (signals
+//! read, DDL writes), and one mutex per shard over that shard's detection
+//! state (`shard.rs`). A signal takes the read lock and its shard's
+//! mutex, nothing else. Timestamps still come from the single atomic
+//! [`LogicalClock`], and the shard mutex is held across the tick *and*
+//! the propagation, so within a shard occurrences are processed in
+//! strictly increasing timestamp order — the invariant the paper's
+//! order-sensitive operators (SEQ's strict `initiator.at <
+//! terminator.at`, NOT, A*, P*) depend on. Cross-shard timestamp order
+//! needs no serialization because no operator ever compares occurrences
+//! from two shards.
 //!
 //! Whole-graph operations (snapshots, flushes, `advance_time`, stats)
-//! *quiesce*: they acquire every shard's order lock (in ascending shard
-//! order, so two quiescers cannot deadlock) and then observe or mutate a
-//! globally consistent state. An attached [`EventSink`] (the durable
-//! journal) observes each signal under only its shard's order lock —
-//! durability composes with parallel detection. The sink learns the
-//! shard label with every record, and every whole-graph operation cuts a
-//! [`FenceKind`] fence through the sink under the quiesce, so a sharded
-//! journal can reconstruct a replay order equivalent to the live
-//! happened-before order (timestamps are the tiebreaker between fences).
+//! *quiesce*: they take the read lock and every shard's mutex (in
+//! ascending shard order, so two quiescers cannot deadlock) and then
+//! observe or mutate a globally consistent state. An attached
+//! [`EventSink`] (the durable journal) observes each signal under only
+//! its shard's mutex — durability composes with parallel detection. The
+//! sink learns the shard label with every record, and every whole-graph
+//! operation cuts a [`FenceKind`] fence through the sink under the
+//! quiesce, so a sharded journal can reconstruct a replay order
+//! equivalent to the live happened-before order (timestamps are the
+//! tiebreaker between fences).
 //! Batch recording is such a sink too ([`crate::log::EventRecorder`]), so
 //! a recorded run detects exactly what an unrecorded run and its replay
 //! detect.
@@ -52,8 +57,6 @@
 //! [`LocalEventDetector::route_generation`] moves.
 use std::borrow::Cow;
 use std::cell::Cell;
-use std::collections::{BTreeSet, HashMap};
-use std::ptr::NonNull;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -65,10 +68,11 @@ use sentinel_snoop::ast::{EventExpr, EventModifier};
 use sentinel_snoop::ParamContext;
 
 use crate::clock::{LogicalClock, Timestamp};
-use crate::graph::{EventGraph, EventId, GraphError, Node, NodeKind, PrimTarget};
+use crate::graph::{EventGraph, EventId, GraphError, Layout, NodeKind, PrimTarget};
 use crate::log::LoggedEvent;
-use crate::nodes::Emission;
+use crate::nodes::CtxState;
 use crate::occurrence::{Occurrence, Value};
+use crate::shard::{NodeState, Output, Shard};
 use crate::snapshot::{GraphSnapshot, NodeSnapshot, RestoreError};
 
 /// Opaque id of a rule (or other consumer) subscribed to an event; the
@@ -104,16 +108,12 @@ pub enum FenceKind {
 /// timestamped and before it propagates through the graph. The durable
 /// event journal hooks in here.
 ///
-/// `record` runs under only the signalling shard's order lock, so sinks
-/// on disjoint shards are invoked concurrently. A sink may block (e.g.
+/// `record` runs under only the signalling shard's mutex, so sinks on
+/// disjoint shards are invoked concurrently. `fence` runs with every
+/// shard quiesced, or under the DDL write lock. A sink may block (e.g.
 /// waiting for a group commit) but must **not** re-enter the detector
-/// from `record` — a whole-graph call would need every other shard's
-/// lock and deadlock against concurrent recorders.
-///
-/// `fence` runs with **all shards quiesced** by the fencing thread; the
-/// sink may re-enter the detector there (e.g.
-/// [`LocalEventDetector::snapshot_state`]) — re-entrant calls reuse the
-/// locks already held instead of deadlocking.
+/// from either: the calling thread already holds the locks a re-entrant
+/// call would take.
 pub trait EventSink: Send + Sync {
     /// One primitive event was signalled on shard `shard`.
     fn record(&self, detector: &LocalEventDetector, shard: u32, ev: &LoggedEvent);
@@ -121,17 +121,7 @@ pub trait EventSink: Send + Sync {
     /// A whole-graph ordering point. `ts` is the clock reading at the
     /// fence: every record before it has `ev.ts() <= ts`, every record
     /// after it (in happened-before order) ticks past it.
-    fn fence(&self, _detector: &LocalEventDetector, _kind: FenceKind, _ts: Timestamp) {}
-}
-
-/// Short static name of a parameter context for trace fields.
-fn ctx_name(ctx: ParamContext) -> &'static str {
-    match ctx {
-        ParamContext::Recent => "recent",
-        ParamContext::Chronicle => "chronicle",
-        ParamContext::Continuous => "continuous",
-        ParamContext::Cumulative => "cumulative",
-    }
+    fn fence(&self, _kind: FenceKind, _ts: Timestamp) {}
 }
 
 /// One detected `(event, context)` occurrence, with the subscribers to
@@ -192,83 +182,110 @@ enum Signal<'a> {
     Explicit { name: &'a str },
 }
 
-/// One signal's propagation: what every step reads, read once per signal,
-/// and the buffers every step reuses. Nothing is allocated until a step
-/// needs it.
-struct Propagation<'g> {
-    graph: &'g EventGraph,
-    shards: &'g [Arc<ShardState>],
-    /// The span store, when it is enabled.
-    tracer: Option<Arc<TraceStore>>,
-    /// Composite occurrences still to deliver: `(node, occurrence, context)`.
-    work: Vec<(EventId, Arc<Occurrence>, ParamContext)>,
-    /// Emissions of the delivery in progress.
-    emissions: Vec<Emission>,
-    /// Emissions of the alarm firing in progress.
-    fired: Vec<Emission>,
-    /// The signal's detections, in detection order.
-    detections: Vec<Detection>,
-}
-
-/// Which context each emission of one delivery belongs to: `ends[i]` is
-/// the emission count after context `ParamContext::ALL[i]` was fed.
-fn context_of(ends: &[usize; 4], emission: usize) -> ParamContext {
-    ParamContext::ALL[ends.partition_point(|&e| e <= emission)]
-}
-
-/// Mutable per-shard detector state: the signal-order guard plus the
-/// shard's alarm queue and its observability counters. Indexed by shard
-/// label; labels merged away by DDL leave an idle entry behind (labels are
-/// never recycled).
+/// One shard: its state behind the mutex that orders its signals, and
+/// the gauges written without that mutex. Indexed by shard label; labels
+/// merged away by DDL leave an empty shard behind (labels are never
+/// recycled).
 #[derive(Debug, Default)]
-struct ShardState {
-    /// Serializes timestamp draws with graph propagation for signals
-    /// addressed to this shard. Without it, two concurrent signals can
-    /// tick `t1 < t2` but propagate in the opposite order, and
-    /// order-sensitive operators (SEQ's strict `initiator.at <
-    /// terminator.at`) silently drop pairs.
-    order: Mutex<()>,
-    /// Pending temporal alarms `(due, node)` for nodes of this shard,
-    /// earliest first; a `(due, node)` is queued at most once.
-    alarms: Mutex<BTreeSet<(Timestamp, EventId)>>,
-    /// Primitive signals processed by this shard.
-    signals: AtomicU64,
-    /// Times a signal found this shard's order lock already held.
+struct ShardCell {
+    /// The shard's detection state. Held across a signal's timestamp draw
+    /// and its propagation: without that, two concurrent signals can tick
+    /// `t1 < t2` but propagate in the opposite order, and order-sensitive
+    /// operators (SEQ's strict `initiator.at < terminator.at`) silently
+    /// drop pairs.
+    state: Mutex<Shard>,
+    /// Times a signal found `state` already locked.
     contention: AtomicU64,
     /// Signals queued for this shard in a `DetectorPool` and not yet
     /// processed (maintained by the service layer).
     queue_depth: AtomicI64,
 }
 
-thread_local! {
-    /// Set while this thread holds a full quiesce of some detector:
-    /// `(detector address, &EventGraph)`. Re-entrant whole-graph calls on
-    /// the same detector (an [`EventSink`] snapshotting from `record`, a
-    /// [`LocalEventDetector::with_signals_paused`] closure) reuse the
-    /// held locks through it instead of re-acquiring `graph.read()`
-    /// (which can deadlock against a queued writer).
-    static QUIESCED: Cell<Option<(usize, NonNull<()>)>> = const { Cell::new(None) };
+impl ShardCell {
+    /// Locks the shard, counting contended acquisitions.
+    fn lock(&self) -> MutexGuard<'_, Shard> {
+        if let Some(g) = self.state.try_lock() {
+            return g;
+        }
+        self.contention.fetch_add(1, Ordering::Relaxed);
+        self.state.lock()
+    }
+}
+
+/// Everything a signal reads and DDL writes, under the detector's one
+/// `RwLock`.
+struct Topology {
+    graph: EventGraph,
+    /// Per-shard state, indexed by shard label.
+    shards: Vec<ShardCell>,
+    /// Optional synchronous observer of accepted primitive events (the
+    /// durable event journal, a batch-recording [`crate::log::EventRecorder`]).
+    sink: Option<Arc<dyn EventSink>>,
+    /// Optional provenance span store (spans are recorded while the store
+    /// is attached and enabled).
+    spans: Option<Arc<TraceStore>>,
+}
+
+impl Topology {
+    /// The attached span store, when it is enabled.
+    fn tracer(&self) -> Option<&TraceStore> {
+        self.spans.as_deref().filter(|s| s.is_enabled())
+    }
+
+    /// Replays the graph's pending layout steps onto the shard table.
+    /// Returns whether any shards merged.
+    fn apply_layout(&mut self) -> bool {
+        let mut merged = false;
+        for step in self.graph.take_layout() {
+            match step {
+                Layout::Push(label) => {
+                    let label = label as usize;
+                    if label >= self.shards.len() {
+                        self.shards.resize_with(label + 1, ShardCell::default);
+                    }
+                    self.shards[label].state.get_mut().states.push(NodeState::default());
+                }
+                Layout::Merge { winner, loser } => {
+                    merged = true;
+                    let loser = &mut self.shards[loser as usize];
+                    let moved = std::mem::take(loser.state.get_mut());
+                    let contention = std::mem::take(loser.contention.get_mut());
+                    let queued = std::mem::take(loser.queue_depth.get_mut());
+                    let winner = &mut self.shards[winner as usize];
+                    winner.state.get_mut().absorb(moved);
+                    *winner.contention.get_mut() += contention;
+                    *winner.queue_depth.get_mut() += queued;
+                }
+            }
+        }
+        merged
+    }
+}
+
+/// The detector with signalling paused, as a
+/// [`LocalEventDetector::with_signals_paused`] closure sees it: it reads
+/// under the locks the pause already holds.
+pub struct Paused<'a> {
+    detector: &'a LocalEventDetector,
+    graph: &'a EventGraph,
+    shards: &'a [MutexGuard<'a, Shard>],
+}
+
+impl Paused<'_> {
+    /// [`LocalEventDetector::snapshot_state`] at the paused cut.
+    pub fn snapshot_state(&self) -> GraphSnapshot {
+        self.detector.snapshot(self.graph, self.shards)
+    }
 }
 
 /// The local composite event detector (one per application).
 pub struct LocalEventDetector {
-    /// The event graph. Signals hold a read lock (node interiors are
-    /// individually locked, serialized per shard by the shard order
-    /// lock); DDL takes the write lock.
-    graph: RwLock<EventGraph>,
-    /// Per-shard state, indexed by shard label. Grown/merged by DDL
-    /// (under the graph write lock) via [`Self::sync_shards`].
-    shards: RwLock<Vec<Arc<ShardState>>>,
+    /// The graph, the shard table, the sink and the span store. Signals
+    /// and whole-graph operations hold the read lock; DDL and sink or
+    /// span-store changes take the write lock.
+    topo: RwLock<Topology>,
     clock: Arc<LogicalClock>,
     app: u32,
-    /// Optional synchronous observer of accepted primitive events (the
-    /// durable event journal, a batch-recording [`crate::log::EventRecorder`]).
-    sink: RwLock<Option<Arc<dyn EventSink>>>,
-    /// Serializes sink attach and detach, so two administrators cannot
-    /// interleave their drain-and-swap windows.
-    sink_admin: Mutex<()>,
-    /// Total primitive signals processed.
-    signals: AtomicU64,
     /// Moves whenever a method route may have changed. Only
     /// [`Self::declare_primitive`] adds a method leaf, and nothing replaces
     /// the graph (recovery and replica bootstrap declare through it too),
@@ -279,9 +296,6 @@ pub struct LocalEventDetector {
     flush_calls: Counter,
     /// Buffered occurrences dropped by transaction flushes.
     flushed: Counter,
-    /// Optional provenance span store (spans are recorded while the store
-    /// is attached and enabled).
-    span_store: RwLock<Option<Arc<TraceStore>>>,
 }
 
 /// Per-node emission/consumption counters, one entry per parameter
@@ -319,7 +333,7 @@ pub struct ShardStats {
     pub nodes: u64,
     /// Primitive signals processed by this shard.
     pub signals: u64,
-    /// Times a signal found the shard's order lock already held.
+    /// Times a signal found the shard's mutex already held.
     pub contention: u64,
     /// Signals queued for this shard in a `DetectorPool` and not yet
     /// processed.
@@ -428,34 +442,22 @@ impl LocalEventDetector {
         ] {
             graph.declare_explicit(name);
         }
-        let shards =
-            (0..graph.shard_count()).map(|_| Arc::new(ShardState::default())).collect::<Vec<_>>();
-        graph.take_merges();
+        let mut topo = Topology { graph, shards: Vec::new(), sink: None, spans: None };
+        topo.apply_layout();
         LocalEventDetector {
-            graph: RwLock::new(graph),
-            shards: RwLock::new(shards),
+            topo: RwLock::new(topo),
             clock,
             app,
-            sink: RwLock::new(None),
-            sink_admin: Mutex::new(()),
-            signals: AtomicU64::new(0),
             route_generation: AtomicU64::new(0),
             flush_calls: Counter::new(),
             flushed: Counter::new(),
-            span_store: RwLock::new(None),
         }
     }
 
     /// Attaches a provenance span store; signals, primitive occurrences
     /// and composite detections record spans while it is enabled.
     pub fn set_trace_store(&self, store: Arc<TraceStore>) {
-        *self.span_store.write() = Some(store);
-    }
-
-    /// The attached span store, when it is enabled (the tracing hot-path
-    /// check: one lock + one relaxed load).
-    fn tracer(&self) -> Option<Arc<TraceStore>> {
-        self.span_store.read().clone().filter(|s| s.is_enabled())
+        self.topo.write().spans = Some(store);
     }
 
     /// Opens the root "signal" span for one primitive signal. A signal
@@ -494,93 +496,35 @@ impl LocalEventDetector {
         }
     }
 
-    /// Acquires one shard's order lock, counting contended acquisitions.
-    fn lock_shard<'a>(&self, shard: &'a ShardState) -> MutexGuard<'a, ()> {
-        if let Some(g) = shard.order.try_lock() {
-            return g;
+    /// Runs one DDL step under the write lock, then replays the layout
+    /// steps it took onto the shard table — also when it failed half-way
+    /// after interning part of an expression. The write lock excludes
+    /// every signal, so a merge needs no further lock; a merge cuts a
+    /// fence so a sharded journal orders records across the relabelling.
+    fn ddl<R>(&self, f: impl FnOnce(&mut EventGraph) -> R) -> R {
+        let mut topo = self.topo.write();
+        let out = f(&mut topo.graph);
+        if topo.apply_layout() {
+            self.cut_fence(&topo, FenceKind::Barrier);
         }
-        shard.contention.fetch_add(1, Ordering::Relaxed);
-        shard.order.lock()
+        out
     }
 
-    /// Grows the shard table to the graph's label count and applies any
-    /// pending component merges (migrating alarm queues and counters from
-    /// the merged-away label to the surviving one). Must be called with
-    /// the graph write lock held after any node-creating DDL, which also
-    /// guarantees no signal is in flight.
-    fn sync_shards(&self, graph: &mut EventGraph) {
-        let count = graph.shard_count() as usize;
-        let merges = graph.take_merges();
-        if merges.is_empty() && self.shards.read().len() >= count {
-            return;
-        }
-        let mut shards = self.shards.write();
-        while shards.len() < count {
-            shards.push(Arc::new(ShardState::default()));
-        }
-        let merged = !merges.is_empty();
-        for (winner, loser) in merges {
-            let (w, l) = (winner as usize, loser as usize);
-            let moved = std::mem::take(&mut *shards[l].alarms.lock());
-            shards[w].alarms.lock().extend(moved);
-            let s = shards[l].signals.swap(0, Ordering::Relaxed);
-            shards[w].signals.fetch_add(s, Ordering::Relaxed);
-            let c = shards[l].contention.swap(0, Ordering::Relaxed);
-            shards[w].contention.fetch_add(c, Ordering::Relaxed);
-            let q = shards[l].queue_depth.swap(0, Ordering::Relaxed);
-            shards[w].queue_depth.fetch_add(q, Ordering::Relaxed);
-        }
-        drop(shards);
-        // The shard topology changed while the graph write lock excluded
-        // every signal: cut a fence so a sharded journal orders records
-        // across the relabelling. The fence runs under the write lock, so
-        // (unlike quiesce-cut fences) the sink must not re-enter here —
-        // the journal sink only appends.
-        if merged {
-            self.cut_fence(FenceKind::Barrier);
-        }
-    }
-
-    /// Runs `f` with every shard quiesced: the graph read lock, the shard
-    /// table and **all** shard order locks (ascending, so concurrent
-    /// quiescers cannot deadlock) are held, so no signal can be
-    /// timestamped or propagated concurrently and `f` observes a
-    /// consistent global cut. Re-entrant on the same thread.
-    fn quiesce<R>(&self, f: impl FnOnce(&EventGraph, &[Arc<ShardState>]) -> R) -> R {
-        let me = self as *const Self as usize;
-        if let Some((det, ptr)) = QUIESCED.with(|q| q.get()) {
-            if det == me {
-                // SAFETY: the enclosing quiesce on this thread published
-                // this pointer while holding the graph read lock and all
-                // shard order locks; they are still held below us on the
-                // stack, so the graph reference is valid and stable.
-                let graph = unsafe { ptr.cast::<EventGraph>().as_ref() };
-                // A nested shard-table read cannot deadlock: writers take
-                // the graph write lock first, which the enclosing quiesce
-                // excludes.
-                let shards = self.shards.read();
-                return f(graph, &shards);
-            }
-        }
-        let graph = self.graph.read();
-        let shards = self.shards.read();
-        let _order: Vec<MutexGuard<'_, ()>> = shards.iter().map(|s| self.lock_shard(s)).collect();
-        struct Reset(Option<(usize, NonNull<()>)>);
-        impl Drop for Reset {
-            fn drop(&mut self) {
-                QUIESCED.with(|q| q.set(self.0));
-            }
-        }
-        let prev = QUIESCED.with(|q| q.replace(Some((me, NonNull::from(&*graph).cast()))));
-        let _reset = Reset(prev);
-        f(&graph, &shards)
+    /// Runs `f` with every shard quiesced: the read lock and **all** shard
+    /// mutexes (ascending, so concurrent quiescers cannot deadlock) are
+    /// held, so no signal can be timestamped or propagated concurrently
+    /// and `f` observes a consistent global cut. Not re-entrant: code
+    /// running inside `f` reads through what `f` is given.
+    fn quiesce<R>(&self, f: impl FnOnce(&Topology, &mut [MutexGuard<'_, Shard>]) -> R) -> R {
+        let topo = self.topo.read();
+        let mut shards: Vec<_> = topo.shards.iter().map(ShardCell::lock).collect();
+        f(&topo, &mut shards)
     }
 
     /// Forwards a whole-graph ordering point to the attached sink, if
-    /// any. `flush_txn`/`advance_time` callers hold a full quiesce;
-    /// [`Self::sync_shards`] calls with the graph write lock held (which
-    /// equally excludes every signal).
-    fn cut_fence(&self, kind: FenceKind) {
+    /// any. Callers hold a full quiesce or the write lock, which equally
+    /// exclude every signal.
+    fn cut_fence(&self, topo: &Topology, kind: FenceKind) {
         let (label, arg) = match kind {
             FenceKind::Barrier => ("barrier", 0),
             FenceKind::FlushTxn(txn) => ("flush_txn", txn),
@@ -592,10 +536,8 @@ impl LocalEventDetector {
             self.clock.peek(),
             arg,
         );
-        // Clone the Arc out so the sink lock is not held across the call.
-        let sink = self.sink.read().clone();
-        if let Some(sink) = sink {
-            sink.fence(self, kind, self.clock.peek());
+        if let Some(sink) = &topo.sink {
+            sink.fence(kind, self.clock.peek());
         }
     }
 
@@ -604,35 +546,34 @@ impl LocalEventDetector {
     /// first signal stay stable.
     pub fn shard_of_event(&self, name: &str) -> u32 {
         {
-            let graph = self.graph.read();
-            if let Some(id) = graph.lookup(name) {
-                return graph.shard_of(id);
+            let topo = self.topo.read();
+            if let Some(id) = topo.graph.lookup(name) {
+                return topo.graph.shard_of(id);
             }
         }
-        let mut graph = self.graph.write();
-        let id = graph.declare_explicit(name);
-        self.sync_shards(&mut graph);
-        graph.shard_of(id)
+        self.ddl(|graph| {
+            let id = graph.declare_explicit(name);
+            graph.shard_of(id)
+        })
     }
 
     /// The shard all method events of `class` belong to (all leaves of a
     /// class are kept in one shard so a method signal addresses exactly
     /// one shard), or `None` if the class has no events.
     pub fn shard_of_class(&self, class: &str) -> Option<u32> {
-        let graph = self.graph.read();
-        graph.class_events(class).first().map(|&id| graph.shard_of(id))
+        let topo = self.topo.read();
+        topo.graph.class_events(class).first().map(|&id| topo.graph.shard_of(id))
     }
 
     /// Number of shard labels ever allocated (merged-away labels stay
     /// idle; see [`ShardStats`] for live shards).
     pub fn shard_count(&self) -> u32 {
-        self.graph.read().shard_count()
+        self.topo.read().graph.shard_count()
     }
 
     /// Adjusts a shard's queued-signal gauge (service-layer accounting).
     pub(crate) fn shard_queue_delta(&self, label: u32, delta: i64) {
-        let shards = self.shards.read();
-        if let Some(s) = shards.get(label as usize) {
+        if let Some(s) = self.topo.read().shards.get(label as usize) {
             s.queue_depth.fetch_add(delta, Ordering::Relaxed);
         }
     }
@@ -648,26 +589,27 @@ impl LocalEventDetector {
         sig: &str,
         target: PrimTarget,
     ) -> Result<EventId, GraphError> {
-        let mut graph = self.graph.write();
-        let id = graph.declare_primitive(name, class, modifier, sig, target)?;
-        self.route_generation.fetch_add(1, Ordering::Release);
-        self.sync_shards(&mut graph);
-        Ok(id)
+        self.ddl(|graph| {
+            let id = graph.declare_primitive(name, class, modifier, sig, target)?;
+            self.route_generation.fetch_add(1, Ordering::Release);
+            Ok(id)
+        })
     }
 
     /// Resolves the route of a wrapper for `sig` on a receiver whose
     /// class chain (concrete class first) is `chain`: which classes have
     /// a primitive event the begin and the end edge signal.
     pub fn method_route(&self, chain: &[Arc<str>], sig: &str) -> MethodRoute {
-        let graph = self.graph.read();
+        let topo = self.topo.read();
+        let graph = &topo.graph;
         let mut route =
             MethodRoute { generation: self.route_generation(), ..MethodRoute::default() };
         for class in chain {
             let leaves = graph.class_events(class);
-            if routes(&graph, leaves, sig, EventModifier::Begin) {
+            if routes(graph, leaves, sig, EventModifier::Begin) {
                 route.begin.push(class.clone());
             }
-            if routes(&graph, leaves, sig, EventModifier::End) {
+            if routes(graph, leaves, sig, EventModifier::End) {
                 route.end.push(class.clone());
             }
         }
@@ -681,26 +623,17 @@ impl LocalEventDetector {
 
     /// Declares an explicit (name-matched) event.
     pub fn declare_explicit(&self, name: &str) -> EventId {
-        let mut graph = self.graph.write();
-        let id = graph.declare_explicit(name);
-        self.sync_shards(&mut graph);
-        id
+        self.ddl(|graph| graph.declare_explicit(name))
     }
 
     /// Defines a named composite event from an expression.
     pub fn define_named(&self, name: &str, expr: &EventExpr) -> Result<EventId, GraphError> {
-        let mut graph = self.graph.write();
-        let id = graph.define_named(name, expr, false)?;
-        self.sync_shards(&mut graph);
-        Ok(id)
+        self.ddl(|graph| graph.define_named(name, expr, false))
     }
 
     /// Builds an anonymous composite event.
     pub fn define_expr(&self, expr: &EventExpr) -> Result<EventId, GraphError> {
-        let mut graph = self.graph.write();
-        let id = graph.build_expr(expr, false)?;
-        self.sync_shards(&mut graph);
-        Ok(id)
+        self.ddl(|graph| graph.build_expr(expr, false))
     }
 
     /// The deferred-coupling rewrite of §3.1: wraps `event` into
@@ -709,49 +642,53 @@ impl LocalEventDetector {
     /// transaction at pre-commit, with the cumulative (net-effect)
     /// parameters of all triggerings.
     pub fn define_deferred(&self, event: EventId) -> EventId {
-        let mut graph = self.graph.write();
-        let begin = graph.declare_explicit("begin-transaction");
-        let pre_commit = graph.declare_explicit("pre-commit-transaction");
-        let inner_name = graph.name_of(event);
-        let name = format!("A*(begin-transaction, {inner_name}, pre-commit-transaction)");
-        let id = graph
-            .compose(&name, NodeKind::AperiodicStar { start: begin, mid: event, end: pre_commit });
-        self.sync_shards(&mut graph);
-        id
+        self.ddl(|graph| {
+            let begin = graph.declare_explicit("begin-transaction");
+            let pre_commit = graph.declare_explicit("pre-commit-transaction");
+            let inner_name = graph.name_of(event);
+            let name = format!("A*(begin-transaction, {inner_name}, pre-commit-transaction)");
+            let kind = NodeKind::AperiodicStar { start: begin, mid: event, end: pre_commit };
+            graph.compose(&name, kind)
+        })
     }
 
     /// Looks up a named event.
     pub fn lookup(&self, name: &str) -> Option<EventId> {
-        self.graph.read().lookup(name)
+        self.topo.read().graph.lookup(name)
     }
 
     /// Adds an alias name for an existing event.
     pub fn alias(&self, name: &str, id: EventId) -> Result<(), GraphError> {
-        self.graph.write().alias(name, id)
+        self.topo.write().graph.alias(name, id)
     }
 
     /// Name of an event.
     pub fn name_of(&self, id: EventId) -> Arc<str> {
-        self.graph.read().name_of(id)
+        self.topo.read().graph.name_of(id)
     }
 
     /// Number of graph nodes (ablation metric).
     pub fn graph_size(&self) -> usize {
-        self.graph.read().len()
+        self.topo.read().graph.len()
     }
 
     /// Renders the event graph as Graphviz DOT (see [`crate::viz`]).
     pub fn to_dot(&self) -> String {
-        self.quiesce(|graph, _| crate::viz::to_dot(graph))
+        self.quiesce(|topo, shards| {
+            crate::viz::to_dot(&topo.graph, |n| {
+                let st = shards[n.shard as usize].state(n);
+                (st.total_emitted(), st.total_consumed())
+            })
+        })
     }
 
     /// Snapshot of detector statistics (signals processed, occurrences per
     /// event, per-shard counters).
     pub fn stats(&self) -> DetectorStats {
-        self.quiesce(|graph, shards| {
+        self.quiesce(|topo, shards| {
             let (mut per_event, mut nodes) = (Vec::new(), Vec::new());
-            for n in graph.nodes() {
-                let st = n.state.lock();
+            for n in topo.graph.nodes() {
+                let st = shards[n.shard as usize].state(n);
                 if st.count > 0 {
                     per_event.push((n.name.clone(), st.count));
                 }
@@ -762,30 +699,21 @@ impl LocalEventDetector {
             }
             per_event.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
             nodes.sort_by(|a, b| a.name.cmp(&b.name));
-            let mut nodes_per_label: HashMap<u32, u64> = HashMap::new();
-            for &label in graph.shard_labels() {
-                *nodes_per_label.entry(label).or_default() += 1;
-            }
             let shard_stats: Vec<ShardStats> = shards
                 .iter()
+                .zip(&topo.shards)
                 .enumerate()
-                .filter_map(|(i, s)| {
-                    let label = i as u32;
-                    let owned = *nodes_per_label.get(&label).unwrap_or(&0);
-                    if owned == 0 {
-                        return None;
-                    }
-                    Some(ShardStats {
-                        shard: label,
-                        nodes: owned,
-                        signals: s.signals.load(Ordering::Relaxed),
-                        contention: s.contention.load(Ordering::Relaxed),
-                        queue_depth: s.queue_depth.load(Ordering::Relaxed).max(0) as u64,
-                    })
+                .filter(|(_, (s, _))| !s.states.is_empty())
+                .map(|(label, (s, cell))| ShardStats {
+                    shard: label as u32,
+                    nodes: s.states.len() as u64,
+                    signals: s.signals,
+                    contention: cell.contention.load(Ordering::Relaxed),
+                    queue_depth: cell.queue_depth.load(Ordering::Relaxed).max(0) as u64,
                 })
                 .collect();
             DetectorStats {
-                signals: self.signals.load(Ordering::Relaxed),
+                signals: shards.iter().map(|s| s.signals).sum(),
                 per_event,
                 nodes,
                 shards: shard_stats,
@@ -805,7 +733,7 @@ impl LocalEventDetector {
         ctx: ParamContext,
         sub: SubscriberId,
     ) -> Result<(), GraphError> {
-        self.graph.write().subscribe(event, ctx, sub)
+        self.topo.write().graph.subscribe(event, ctx, sub)
     }
 
     /// Removes a subscription; state for `ctx` is dropped when the counter
@@ -816,7 +744,13 @@ impl LocalEventDetector {
         ctx: ParamContext,
         sub: SubscriberId,
     ) -> Result<(), GraphError> {
-        self.graph.write().unsubscribe(event, ctx, sub)
+        let topo = &mut *self.topo.write();
+        for id in topo.graph.unsubscribe(event, ctx, sub)? {
+            let node = topo.graph.node(id);
+            let shard = topo.shards[node.shard as usize].state.get_mut();
+            shard.state_mut(node).ctx[ctx.index()] = CtxState::default();
+        }
+        Ok(())
     }
 
     // --- signalling -------------------------------------------------------
@@ -921,9 +855,9 @@ impl LocalEventDetector {
     /// The one routing step of every signal, live or replayed: drop a
     /// method class-edge no leaf routes, resolve an explicit event's leaf
     /// (declaring it and its shard first if new), route to the signal's
-    /// shard, take that shard's order lock, draw the timestamp, record the
-    /// signal (live signals only) and propagate it on that shard alone —
-    /// all under one graph read lock.
+    /// shard, lock that shard, draw the timestamp, record the signal (live
+    /// signals only) and propagate it on that shard alone — all under one
+    /// read lock.
     fn signal(
         &self,
         target: Signal<'_>,
@@ -932,7 +866,8 @@ impl LocalEventDetector {
         at: Option<Timestamp>,
         live: bool,
     ) -> Vec<Detection> {
-        let graph = self.graph.read();
+        let topo = self.topo.read();
+        let graph = &topo.graph;
         let explicit_leaf;
         // `name` is the graph's interned class or leaf name (the flight
         // label); `leaves` the class's primitive leaves, or the explicit
@@ -940,14 +875,14 @@ impl LocalEventDetector {
         let (label, name, leaves) = match target {
             Signal::Method { class, sig, edge, .. } => {
                 let Some((name, leaves)) = graph.class_entry(class) else { return Vec::new() };
-                if !routes(&graph, leaves, sig, edge) {
+                if !routes(graph, leaves, sig, edge) {
                     return Vec::new();
                 }
                 (graph.shard_of(leaves[0]), name.clone(), leaves)
             }
             Signal::Explicit { name } => {
                 let Some(leaf) = graph.lookup(name) else {
-                    drop(graph);
+                    drop(topo);
                     self.declare_explicit(name);
                     return self.signal(target, params, txn, at, live);
                 };
@@ -955,53 +890,36 @@ impl LocalEventDetector {
                 (graph.shard_of(leaf), graph.name_of(leaf), std::slice::from_ref(&explicit_leaf))
             }
         };
-        let shards = self.shards.read();
-        let _order = self.lock_shard(&shards[label as usize]);
+        let mut guard = topo.shards[label as usize].lock();
+        let shard = &mut *guard;
         let ts = self.stamp(at);
         if live {
-            self.record(label, target, name.clone(), &params, txn, ts);
+            self.record(topo.sink.as_deref(), label, target, name.clone(), &params, txn, ts);
         }
-        self.signals.fetch_add(1, Ordering::Relaxed);
-        shards[label as usize].signals.fetch_add(1, Ordering::Relaxed);
-        let mut p = self.propagation(&graph, &shards);
+        shard.signals += 1;
+        let mut out = Output { app: self.app, tracer: topo.tracer(), detections: Vec::new() };
         match target {
-            Signal::Method { class, sig, edge, oid } => {
-                self.method_core(&mut p, label, leaves, class, sig, edge, oid, &params, txn, ts)
-            }
+            Signal::Method { class, sig, edge, oid } => self.method_core(
+                shard, graph, &mut out, leaves, class, sig, edge, oid, &params, txn, ts,
+            ),
             Signal::Explicit { .. } => {
-                self.explicit_core(&mut p, label, leaves[0], name, params.into_owned(), txn, ts)
+                let params = params.into_owned();
+                self.explicit_core(shard, graph, &mut out, leaves[0], name, params, txn, ts)
             }
         }
-        p.detections
-    }
-
-    /// A propagation over `graph` and `shards` with the observability
-    /// handles read once.
-    fn propagation<'g>(
-        &self,
-        graph: &'g EventGraph,
-        shards: &'g [Arc<ShardState>],
-    ) -> Propagation<'g> {
-        Propagation {
-            graph,
-            shards,
-            tracer: self.tracer(),
-            work: Vec::new(),
-            emissions: Vec::new(),
-            fired: Vec::new(),
-            detections: Vec::new(),
-        }
+        out.detections
     }
 
     /// Propagates one timestamped method signal to the class's `leaves`
-    /// that match it, on the class's shard `label`, whose order lock the
-    /// caller holds together with the graph read lock. `params` is cloned
-    /// once per matching leaf that has a consumer.
+    /// that match it, on the class's `shard`, which the caller holds
+    /// locked together with the read lock. `params` is cloned once per
+    /// matching leaf that has a consumer.
     #[allow(clippy::too_many_arguments)]
     fn method_core(
         &self,
-        p: &mut Propagation<'_>,
-        label: u32,
+        shard: &mut Shard,
+        graph: &EventGraph,
+        out: &mut Output<'_>,
         leaves: &[EventId],
         class: &str,
         sig: &str,
@@ -1011,17 +929,16 @@ impl LocalEventDetector {
         txn: Option<u64>,
         ts: Timestamp,
     ) {
-        let signal_span = p
-            .tracer
-            .as_deref()
-            .map(|s| Self::open_signal_span(s, Arc::from(format!("{class}::{sig}"))));
+        let tracer = out.tracer;
+        let signal_span =
+            tracer.map(|s| Self::open_signal_span(s, Arc::from(format!("{class}::{sig}"))));
         let signal_ctx = signal_span.as_ref().map(|h| h.ctx);
-        self.fire_due_alarms(p, label, ts);
+        shard.fire_due_alarms(graph, out, ts);
         // "When the local event detector is notified of a method invocation
         // for a class, the invocation is propagated only to the primitive
         // events defined for that class" (§3.2).
         for &leaf in leaves {
-            let node = p.graph.node(leaf);
+            let node = graph.node(leaf);
             let NodeKind::Primitive { modifier, sig: node_sig, target, .. } = &node.kind else {
                 continue;
             };
@@ -1032,7 +949,7 @@ impl LocalEventDetector {
             if matches!(target, PrimTarget::Instance(want) if *want != oid) {
                 continue;
             }
-            let prim_ctx = match (p.tracer.as_deref(), signal_ctx) {
+            let prim_ctx = match (tracer, signal_ctx) {
                 (Some(s), Some(sig_ctx)) => Some(Self::record_primitive_span(
                     s,
                     sig_ctx,
@@ -1043,7 +960,7 @@ impl LocalEventDetector {
                 )),
                 _ => None,
             };
-            self.deliver_leaf(p, node, || {
+            shard.deliver_leaf(graph, out, node, || {
                 let name = node.name.clone();
                 let params = params.to_vec();
                 Occurrence::primitive_spanned(
@@ -1058,23 +975,8 @@ impl LocalEventDetector {
                 )
             });
         }
-        if let (Some(s), Some(h)) = (p.tracer.as_deref(), signal_span) {
-            s.finish(h, 0, vec![("detections", Field::U64(p.detections.len() as u64))]);
-        }
-    }
-
-    /// Counts one occurrence of `leaf` and propagates it, built by `occ`,
-    /// unless nothing consumes it: an occurrence no parent or rule sees is
-    /// never built.
-    fn deliver_leaf(
-        &self,
-        p: &mut Propagation<'_>,
-        leaf: &Node,
-        occ: impl FnOnce() -> Arc<Occurrence>,
-    ) {
-        leaf.state.lock().count += 1;
-        if leaf.has_consumers() {
-            self.propagate(p, leaf.id, occ(), None);
+        if let (Some(s), Some(h)) = (tracer, signal_span) {
+            s.finish(h, 0, vec![("detections", Field::U64(out.detections.len() as u64))]);
         }
     }
 
@@ -1101,36 +1003,36 @@ impl LocalEventDetector {
         ctx
     }
 
-    /// Propagates one timestamped explicit signal on shard `label` (the
-    /// leaf's shard), whose order lock the caller holds together with the
-    /// graph read lock.
+    /// Propagates one timestamped explicit signal on the leaf's `shard`,
+    /// which the caller holds locked together with the read lock.
     #[allow(clippy::too_many_arguments)]
     fn explicit_core(
         &self,
-        p: &mut Propagation<'_>,
-        label: u32,
+        shard: &mut Shard,
+        graph: &EventGraph,
+        out: &mut Output<'_>,
         leaf: EventId,
         leaf_name: Arc<str>,
         params: Vec<(Arc<str>, Value)>,
         txn: Option<u64>,
         ts: Timestamp,
     ) {
-        self.fire_due_alarms(p, label, ts);
-        let tracer = p.tracer.clone();
-        let signal_span = tracer.as_deref().map(|s| Self::open_signal_span(s, leaf_name.clone()));
-        let prim_ctx = match (tracer.as_deref(), signal_span.as_ref()) {
+        shard.fire_due_alarms(graph, out, ts);
+        let tracer = out.tracer;
+        let signal_span = tracer.map(|s| Self::open_signal_span(s, leaf_name.clone()));
+        let prim_ctx = match (tracer, signal_span.as_ref()) {
             (Some(s), Some(h)) => {
                 Some(Self::record_primitive_span(s, h.ctx, leaf_name.clone(), ts, txn, None))
             }
             _ => None,
         };
-        self.deliver_leaf(p, p.graph.node(leaf), || {
+        shard.deliver_leaf(graph, out, graph.node(leaf), || {
             Occurrence::primitive_spanned(
                 leaf, leaf_name, ts, txn, self.app, None, params, prim_ctx,
             )
         });
-        if let (Some(s), Some(h)) = (tracer.as_deref(), signal_span) {
-            s.finish(h, 0, vec![("detections", Field::U64(p.detections.len() as u64))]);
+        if let (Some(s), Some(h)) = (tracer, signal_span) {
+            s.finish(h, 0, vec![("detections", Field::U64(out.detections.len() as u64))]);
         }
     }
 
@@ -1138,208 +1040,14 @@ impl LocalEventDetector {
     /// without signalling any event.
     pub fn advance_time(&self, to: Timestamp) -> Vec<Detection> {
         self.clock.advance_to(to);
-        self.quiesce(|graph, shards| {
-            let mut p = self.propagation(graph, shards);
-            for label in 0..shards.len() as u32 {
-                self.fire_due_alarms(&mut p, label, to);
+        self.quiesce(|topo, shards| {
+            let mut out = Output { app: self.app, tracer: topo.tracer(), detections: Vec::new() };
+            for shard in shards.iter_mut() {
+                shard.fire_due_alarms(&topo.graph, &mut out, to);
             }
-            self.cut_fence(FenceKind::AdvanceTime(to));
-            p.detections
+            self.cut_fence(topo, FenceKind::AdvanceTime(to));
+            out.detections
         })
-    }
-
-    // --- propagation core ---------------------------------------------
-
-    /// Pushes an occurrence created at `origin` through the graph.
-    /// `ctx_filter` is None for leaf occurrences (which feed every active
-    /// context of each parent) and Some(c) for operator emissions (which
-    /// stay within their context). Everything reachable from `origin`
-    /// lives in `origin`'s shard, whose order lock the caller holds.
-    fn propagate(
-        &self,
-        p: &mut Propagation<'_>,
-        origin: EventId,
-        occ: Arc<Occurrence>,
-        ctx_filter: Option<ParamContext>,
-    ) {
-        let graph = p.graph;
-        let mut next = Some((origin, occ, ctx_filter));
-        while let Some((node_id, occ, filter)) =
-            next.take().or_else(|| p.work.pop().map(|(id, occ, ctx)| (id, occ, Some(ctx))))
-        {
-            let node = graph.node(node_id);
-            // Deliver to rule subscribers of this node.
-            let contexts: &[ParamContext] = match filter {
-                Some(ref ctx) => std::slice::from_ref(ctx),
-                // A primitive occurrence satisfies a direct rule
-                // subscription in any context (contexts only matter for
-                // composite grouping).
-                None => &ParamContext::ALL,
-            };
-            for &ctx in contexts {
-                let subscribers = &node.rule_subs[ctx.index()];
-                if subscribers.is_empty() {
-                    continue;
-                }
-                p.detections.push(Detection {
-                    event: node_id,
-                    context: ctx,
-                    occurrence: occ.clone(),
-                    subscribers: subscribers.clone(),
-                });
-            }
-            // Feed parents, one lock of each per delivery. The edges to one
-            // parent are adjacent: a binary operator whose two children are
-            // the same node (`a ; a`) receives the occurrence once through
-            // the dual-role path; other multi-role deliveries go
-            // terminator-role first (descending), so an occurrence can close
-            // a window opened by an earlier occurrence before re-initiating.
-            for edges in node.parents.chunk_by(|a, b| a.0 == b.0) {
-                let parent = graph.node(edges[0].0);
-                let dual = edges.len() == 2 && parent.kind.is_binary();
-                let mut ends = [0; 4];
-                let due = {
-                    let mut st = parent.state.lock();
-                    let mut fed = false;
-                    for ctx in ParamContext::ALL {
-                        let i = ctx.index();
-                        if filter.unwrap_or(ctx) == ctx && parent.active(ctx) {
-                            fed = true;
-                            let before = p.emissions.len();
-                            st.consumed[i] += 1;
-                            let state = &mut st.ctx[i];
-                            if dual {
-                                parent.kind.on_child_dual(state, &occ, ctx, &mut p.emissions);
-                            } else {
-                                for &(_, role) in edges {
-                                    parent.kind.on_child(state, role, &occ, ctx, &mut p.emissions);
-                                }
-                            }
-                            let emitted = (p.emissions.len() - before) as u64;
-                            st.emitted[i] += emitted;
-                            st.count += emitted;
-                        }
-                        ends[i] = p.emissions.len();
-                    }
-                    if fed && parent.kind.is_temporal() {
-                        st.earliest_due()
-                    } else {
-                        None
-                    }
-                };
-                for (k, em) in p.emissions.drain(..).enumerate() {
-                    let ctx = context_of(&ends, k);
-                    let comp = self.make_occurrence(parent, em, ctx, p.tracer.as_deref());
-                    p.work.push((parent.id, comp, ctx));
-                }
-                if let Some(due) = due {
-                    Self::schedule(graph, p.shards, parent.id, due);
-                }
-            }
-        }
-    }
-
-    /// Builds the composite occurrence for one operator emission. When a
-    /// span store is enabled, records a per-context "detect" span: its
-    /// trace/parent come from the terminating constituent (the one whose
-    /// signal completed the detection) and it links every constituent's
-    /// span — the linked parameter list, lifted into the trace model.
-    fn make_occurrence(
-        &self,
-        node: &Node,
-        em: Emission,
-        ctx: ParamContext,
-        tracer: Option<&TraceStore>,
-    ) -> Arc<Occurrence> {
-        let name = node.name.clone();
-        let span = tracer.map(|s| {
-            let terminator = em.constituents.iter().max_by_key(|o| o.at);
-            let anchor = terminator
-                .and_then(|o| o.span)
-                .or_else(|| em.constituents.iter().rev().find_map(|o| o.span));
-            let (trace, parent) = match anchor {
-                Some(a) => (a.trace, Some(a.span)),
-                // No traced constituent (e.g. a periodic alarm tick, or
-                // tracing enabled mid-composition): start a fresh trace.
-                None => (s.new_trace(), None),
-            };
-            let links: Vec<SpanContext> = em.constituents.iter().filter_map(|o| o.span).collect();
-            let h = s.start(trace, parent, "detect", name.clone());
-            let ctx_out = h.ctx;
-            s.finish_linked(h, 0, links, vec![("context", Field::from(ctx_name(ctx)))]);
-            ctx_out
-        });
-        if em.at.is_none() && em.params.is_empty() {
-            Occurrence::composite_spanned(node.id, name, em.constituents, span)
-        } else {
-            let mut constituents = em.constituents;
-            constituents.sort_by_key(|o| o.at);
-            let at = em.at.unwrap_or_else(|| constituents.last().map_or(0, |o| o.at));
-            let txn = constituents.last().and_then(|o| o.txn);
-            Arc::new(Occurrence {
-                event: node.id,
-                event_name: name,
-                at,
-                txn,
-                app: self.app,
-                source: None,
-                params: em.params,
-                constituents,
-                span,
-            })
-        }
-    }
-
-    /// Queues a temporal node's next alarm on its shard, unless that
-    /// `(due, node)` is queued already.
-    fn schedule(graph: &EventGraph, shards: &[Arc<ShardState>], node: EventId, due: Timestamp) {
-        shards[graph.shard_of(node) as usize].alarms.lock().insert((due, node));
-    }
-
-    /// Fires every alarm due at `now` in shard `label` (a signal fires its
-    /// own shard's alarms; `advance_time` fires every shard's).
-    fn fire_due_alarms(&self, p: &mut Propagation<'_>, label: u32, now: Timestamp) {
-        let shard = &p.shards[label as usize];
-        loop {
-            let next = {
-                let mut alarms = shard.alarms.lock();
-                match alarms.first() {
-                    Some(&(due, _)) if due <= now => alarms.pop_first(),
-                    _ => None,
-                }
-            };
-            let Some((_, node_id)) = next else { break };
-            let node = p.graph.node(node_id);
-            // Every context fires before any emission propagates: the
-            // propagation only reaches the node's ancestors, never its
-            // own state.
-            let mut ends = [0; 4];
-            let due = {
-                let mut st = node.state.lock();
-                for ctx in ParamContext::ALL {
-                    let i = ctx.index();
-                    if node.active(ctx) {
-                        let before = p.fired.len();
-                        node.kind.fire_alarms(&mut st.ctx[i], now, &mut p.fired);
-                        let emitted = (p.fired.len() - before) as u64;
-                        st.emitted[i] += emitted;
-                        st.count += emitted;
-                    }
-                    ends[i] = p.fired.len();
-                }
-                st.earliest_due()
-            };
-            let mut fired = std::mem::take(&mut p.fired);
-            for (k, em) in fired.drain(..).enumerate() {
-                let ctx = context_of(&ends, k);
-                let occ = self.make_occurrence(node, em, ctx, p.tracer.as_deref());
-                self.propagate(p, node_id, occ, Some(ctx));
-            }
-            p.fired = fired;
-            if let Some(due) = due {
-                Self::schedule(p.graph, p.shards, node_id, due);
-            }
-        }
     }
 
     // --- transaction hygiene -------------------------------------------
@@ -1348,19 +1056,18 @@ impl LocalEventDetector {
     /// graph (invoked on commit/abort so "events are not carried over across
     /// transaction boundaries", §3.2 item 3). Quiesces all shards.
     pub fn flush_txn(&self, txn: u64) {
-        self.quiesce(|graph, _| {
-            let removed: u64 =
-                graph.nodes().iter().map(|n| n.state.lock().flush_txn(txn) as u64).sum();
+        self.quiesce(|topo, shards| {
+            let removed: u64 = shards.iter_mut().map(|s| s.flush_txn(txn)).sum();
             self.flush_calls.inc();
             self.flushed.add(removed);
             // A flush performed inside a traced span (commit/abort
             // processing within a rule action) shows up as a child of that
             // span.
-            if let (Some(s), Some(cur)) = (self.tracer(), span::current()) {
+            if let (Some(s), Some(cur)) = (topo.tracer(), span::current()) {
                 let h = s.start(cur.trace, Some(cur.span), "flush", Arc::from("flush_txn"));
                 s.finish(h, 0, vec![("txn", Field::U64(txn)), ("removed", Field::U64(removed))]);
             }
-            self.cut_fence(FenceKind::FlushTxn(txn));
+            self.cut_fence(topo, FenceKind::FlushTxn(txn));
         })
     }
 
@@ -1368,30 +1075,22 @@ impl LocalEventDetector {
     /// flush for an event expression). Errors on an id that names no node
     /// of this detector's graph.
     pub fn flush_event(&self, event: EventId) -> Result<(), GraphError> {
-        self.quiesce(|graph, _| {
-            graph.check(event)?;
-            let mut stack = vec![event];
-            while let Some(id) = stack.pop() {
-                for (child, _) in graph.node(id).kind.children() {
-                    stack.push(child);
-                }
-                graph.node(id).state.lock().flush_all_state();
-            }
-            self.cut_fence(FenceKind::Barrier);
+        self.quiesce(|topo, shards| {
+            topo.graph.check(event)?;
+            let shard = topo.graph.shard_of(event) as usize;
+            shards[shard].flush_event(&topo.graph, event);
+            self.cut_fence(topo, FenceKind::Barrier);
             Ok(())
         })
     }
 
     /// Flushes the entire event graph.
     pub fn flush_all(&self) {
-        self.quiesce(|graph, shards| {
-            for n in graph.nodes() {
-                n.state.lock().flush_all_state();
+        self.quiesce(|topo, shards| {
+            for shard in shards.iter_mut() {
+                shard.flush_all();
             }
-            for shard in shards {
-                shard.alarms.lock().clear();
-            }
-            self.cut_fence(FenceKind::Barrier);
+            self.cut_fence(topo, FenceKind::Barrier);
         })
     }
 
@@ -1400,34 +1099,28 @@ impl LocalEventDetector {
     /// Attaches an event sink; every subsequently accepted primitive event
     /// is forwarded to it synchronously (see [`EventSink`]). Signals keep
     /// running in parallel — the sink observes each shard's stream under
-    /// that shard's order lock, with fences at whole-graph operations.
+    /// that shard's mutex, with fences at whole-graph operations. The
+    /// write lock waits out every signal in flight: attach is a clean cut.
     pub fn set_event_sink(&self, sink: Arc<dyn EventSink>) {
-        let _admin = self.sink_admin.lock();
-        // Quiesce once so every signal already in flight drains before
-        // the sink can observe anything: attach is a clean cut.
-        self.quiesce(|_, _| {
-            *self.sink.write() = Some(sink);
-        });
+        self.topo.write().sink = Some(sink);
     }
 
-    /// Detaches the event sink, if any. The quiesce drains every
+    /// Detaches the event sink, if any. The write lock waits out every
     /// in-flight signal, so after return the sink is guaranteed to
     /// receive no further records.
     pub fn clear_event_sink(&self) {
-        let _admin = self.sink_admin.lock();
-        self.quiesce(|_, _| {
-            *self.sink.write() = None;
-        });
+        self.topo.write().sink = None;
     }
 
-    /// Records one accepted signal on `shard`, whose order lock the
-    /// caller holds: flight-recorded always, materialized into a
-    /// [`LoggedEvent`] only when a sink is attached. An in-memory system
-    /// thus pays no per-signal string/param clones on the hot path.
-    /// `label` is the graph's interned class (method) or leaf (explicit)
-    /// name.
+    /// Records one accepted signal on `shard`, which the caller holds
+    /// locked: flight-recorded always, materialized into a [`LoggedEvent`]
+    /// only when a sink is attached. An in-memory system thus pays no
+    /// per-signal string/param clones on the hot path. `label` is the
+    /// graph's interned class (method) or leaf (explicit) name.
+    #[allow(clippy::too_many_arguments)]
     fn record(
         &self,
+        sink: Option<&dyn EventSink>,
         shard: u32,
         target: Signal<'_>,
         label: Arc<str>,
@@ -1444,9 +1137,7 @@ impl LocalEventDetector {
             ts,
             txn.unwrap_or(0),
         );
-        // Clone the Arc out so the sink lock is not held across the call
-        // (the sink may block on a group commit).
-        let Some(sink) = self.sink.read().clone() else { return };
+        let Some(sink) = sink else { return };
         let params = params.to_vec();
         let ev = match target {
             Signal::Method { class, sig, edge, oid } => LoggedEvent::Method {
@@ -1465,18 +1156,18 @@ impl LocalEventDetector {
         sink.record(self, shard, &ev);
     }
 
-    /// Runs `f` with signalling quiesced: the graph lock and every shard's
-    /// order lock are held, so no primitive event can be timestamped or
+    /// Runs `f` with signalling quiesced: the read lock and every shard's
+    /// mutex are held, so no primitive event can be timestamped or
     /// propagated concurrently in any shard. Used for externally-triggered
-    /// checkpoints; `f` may re-enter the detector (snapshot, restore,
-    /// stats, flush) but must not signal or define events. Cuts a
-    /// [`FenceKind::Barrier`] fence through the sink, so a count-based
-    /// checkpoint tag taken inside `f` names an exact prefix of the
-    /// journal's merged replay order.
-    pub fn with_signals_paused<R>(&self, f: impl FnOnce() -> R) -> R {
-        self.quiesce(|_, _| {
-            self.cut_fence(FenceKind::Barrier);
-            f()
+    /// checkpoints: `f` reads the paused detector through [`Paused`] and
+    /// must not call the detector itself, whose locks this thread holds.
+    /// Cuts a [`FenceKind::Barrier`] fence through the sink, so a
+    /// count-based checkpoint tag taken inside `f` names an exact prefix
+    /// of the journal's merged replay order.
+    pub fn with_signals_paused<R>(&self, f: impl FnOnce(&Paused<'_>) -> R) -> R {
+        self.quiesce(|topo, shards| {
+            self.cut_fence(topo, FenceKind::Barrier);
+            f(&Paused { detector: self, graph: &topo.graph, shards })
         })
     }
 
@@ -1484,28 +1175,28 @@ impl LocalEventDetector {
 
     /// Captures all detection state (buffered occurrences, open windows,
     /// pending temporal alarms, the clock) as a [`GraphSnapshot`].
-    /// Quiesces all shards; safe to call from [`EventSink::fence`] (the
-    /// fencing thread already holds the quiesce, so the nested call
-    /// reuses the held locks) and from [`Self::with_signals_paused`]
-    /// closures — but **not** from [`EventSink::record`], which holds
-    /// only one shard's order lock.
+    /// Quiesces all shards; inside [`Self::with_signals_paused`] use
+    /// [`Paused::snapshot_state`] instead.
     pub fn snapshot_state(&self) -> GraphSnapshot {
-        self.quiesce(|graph, _| {
-            let nodes = graph
-                .nodes()
-                .iter()
-                .filter_map(|n| {
-                    let st = n.state.lock();
-                    st.ctx.iter().any(|s| !s.is_empty()).then(|| NodeSnapshot {
-                        id: n.id,
-                        name: n.name.clone(),
-                        shard: graph.shard_of(n.id),
-                        state: st.ctx.clone(),
-                    })
+        self.quiesce(|topo, shards| self.snapshot(&topo.graph, shards))
+    }
+
+    /// The snapshot of `graph`'s state in `shards`, nodes in id order.
+    fn snapshot(&self, graph: &EventGraph, shards: &[MutexGuard<'_, Shard>]) -> GraphSnapshot {
+        let nodes = graph
+            .nodes()
+            .iter()
+            .filter_map(|n| {
+                let st = shards[n.shard as usize].state(n);
+                st.ctx.iter().any(|s| !s.is_empty()).then(|| NodeSnapshot {
+                    id: n.id,
+                    name: n.name.clone(),
+                    shard: n.shard,
+                    state: st.ctx.clone(),
                 })
-                .collect();
-            GraphSnapshot { clock: self.clock.peek(), nodes }
-        })
+            })
+            .collect();
+        GraphSnapshot { clock: self.clock.peek(), nodes }
     }
 
     /// Restores a previously captured [`GraphSnapshot`] into this
@@ -1519,7 +1210,8 @@ impl LocalEventDetector {
     /// before a component merge restores cleanly into the current
     /// sharding.
     pub fn restore_snapshot(&self, snap: &GraphSnapshot) -> Result<(), RestoreError> {
-        self.quiesce(|graph, shards| {
+        self.quiesce(|topo, shards| {
+            let graph = &topo.graph;
             for ns in &snap.nodes {
                 if graph.check(ns.id).is_err() {
                     return Err(RestoreError::UnknownNode(ns.id));
@@ -1533,19 +1225,18 @@ impl LocalEventDetector {
                     });
                 }
             }
-            for n in graph.nodes() {
-                n.state.lock().ctx = Default::default();
+            for shard in shards.iter_mut() {
+                shard.flush_all();
             }
             for ns in &snap.nodes {
-                graph.node(ns.id).state.lock().ctx = ns.state.clone();
+                let n = graph.node(ns.id);
+                shards[n.shard as usize].state_mut(n).ctx = ns.state.clone();
             }
             self.clock.advance_to(snap.clock);
-            for shard in shards {
-                shard.alarms.lock().clear();
-            }
             for id in graph.temporal_nodes() {
-                if let Some(due) = graph.node(id).state.lock().earliest_due() {
-                    Self::schedule(graph, shards, id, due);
+                let shard = &mut shards[graph.shard_of(id) as usize];
+                if let Some(due) = shard.state(graph.node(id)).earliest_due() {
+                    shard.schedule(id, due);
                 }
             }
             Ok(())
@@ -1913,23 +1604,19 @@ mod tests {
     }
 
     #[test]
-    fn event_sink_may_snapshot_reentrantly_from_fence() {
-        // The durable journal checkpoints from inside EventSink::fence;
-        // fences run with all shards quiesced by the fencing thread, so
-        // the nested whole-graph calls must reuse the held locks instead
-        // of deadlocking. `record` meanwhile runs per shard.
+    fn event_sink_sees_each_record_and_fence() {
+        // A sink sees every signal through `record` (per shard) and every
+        // whole-graph ordering point through `fence`.
         struct SnapSink {
             records: Mutex<Vec<(u32, Timestamp)>>,
-            fences: Mutex<Vec<(FenceKind, usize)>>,
+            fences: Mutex<Vec<FenceKind>>,
         }
         impl EventSink for SnapSink {
             fn record(&self, _detector: &LocalEventDetector, shard: u32, ev: &LoggedEvent) {
                 self.records.lock().push((shard, ev.ts()));
             }
-            fn fence(&self, detector: &LocalEventDetector, kind: FenceKind, _ts: Timestamp) {
-                let snap = detector.snapshot_state();
-                detector.stats();
-                self.fences.lock().push((kind, snap.nodes.len()));
+            fn fence(&self, kind: FenceKind, _ts: Timestamp) {
+                self.fences.lock().push(kind);
             }
         }
         let d = detector();
@@ -1942,7 +1629,7 @@ mod tests {
         sell(&d, 1, 10, 1);
         set_price(&d, 1, 2.0, 1);
         d.flush_txn(1);
-        d.with_signals_paused(|| {});
+        d.with_signals_paused(|_| {});
         d.clear_event_sink();
         // After detach nothing further reaches the sink.
         sell(&d, 1, 10, 2);
@@ -1950,15 +1637,13 @@ mod tests {
         assert_eq!(records.len(), 3, "sink saw every signal while attached");
         assert!(records.windows(2).all(|w| w[0].1 < w[1].1), "one shard: timestamp order");
         let fences = sink.fences.lock().clone();
-        assert_eq!(fences.len(), 2);
-        assert_eq!(fences[0].0, FenceKind::FlushTxn(1));
-        assert_eq!(fences[1].0, FenceKind::Barrier);
+        assert_eq!(fences, [FenceKind::FlushTxn(1), FenceKind::Barrier]);
     }
 
     #[test]
     fn recording_attach_detach_survives_concurrent_signal_bursts() {
         // Attaching and detaching a recorder drains in-flight signals, and
-        // every record runs under its shard's order lock: whatever the
+        // every record runs under its shard's mutex: whatever the
         // bursts on two shards do, each shard's stream in the log is in
         // timestamp order.
         use std::sync::atomic::AtomicBool;
@@ -2000,17 +1685,14 @@ mod tests {
     }
 
     #[test]
-    fn with_signals_paused_is_reentrant_for_checkpoint_calls() {
+    fn with_signals_paused_view_snapshots_one_cut() {
         let d = detector();
         let expr = parse_event_expr("e1 ; e3").unwrap();
         let seq = d.define_named("seq13", &expr).unwrap();
         d.subscribe(seq, ParamContext::Chronicle, 1).unwrap();
         sell(&d, 1, 10, 1);
-        let (a, b) = d.with_signals_paused(|| {
-            // Both whole-graph reads happen inside one quiesce and must
-            // observe the identical cut.
-            (d.snapshot_state(), d.snapshot_state())
-        });
+        // Both reads happen inside one pause and must observe one cut.
+        let (a, b) = d.with_signals_paused(|p| (p.snapshot_state(), p.snapshot_state()));
         assert_eq!(a.encode(), b.encode());
         assert!(!a.nodes.is_empty(), "buffered initiator state captured");
         d.restore_snapshot(&a).unwrap();
@@ -2021,17 +1703,17 @@ mod tests {
     /// No `(due, node)` is queued twice, and every temporal node's earliest
     /// alarm is covered by a queued entry for it that is due no later.
     fn check_alarm_queues(d: &LocalEventDetector) {
-        d.quiesce(|graph, shards| {
-            let queued: Vec<(Timestamp, EventId)> = shards
-                .iter()
-                .flat_map(|s| s.alarms.lock().iter().copied().collect::<Vec<_>>())
-                .collect();
+        d.quiesce(|topo, shards| {
+            let graph = &topo.graph;
+            let queued: Vec<(Timestamp, EventId)> =
+                shards.iter().flat_map(|s| s.alarms.iter().copied()).collect();
             let mut distinct = queued.clone();
             distinct.sort_unstable();
             distinct.dedup();
             assert_eq!(distinct.len(), queued.len(), "an alarm is queued twice: {queued:?}");
             for id in graph.temporal_nodes() {
-                if let Some(due) = graph.node(id).state.lock().earliest_due() {
+                let n = graph.node(id);
+                if let Some(due) = shards[n.shard as usize].state(n).earliest_due() {
                     assert!(queued.iter().any(|&(q, n)| n == id && q <= due), "{id:?} due {due}");
                 }
             }

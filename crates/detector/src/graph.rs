@@ -17,12 +17,10 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use sentinel_snoop::ast::{EventExpr, EventModifier};
 use sentinel_snoop::ParamContext;
 
 use crate::detector::SubscriberId;
-use crate::nodes::CtxState;
 
 /// Identifies a node of the event graph — and doubles as the identifier of
 /// the event that node detects.
@@ -155,13 +153,9 @@ impl NodeKind {
     }
 }
 
-/// One node of the event graph.
-///
-/// Its topology — `kind`, `name`, `parents`, `ctx_count` and `rule_subs` —
-/// changes only under the graph write lock (`&mut EventGraph`), so a
-/// signal holding the read lock reads it without locking the node. Only
-/// the detection state and its counters, which signals mutate, sit behind
-/// the node's own mutex.
+/// One node of the event graph: its topology only. A node changes only
+/// through `&mut EventGraph` (DDL, subscribe, unsubscribe); its detection
+/// state lives in its shard, at the node's slot.
 #[derive(Debug)]
 pub struct Node {
     /// This node's id.
@@ -179,38 +173,13 @@ pub struct Node {
     pub ctx_count: [u32; 4],
     /// Rule subscribers per context.
     pub rule_subs: [Vec<SubscriberId>; 4],
-    /// Detection state and traffic counters.
-    pub state: Mutex<NodeState>,
-}
-
-/// The part of a node that signals mutate, behind the node's mutex.
-#[derive(Debug, Default)]
-pub struct NodeState {
-    /// Per-context detection state.
-    pub ctx: [CtxState; 4],
-    /// Occurrences this node emitted, per context (composite detections
-    /// and temporal firings).
-    pub emitted: [u64; 4],
-    /// Child occurrences delivered to this node, per context.
-    pub consumed: [u64; 4],
-    /// Occurrences of this node's event: one per signal of a leaf, one per
-    /// emission of an operator.
-    pub count: u64,
+    /// Shard (connected component) label.
+    pub(crate) shard: u32,
+    /// Index of this node's state among its shard's node states.
+    pub(crate) slot: u32,
 }
 
 impl Node {
-    fn new(id: EventId, name: Arc<str>, kind: NodeKind) -> Self {
-        Node {
-            id,
-            name,
-            kind,
-            parents: Vec::new(),
-            ctx_count: [0; 4],
-            rule_subs: Default::default(),
-            state: Mutex::default(),
-        }
-    }
-
     /// Whether any context is active on this node.
     pub fn any_active(&self) -> bool {
         self.ctx_count.iter().any(|&c| c > 0)
@@ -226,18 +195,6 @@ impl Node {
     /// parent operator or a rule subscriber.
     pub fn has_consumers(&self) -> bool {
         !self.parents.is_empty() || self.rule_subs.iter().any(|s| !s.is_empty())
-    }
-}
-
-impl NodeState {
-    /// Total occurrences emitted across all contexts.
-    pub fn total_emitted(&self) -> u64 {
-        self.emitted.iter().sum()
-    }
-
-    /// Total child occurrences consumed across all contexts.
-    pub fn total_consumed(&self) -> u64 {
-        self.consumed.iter().sum()
     }
 }
 
@@ -268,13 +225,26 @@ impl std::fmt::Display for GraphError {
 
 impl std::error::Error for GraphError {}
 
-/// The event graph.
-///
-/// Each node's state sits behind its own mutex so shard workers can mutate
-/// disjoint connected components concurrently while sharing one graph
-/// behind a read lock; the detector's per-shard order locks serialize all
-/// access *within* a component, so the node mutexes are uncontended in
-/// practice and exist to make the sharing data-race-free.
+/// One change to the shard layout. The graph records these in the order
+/// they happen; the detector replays them onto its per-shard state.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Layout {
+    /// A node took the next slot of this shard (a fresh label when the
+    /// node is a leaf).
+    Push(u32),
+    /// Every node of `loser` moved to `winner`, its slots following
+    /// `winner`'s.
+    Merge {
+        /// The surviving label.
+        winner: u32,
+        /// The label merged away; it owns no nodes afterwards.
+        loser: u32,
+    },
+}
+
+/// The event graph: topology only. Detection state lives in the
+/// detector's shards; the graph assigns each node its shard and slot, and
+/// records every change to that assignment as a [`Layout`] step.
 #[derive(Debug, Default)]
 pub struct EventGraph {
     nodes: Vec<Node>,
@@ -286,17 +256,14 @@ pub struct EventGraph {
     /// events defined is maintained as a list based on the class on which it
     /// is defined", §3.2).
     by_class: HashMap<Arc<str>, Vec<EventId>>,
-    /// Shard label per node, parallel to `nodes`. A shard is a connected
-    /// component of the operator DAG (with all method leaves of one class
-    /// coupled, since a single `notify` feeds them atomically); composing
-    /// a node over children in different components unions them.
-    labels: Vec<u32>,
-    /// Labels ever allocated. Labels are never recycled, so after merges
-    /// some labels below this bound own no nodes.
-    allocated_shards: u32,
-    /// `(winner, loser)` component unions not yet applied by the detector
-    /// (which migrates per-shard runtime state loser → winner).
-    merges: Vec<(u32, u32)>,
+    /// Nodes per shard label. A shard is a connected component of the
+    /// operator DAG (with all method leaves of one class coupled, since a
+    /// single `notify` feeds them atomically); composing a node over
+    /// children in different components unions them. Labels are never
+    /// recycled, so after merges some labels own no nodes.
+    sizes: Vec<u32>,
+    /// Layout steps not yet replayed by the detector.
+    layout: Vec<Layout>,
 }
 
 impl EventGraph {
@@ -317,15 +284,9 @@ impl EventGraph {
         }
     }
 
-    /// Borrows a node. Its topology reads need no lock; its state is
-    /// behind [`Node::state`].
+    /// Borrows a node.
     pub fn node(&self, id: EventId) -> &Node {
         &self.nodes[id.0 as usize]
-    }
-
-    /// Mutably borrow a node (exclusive graph access, no locking).
-    pub fn node_mut(&mut self, id: EventId) -> &mut Node {
-        &mut self.nodes[id.0 as usize]
     }
 
     /// All nodes, in id order.
@@ -335,25 +296,19 @@ impl EventGraph {
 
     /// Shard (connected component) label of a node.
     pub fn shard_of(&self, id: EventId) -> u32 {
-        self.labels[id.0 as usize]
+        self.node(id).shard
     }
 
     /// Number of shard labels ever allocated. Shard-indexed tables are
     /// sized by this; merged-away labels simply go idle.
     pub fn shard_count(&self) -> u32 {
-        self.allocated_shards
+        self.sizes.len() as u32
     }
 
-    /// Shard label per node, parallel to node ids.
-    pub fn shard_labels(&self) -> &[u32] {
-        &self.labels
-    }
-
-    /// Drains the component unions performed since the last call, as
-    /// `(winner, loser)` label pairs in the order they happened. The
-    /// detector applies these by migrating per-shard runtime state.
-    pub fn take_merges(&mut self) -> Vec<(u32, u32)> {
-        std::mem::take(&mut self.merges)
+    /// Drains the layout steps taken since the last call, in the order
+    /// they happened.
+    pub fn take_layout(&mut self) -> Vec<Layout> {
+        std::mem::take(&mut self.layout)
     }
 
     /// Number of nodes (the ablation benches report this).
@@ -389,26 +344,29 @@ impl EventGraph {
     fn push_node(&mut self, name: Arc<str>, kind: NodeKind) -> EventId {
         let id = EventId(self.nodes.len() as u32);
         let children = kind.children();
-        let shard = if children.is_empty() {
-            let s = self.allocated_shards;
-            self.allocated_shards += 1;
-            s
-        } else {
-            // A composite joins its children's components: the smallest
-            // label wins (deterministic across identical DDL sequences,
-            // which snapshot byte-equality tests rely on).
-            let winner =
-                children.iter().map(|(c, _)| self.labels[c.0 as usize]).min().expect("children");
-            for (c, _) in &children {
-                let l = self.labels[c.0 as usize];
-                if l != winner {
-                    self.merge_shards(winner, l);
-                }
+        // A composite joins its children's components: the smallest label
+        // wins (deterministic across identical DDL sequences, which
+        // snapshot byte-equality tests rely on).
+        let shard = match children.iter().map(|&(c, _)| self.shard_of(c)).min() {
+            None => {
+                self.sizes.push(0);
+                self.sizes.len() as u32 - 1
             }
-            winner
+            Some(winner) => {
+                for &(c, _) in &children {
+                    let l = self.shard_of(c);
+                    if l != winner {
+                        self.merge_shards(winner, l);
+                    }
+                }
+                winner
+            }
         };
-        self.nodes.push(Node::new(id, name, kind));
-        self.labels.push(shard);
+        let slot = self.sizes[shard as usize];
+        self.sizes[shard as usize] += 1;
+        self.layout.push(Layout::Push(shard));
+        let (parents, ctx_count, rule_subs) = (Vec::new(), [0; 4], Default::default());
+        self.nodes.push(Node { id, name, kind, parents, ctx_count, rule_subs, shard, slot });
         for (child, role) in children {
             let parents = &mut self.nodes[child.0 as usize].parents;
             parents.push((id, role));
@@ -417,16 +375,19 @@ impl EventGraph {
         id
     }
 
-    /// Relabels every node in component `loser` to `winner` and queues the
-    /// union for the detector's runtime-state migration.
+    /// Moves every node of component `loser` to `winner`, after
+    /// `winner`'s own slots, and records the step.
     fn merge_shards(&mut self, winner: u32, loser: u32) {
         debug_assert_ne!(winner, loser);
-        for l in &mut self.labels {
-            if *l == loser {
-                *l = winner;
+        let base = self.sizes[winner as usize];
+        for node in &mut self.nodes {
+            if node.shard == loser {
+                node.shard = winner;
+                node.slot += base;
             }
         }
-        self.merges.push((winner, loser));
+        self.sizes[winner as usize] += std::mem::take(&mut self.sizes[loser as usize]);
+        self.layout.push(Layout::Merge { winner, loser });
     }
 
     /// Declares a method-event primitive (idempotent on identical redefinition).
@@ -460,7 +421,7 @@ impl EventGraph {
         // One `notify` feeds every method leaf of the class atomically, so
         // the class's leaves are detection-order-coupled: keep them in one
         // shard (this also makes every signal single-shard).
-        let (a, b) = (self.labels[first.0 as usize], self.labels[id.0 as usize]);
+        let (a, b) = (self.shard_of(first), self.shard_of(id));
         if a != b {
             self.merge_shards(a.min(b), a.max(b));
         }
@@ -635,27 +596,29 @@ impl EventGraph {
         Ok(())
     }
 
-    /// Reverses [`Self::subscribe`]; when a node's counter returns to zero
-    /// its detection state for that context is dropped ("if the counter is
-    /// reset to 0, events are no longer detected in that context").
+    /// Reverses [`Self::subscribe`]. Returns the nodes whose counter
+    /// returned to zero: their detection state for `ctx` must be dropped
+    /// ("if the counter is reset to 0, events are no longer detected in
+    /// that context").
     pub fn unsubscribe(
         &mut self,
         event: EventId,
         ctx: ParamContext,
         sub: SubscriberId,
-    ) -> Result<(), GraphError> {
+    ) -> Result<Vec<EventId>, GraphError> {
         self.check(event)?;
         let subs = &mut self.nodes[event.0 as usize].rule_subs[ctx.index()];
         let Some(pos) = subs.iter().position(|s| *s == sub) else {
             return Err(GraphError::NotSubscribed);
         };
         subs.remove(pos);
-        self.bump_ctx(event, ctx, -1);
-        Ok(())
+        Ok(self.bump_ctx(event, ctx, -1))
     }
 
-    fn bump_ctx(&mut self, event: EventId, ctx: ParamContext, delta: i32) {
-        let mut stack = vec![event];
+    /// Adds `delta` to `ctx`'s counter on `event`'s whole sub-graph and
+    /// returns the nodes left at zero.
+    fn bump_ctx(&mut self, event: EventId, ctx: ParamContext, delta: i32) -> Vec<EventId> {
+        let (mut stack, mut zeroed) = (vec![event], Vec::new());
         while let Some(id) = stack.pop() {
             let node = &mut self.nodes[id.0 as usize];
             let c = &mut node.ctx_count[ctx.index()];
@@ -664,13 +627,14 @@ impl EventGraph {
             } else {
                 *c = c.saturating_sub((-delta) as u32);
                 if *c == 0 {
-                    node.state.get_mut().ctx[ctx.index()] = CtxState::default();
+                    zeroed.push(id);
                 }
             }
             for (child, _) in node.kind.children() {
                 stack.push(child);
             }
         }
+        zeroed
     }
 
     /// Ids of all temporal nodes with at least one active context (the
@@ -837,16 +801,21 @@ mod tests {
         assert_eq!(g.shard_of(a), g.shard_of(b));
         assert_eq!(g.shard_of(seq), g.shard_of(a));
         assert_ne!(g.shard_of(c), g.shard_of(a));
-        let merges = g.take_merges();
-        assert_eq!(merges.len(), 1);
-        assert_eq!(merges[0].0, g.shard_of(a));
-        assert!(g.take_merges().is_empty(), "merges drain once");
+        let (la, lb, lc) = (0, 1, 2);
+        let seq_steps = [Layout::Merge { winner: la, loser: lb }, Layout::Push(la)];
+        let steps = g.take_layout();
+        assert_eq!(steps[..3], [Layout::Push(la), Layout::Push(lb), Layout::Push(lc)]);
+        assert_eq!(steps[3..], seq_steps);
+        assert!(g.take_layout().is_empty(), "steps drain once");
 
-        // A later bridge over both components merges again.
+        // A later bridge over both components merges again; slots follow
+        // the winner's.
         let expr = parse_event_expr("b ^ c").unwrap();
-        g.build_expr(&expr, false).unwrap();
+        let and = g.build_expr(&expr, false).unwrap();
         assert_eq!(g.shard_of(a), g.shard_of(c));
-        assert_eq!(g.take_merges().len(), 1);
+        assert_eq!(g.take_layout(), [Layout::Merge { winner: la, loser: lc }, Layout::Push(la)]);
+        let slots: Vec<u32> = [a, b, seq, c, and].iter().map(|&id| g.node(id).slot).collect();
+        assert_eq!(slots, [0, 1, 2, 3, 4]);
     }
 
     #[test]

@@ -30,6 +30,7 @@
 //!   detector on worker threads behind channels, the thread-based
 //!   separation of Figure 2.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
@@ -40,13 +41,14 @@ pub mod log;
 pub mod nodes;
 pub mod occurrence;
 pub mod service;
+mod shard;
 pub mod snapshot;
 pub mod viz;
 
 pub use clock::LogicalClock;
 pub use detector::{
     Detection, DetectorStats, EventSink, FenceKind, LocalEventDetector, MethodRoute, NodeStats,
-    ShardStats, SubscriberId,
+    Paused, ShardStats, SubscriberId,
 };
 pub use graph::{EventId, GraphError};
 pub use log::EventRecorder;

@@ -71,7 +71,7 @@ impl LoggedEvent {
 /// attach it with [`LocalEventDetector::set_event_sink`], detach it with
 /// [`LocalEventDetector::clear_event_sink`], then [`Self::take`] the log
 /// for [`LocalEventDetector::replay`]. Each record runs under its shard's
-/// order lock, so every shard's events are in timestamp order; streams of
+/// mutex, so every shard's events are in timestamp order; streams of
 /// different shards interleave, which replay tolerates.
 #[derive(Debug, Default)]
 pub struct EventRecorder {

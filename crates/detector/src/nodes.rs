@@ -23,8 +23,9 @@ use std::sync::{Arc, LazyLock};
 use sentinel_snoop::ParamContext;
 
 use crate::clock::Timestamp;
-use crate::graph::{NodeKind, NodeState};
+use crate::graph::NodeKind;
 use crate::occurrence::{Occurrence, Value};
+use crate::shard::NodeState;
 
 /// An open detection window (for `NOT`, `A`, `A*`, `P`, `P*`).
 #[derive(Debug, Clone, Default)]
@@ -684,6 +685,8 @@ mod tests {
     struct Harness {
         g: EventGraph,
         node: crate::graph::EventId,
+        /// The node under test's state.
+        st: NodeState,
         seq: Timestamp,
     }
 
@@ -703,7 +706,7 @@ mod tests {
             let e = parse_event_expr(expr).unwrap();
             let node = g.build_expr(&e, false).unwrap();
             g.subscribe(node, ctx, 1).unwrap();
-            Harness { g, node, seq: 0 }
+            Harness { g, node, st: NodeState::default(), seq: 0 }
         }
 
         fn occ_in(&mut self, name: &str, txn: u64) -> Arc<Occurrence> {
@@ -733,13 +736,7 @@ mod tests {
             let mut ems = Vec::new();
             let node = self.g.node(self.node);
             for role in roles {
-                node.kind.on_child(
-                    &mut node.state.lock().ctx[ctx.index()],
-                    role,
-                    &occ,
-                    ctx,
-                    &mut ems,
-                );
+                node.kind.on_child(&mut self.st.ctx[ctx.index()], role, &occ, ctx, &mut ems);
             }
             ems.iter()
                 .map(|em| {
@@ -751,21 +748,17 @@ mod tests {
         }
 
         /// Fires the node's alarms due at `now` in `ctx`.
-        fn fire(&self, now: Timestamp, ctx: ParamContext) -> Vec<Emission> {
+        fn fire(&mut self, now: Timestamp, ctx: ParamContext) -> Vec<Emission> {
             let (node, mut ems) = (self.g.node(self.node), Vec::new());
-            node.kind.fire_alarms(&mut node.state.lock().ctx[ctx.index()], now, &mut ems);
+            node.kind.fire_alarms(&mut self.st.ctx[ctx.index()], now, &mut ems);
             ems
         }
 
         /// Feeds `occ` to both roles of the binary node at once.
-        fn dual(&self, occ: &Arc<Occurrence>, ctx: ParamContext) -> Vec<Emission> {
+        fn dual(&mut self, occ: &Arc<Occurrence>, ctx: ParamContext) -> Vec<Emission> {
             let (node, mut ems) = (self.g.node(self.node), Vec::new());
-            node.kind.on_child_dual(&mut node.state.lock().ctx[ctx.index()], occ, ctx, &mut ems);
+            node.kind.on_child_dual(&mut self.st.ctx[ctx.index()], occ, ctx, &mut ems);
             ems
-        }
-
-        fn state(&self) -> parking_lot::MutexGuard<'_, NodeState> {
-            self.g.node(self.node).state.lock()
         }
     }
 
@@ -967,14 +960,14 @@ mod tests {
         let ctx = ParamContext::Recent;
         let mut h = Harness::new("PLUS(a, 10)", ctx);
         h.send("a", ctx); // at=1, due=11
-        let due = h.state().earliest_due();
+        let due = h.st.earliest_due();
         assert_eq!(due, Some(11));
         let ems = h.fire(10, ctx);
         assert!(ems.is_empty(), "not due yet");
         let ems = h.fire(11, ctx);
         assert_eq!(ems.len(), 1);
         assert_eq!(ems[0].at, Some(11));
-        assert_eq!(h.state().earliest_due(), None);
+        assert_eq!(h.st.earliest_due(), None);
     }
 
     #[test]
@@ -1161,7 +1154,7 @@ mod tests {
         let ctx = ParamContext::Chronicle;
         let mut h = Harness::new("a ; b", ctx);
         h.send("a", ctx); // txn 1 buffered
-        h.state().flush_txn(1);
+        h.st.flush_txn(1);
         assert!(h.send("b", ctx).is_empty(), "initiator flushed with its txn");
     }
 
@@ -1175,7 +1168,7 @@ mod tests {
         let mut h = Harness::new("A*(s, m, t)", ctx);
         h.send_txn("s", ctx, 1); // window opened by txn 1
         h.send_txn("m", ctx, 2); // mid from txn 2
-        let removed = h.state().flush_txn(1);
+        let removed = h.st.flush_txn(1);
         assert_eq!(removed, 2, "initiator + the mid stranded with it");
         assert!(
             h.send_txn("t", ctx, 2).is_empty(),
@@ -1192,7 +1185,7 @@ mod tests {
         h.send_txn("s", ctx, 2); // window owned by txn 2        (at=1)
         h.send_txn("m", ctx, 1); // mid from txn 1, to be flushed (at=2)
         h.send_txn("m", ctx, 2); // mid from txn 2               (at=3)
-        let removed = h.state().flush_txn(1);
+        let removed = h.st.flush_txn(1);
         assert_eq!(removed, 1, "only the aborted mid");
         let fired = h.send_txn("t", ctx, 2); // terminator        (at=4)
         assert_eq!(fired, vec![vec![1, 3, 4]], "window closes without the flushed mid");

@@ -36,7 +36,7 @@ use sentinel_obs::{json, Counter, Gauge, Histogram};
 use sentinel_snoop::ast::EventModifier;
 
 use crate::clock::Timestamp;
-use crate::detector::{Detection, LocalEventDetector};
+use crate::detector::{Detection, LocalEventDetector, Paused};
 use crate::occurrence::Value;
 
 /// Callback invoked on the worker thread after a pooled signal has been
@@ -147,7 +147,7 @@ pub enum Signal {
 enum PoolRequest {
     /// One routed signal. `at` pre-assigns the timestamp (deterministic
     /// replay/conformance drivers); `None` ticks the clock live on the
-    /// worker, under the shard's order lock. `label` is the shard the
+    /// worker, under the shard's mutex. `label` is the shard the
     /// signal was routed by (queue-depth accounting).
     Signal {
         sig: Signal,
@@ -175,7 +175,7 @@ struct PoolWorker {
 /// queue), so signals of one shard are processed in submission order by
 /// one worker — preserving the order the shard's operators depend on —
 /// while signals of disjoint shards propagate concurrently on different
-/// workers under their own shard order locks.
+/// workers, each under its own shard's mutex.
 ///
 /// Whole-graph operations go through [`DetectorPool::barrier`]: all
 /// workers drain their queues and park, the submitting thread runs the
@@ -434,7 +434,7 @@ impl DetectorPool {
     /// Runs `f` with the pool drained and signalling paused in every
     /// shard (see [`LocalEventDetector::with_signals_paused`]): the
     /// checkpoint-cut primitive for pooled deployments.
-    pub fn with_paused<R>(&self, f: impl FnOnce() -> R) -> R {
+    pub fn with_paused<R>(&self, f: impl FnOnce(&Paused<'_>) -> R) -> R {
         self.barrier(|det| det.with_signals_paused(f))
     }
 
@@ -557,7 +557,7 @@ mod tests {
         for _ in 0..K {
             svc.signal_async(method_signal(1));
         }
-        let processed = svc.with_paused(|| svc.metrics().processed.get());
+        let processed = svc.with_paused(|_| svc.metrics().processed.get());
         assert_eq!(processed, K, "park request sorts behind every queued signal");
     }
 
@@ -620,7 +620,7 @@ mod tests {
         det.subscribe(seq, ParamContext::Chronicle, 1).unwrap();
         let pool = DetectorPool::spawn(det.clone(), 2);
         pool.signal_async(Signal::Explicit { name: "a".into(), params: Vec::new(), txn: None });
-        let (x, y) = pool.with_paused(|| (det.snapshot_state(), det.snapshot_state()));
+        let (x, y) = pool.with_paused(|p| (p.snapshot_state(), p.snapshot_state()));
         assert_eq!(x.encode(), y.encode(), "no signal raced the paused closure");
         assert!(!x.is_empty(), "queued initiator drained before the cut");
     }

@@ -9,7 +9,7 @@
 
 use std::fmt::Write as _;
 
-use crate::graph::{EventGraph, NodeKind, PrimTarget};
+use crate::graph::{EventGraph, Node, NodeKind, PrimTarget};
 
 /// Renders the event graph as Graphviz DOT.
 ///
@@ -21,8 +21,9 @@ use crate::graph::{EventGraph, NodeKind, PrimTarget};
 ///   obvious (`start`/`mid`/`end` for interval operators);
 /// * nodes with at least one active context are bold, annotated with
 ///   `R/C/O/U` counters (recent/chronicle/continuous/cumulative) and the
-///   number of rule subscribers.
-pub fn to_dot(graph: &EventGraph) -> String {
+///   number of rule subscribers, plus the `(emitted, consumed)` totals
+///   `traffic` reports once the node has seen any occurrence.
+pub fn to_dot(graph: &EventGraph, traffic: impl Fn(&Node) -> (u64, u64)) -> String {
     let mut out = String::from("digraph event_graph {\n  rankdir=BT;\n  node [fontsize=10];\n");
     for id in graph.node_ids() {
         let node = graph.node(id);
@@ -59,12 +60,9 @@ pub fn to_dot(graph: &EventGraph) -> String {
             let c = &node.ctx_count;
             let subs: usize = node.rule_subs.iter().map(Vec::len).sum();
             let _ = write!(attrs, "\\nctx R{}/C{}/O{}/U{} rules={subs}", c[0], c[1], c[2], c[3]);
-            // Live traffic counters (see `NodeState::emitted`/`consumed`),
-            // shown once the node has seen any occurrence.
-            let st = node.state.lock();
-            if st.total_emitted() + st.total_consumed() > 0 {
-                let _ =
-                    write!(attrs, "\\nemit={} cons={}", st.total_emitted(), st.total_consumed());
+            let (emitted, consumed) = traffic(node);
+            if emitted + consumed > 0 {
+                let _ = write!(attrs, "\\nemit={emitted} cons={consumed}");
             }
             attrs.push_str("\", style=bold");
         } else {
@@ -151,14 +149,14 @@ mod tests {
     #[test]
     fn dot_contains_all_nodes_and_edges() {
         let g = sample_graph();
-        let dot = to_dot(&g);
+        let dot = to_dot(&g, |n| if &*n.name == "e4" { (3, 5) } else { (0, 0) });
         assert!(dot.starts_with("digraph event_graph {"));
         assert!(dot.contains("STOCK::int sell_stock(int qty) [end]"));
         assert!(dot.contains("AND"));
         assert!(dot.contains("A*"));
         assert!(dot.contains("oid#7 only"));
         // Active AND node shows counters and bold style.
-        assert!(dot.contains("ctx R0/C0/O0/U1 rules=1"));
+        assert!(dot.contains("ctx R0/C0/O0/U1 rules=1\\nemit=3 cons=5"));
         assert!(dot.contains("style=bold"));
         // Interval roles labelled.
         assert!(dot.contains("label=\"start\""));
@@ -170,7 +168,7 @@ mod tests {
     #[test]
     fn dot_edge_count_matches_graph() {
         let g = sample_graph();
-        let dot = to_dot(&g);
+        let dot = to_dot(&g, |_| (0, 0));
         let expected_edges: usize = g.node_ids().map(|id| g.node(id).kind.children().len()).sum();
         let arrow_count = dot.matches(" -> ").count();
         assert_eq!(arrow_count, expected_edges);
@@ -178,7 +176,7 @@ mod tests {
 
     #[test]
     fn empty_graph_renders() {
-        let dot = to_dot(&EventGraph::new());
+        let dot = to_dot(&EventGraph::new(), |_| (0, 0));
         assert!(dot.contains("digraph"));
     }
 }

@@ -15,7 +15,7 @@
 //! threshold, if one is configured).
 //!
 //! The committer **never re-enters the detector** — appenders blocked in
-//! `wait_durable` hold their shard's order lock, so anything the
+//! `wait_durable` hold their shard's mutex, so anything the
 //! committer did that needed a quiesce would deadlock. Checkpoints
 //! therefore run on a separate thread (see [`Checkpointer`]).
 

@@ -294,7 +294,8 @@ fn trace_query_follows_one_cascade_among_interleaved_ones() {
             })
         })
         .collect();
-    let first = runs.into_iter().map(|h| h.join().unwrap()).next().unwrap();
+    let txns: Vec<_> = runs.into_iter().map(|h| h.join().unwrap()).collect();
+    let first = txns[0];
     let traces = traces.lock().clone();
     assert_eq!(traces.len(), 2);
     assert_ne!(traces[0].1, traces[1].1, "one trace per transaction");

@@ -16,7 +16,9 @@
 use std::sync::Arc;
 
 use sentinel_core::detector::service::Signal;
-use sentinel_core::detector::{Detection, DetectorPool, EventId, LocalEventDetector};
+use sentinel_core::detector::{
+    Detection, DetectorPool, EventId, GraphError, GraphSnapshot, LocalEventDetector,
+};
 use sentinel_core::durable_store::{DurableEngine, DurableOptions, FsyncPolicy};
 use sentinel_core::snoop::{parse_event_expr, ParamContext};
 use sentinel_core::JournalSink;
@@ -72,6 +74,73 @@ fn per_event_counts_signalled_before_a_merge_survive_it() {
     assert_eq!(per_event(), want(PAIRS as u64), "counts of the merged-away shard are kept");
     signal_pairs();
     assert_eq!(per_event(), want(2 * PAIRS as u64));
+}
+
+/// One definition that bridges three components lays them out in the
+/// order merge, push, merge, push (`sx ^ sy` joins x and y, then `^ sz`
+/// joins z). Buffered state, signal counts and a queued alarm must all
+/// follow their nodes into the surviving shard.
+#[test]
+fn a_three_way_bridge_in_one_definition_keeps_every_shards_state() {
+    let (det, sx, sy) = two_components();
+    det.declare_explicit("za");
+    let sz = det.define_named("sz", &parse_event_expr("PLUS(za, 5)").unwrap()).unwrap();
+    for (i, &ctx) in ParamContext::ALL.iter().enumerate() {
+        det.subscribe(sz, ctx, (30 + i) as u64).unwrap();
+    }
+    for name in ["xa", "ya", "za"] {
+        det.signal_explicit(name, Vec::new(), None);
+    }
+    let states = |snap: GraphSnapshot| -> Vec<(String, String)> {
+        snap.nodes.iter().map(|n| (n.name.to_string(), format!("{:?}", n.state))).collect()
+    };
+    let before = states(det.snapshot_state());
+    let live_before = det.stats().shards.len();
+    assert_ne!(det.shard_of_event("xa"), det.shard_of_event("za"));
+
+    let all3 = det.define_named("all3", &parse_event_expr("sx ^ sy ^ sz").unwrap()).unwrap();
+    assert_eq!(states(det.snapshot_state()), before, "node states moved with their nodes");
+    let stats = det.stats();
+    assert_eq!(stats.shards.len(), live_before - 2, "two shards merged away");
+    let busy: Vec<_> = stats.shards.iter().filter(|s| s.signals > 0).collect();
+    assert_eq!(busy.len(), 1, "one shard holds x, y and z: {:?}", stats.shards);
+    assert_eq!(busy[0].shard, det.shard_of_event("za"));
+    assert_eq!((busy[0].signals, stats.signals), (3, 3), "signal counts carried over");
+    assert_eq!(busy[0].nodes, 10, "xa xb sx ya yb sy za sz, sx ^ sy and all3");
+
+    for (i, &ctx) in ParamContext::ALL.iter().enumerate() {
+        det.subscribe(all3, ctx, (40 + i) as u64).unwrap();
+    }
+    // `za` ticked at 3, so PLUS(za, 5) is due at 8.
+    assert!(det.advance_time(7).is_empty());
+    let fired = det.advance_time(8);
+    assert_eq!(fired.len(), 4, "the alarm queued before the merge fires after it");
+    assert!(fired.iter().all(|d| d.event == sz));
+
+    let mut dets = det.signal_explicit("xb", Vec::new(), None);
+    dets.extend(det.signal_explicit("yb", Vec::new(), None));
+    for ctx in ParamContext::ALL {
+        let n = |ev: EventId| dets.iter().filter(|d| d.event == ev && d.context == ctx).count();
+        assert_eq!((n(sx), n(sy), n(all3)), (1, 1, 1), "in {ctx:?}");
+    }
+}
+
+/// `(a ^ b)` is built, and bridges a and b, before `nope` fails the
+/// definition. The shard layout must follow at once: the next signal
+/// (no DDL in between) feeds `a ^ b`, whose state must exist.
+#[test]
+fn a_failed_definition_still_lays_out_what_it_built() {
+    let d = LocalEventDetector::new(0);
+    let a = d.declare_explicit("a");
+    d.declare_explicit("b");
+    let bad = parse_event_expr("(a ^ b) ; nope").unwrap();
+    assert!(matches!(d.define_named("bad", &bad), Err(GraphError::UnknownEvent(_))));
+    d.subscribe(a, ParamContext::Recent, 1).unwrap();
+    assert_eq!(d.signal_explicit("a", Vec::new(), None).len(), 1);
+    assert!(d.signal_explicit("b", Vec::new(), None).is_empty());
+    let shards = d.stats().shards;
+    let ab = shards.iter().find(|s| s.shard == d.shard_of_event("b")).unwrap();
+    assert_eq!((ab.nodes, ab.signals), (3, 2), "a, b and a ^ b; one signal each");
 }
 
 #[test]
@@ -169,7 +238,7 @@ fn checkpoint_cuts_are_clean_under_async_burst() {
         });
         let mut cuts = Vec::new();
         for _ in 0..8 {
-            let (a, b) = pool.with_paused(|| (det.snapshot_state(), det.snapshot_state()));
+            let (a, b) = pool.with_paused(|p| (p.snapshot_state(), p.snapshot_state()));
             assert_eq!(a.encode(), b.encode(), "a signal raced the paused closure");
             cuts.push(a);
         }
