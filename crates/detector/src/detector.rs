@@ -197,9 +197,16 @@ struct ShardCell {
     /// Times a signal found `state` already locked.
     contention: AtomicU64,
     /// Signals queued for this shard in a `DetectorPool` and not yet
-    /// processed (maintained by the service layer).
-    queue_depth: AtomicI64,
+    /// processed. A pooled signal holds this gauge from submission until
+    /// a worker takes it, so both moves happen without the topology lock.
+    queue_depth: QueueGauge,
+    /// The gauges of shards merged into this one that queued signals
+    /// still hold; they count towards this shard's depth.
+    absorbed_queues: Vec<QueueGauge>,
 }
+
+/// A shard's queued-signal gauge (see [`LocalEventDetector::route_class`]).
+pub(crate) type QueueGauge = Arc<AtomicI64>;
 
 impl ShardCell {
     /// Locks the shard, counting contended acquisitions.
@@ -232,6 +239,12 @@ impl Topology {
         self.spans.as_deref().filter(|s| s.is_enabled())
     }
 
+    /// The queue gauge of shard `label` (a gauge of no shard when the
+    /// label has none yet).
+    fn queue_gauge(&self, label: u32) -> QueueGauge {
+        self.shards.get(label as usize).map(|c| c.queue_depth.clone()).unwrap_or_default()
+    }
+
     /// Replays the graph's pending layout steps onto the shard table.
     /// Returns whether any shards merged.
     fn apply_layout(&mut self) -> bool {
@@ -250,11 +263,14 @@ impl Topology {
                     let loser = &mut self.shards[loser as usize];
                     let moved = std::mem::take(loser.state.get_mut());
                     let contention = std::mem::take(loser.contention.get_mut());
-                    let queued = std::mem::take(loser.queue_depth.get_mut());
+                    let mut queues = std::mem::take(&mut loser.absorbed_queues);
+                    queues.push(std::mem::take(&mut loser.queue_depth));
                     let winner = &mut self.shards[winner as usize];
                     winner.state.get_mut().absorb(moved);
                     *winner.contention.get_mut() += contention;
-                    *winner.queue_depth.get_mut() += queued;
+                    // A gauge no queued signal holds any more reads 0.
+                    winner.absorbed_queues.extend(queues);
+                    winner.absorbed_queues.retain(|q| Arc::strong_count(q) > 1);
                 }
             }
         }
@@ -571,11 +587,27 @@ impl LocalEventDetector {
         self.topo.read().graph.shard_count()
     }
 
-    /// Adjusts a shard's queued-signal gauge (service-layer accounting).
-    pub(crate) fn shard_queue_delta(&self, label: u32, delta: i64) {
-        if let Some(s) = self.topo.read().shards.get(label as usize) {
-            s.queue_depth.fetch_add(delta, Ordering::Relaxed);
+    /// The shard a `DetectorPool` routes a method signal of `class` by
+    /// (0 when the class has no events) and that shard's queue gauge,
+    /// read under one topology read lock.
+    pub(crate) fn route_class(&self, class: &str) -> (u32, QueueGauge) {
+        let topo = self.topo.read();
+        let label = topo.graph.class_events(class).first().map_or(0, |&id| topo.graph.shard_of(id));
+        (label, topo.queue_gauge(label))
+    }
+
+    /// [`Self::route_class`] for an explicit event, declaring it when it
+    /// is unknown (as [`Self::shard_of_event`] does).
+    pub(crate) fn route_event(&self, name: &str) -> (u32, QueueGauge) {
+        {
+            let topo = self.topo.read();
+            if let Some(id) = topo.graph.lookup(name) {
+                let label = topo.graph.shard_of(id);
+                return (label, topo.queue_gauge(label));
+            }
         }
+        self.ddl(|graph| graph.declare_explicit(name));
+        self.route_event(name)
     }
 
     // --- event definition ---------------------------------------------
@@ -709,7 +741,11 @@ impl LocalEventDetector {
                     nodes: s.states.len() as u64,
                     signals: s.signals,
                     contention: cell.contention.load(Ordering::Relaxed),
-                    queue_depth: cell.queue_depth.load(Ordering::Relaxed).max(0) as u64,
+                    queue_depth: std::iter::once(&cell.queue_depth)
+                        .chain(&cell.absorbed_queues)
+                        .map(|q| q.load(Ordering::Relaxed))
+                        .sum::<i64>()
+                        .max(0) as u64,
                 })
                 .collect();
             DetectorStats {

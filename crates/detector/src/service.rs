@@ -25,6 +25,7 @@
 //! performs the operation against the quiesced detector, and the workers
 //! resume.
 
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -36,7 +37,7 @@ use sentinel_obs::{json, Counter, Gauge, Histogram};
 use sentinel_snoop::ast::EventModifier;
 
 use crate::clock::Timestamp;
-use crate::detector::{Detection, LocalEventDetector, Paused};
+use crate::detector::{Detection, LocalEventDetector, Paused, QueueGauge};
 use crate::occurrence::Value;
 
 /// Callback invoked on the worker thread after a pooled signal has been
@@ -147,12 +148,12 @@ pub enum Signal {
 enum PoolRequest {
     /// One routed signal. `at` pre-assigns the timestamp (deterministic
     /// replay/conformance drivers); `None` ticks the clock live on the
-    /// worker, under the shard's mutex. `label` is the shard the
-    /// signal was routed by (queue-depth accounting).
+    /// worker, under the shard's mutex. `queued` is the queue gauge of
+    /// the shard the signal was routed by, raised on submission.
     Signal {
         sig: Signal,
         at: Option<Timestamp>,
-        label: u32,
+        queued: QueueGauge,
         enqueued: Instant,
         span: Option<SpanContext>,
         reply: Option<Sender<Vec<Detection>>>,
@@ -237,8 +238,8 @@ impl DetectorPool {
     ) {
         while let Ok(req) = requests.recv() {
             match req {
-                PoolRequest::Signal { sig, at, label, enqueued, span, reply, done } => {
-                    det.shard_queue_delta(label, -1);
+                PoolRequest::Signal { sig, at, queued, enqueued, span, reply, done } => {
+                    queued.fetch_sub(1, Ordering::Relaxed);
                     metrics.queue_depth.set(requests.len() as u64);
                     let dets = {
                         let _guard = span.map(span::push_current);
@@ -308,15 +309,16 @@ impl DetectorPool {
         &self.metrics
     }
 
-    /// The shard label a signal routes by (declaring unknown explicit
-    /// events so routing stays stable from the first submission).
-    fn route(&self, sig: &Signal) -> u32 {
+    /// The shard label a signal routes by and that shard's queue gauge
+    /// (declaring unknown explicit events so routing stays stable from
+    /// the first submission).
+    fn route(&self, sig: &Signal) -> (u32, QueueGauge) {
         match sig {
-            Signal::Method { class, .. } => self.detector.shard_of_class(class).unwrap_or(0),
-            Signal::Explicit { name, .. } => self.detector.shard_of_event(name),
+            Signal::Method { class, .. } => self.detector.route_class(class),
+            Signal::Explicit { name, .. } => self.detector.route_event(name),
             // Global fences carry no shard; submit() routes them to a
             // barrier instead.
-            Signal::FlushTxn(_) | Signal::AdvanceTime(_) => 0,
+            Signal::FlushTxn(_) | Signal::AdvanceTime(_) => (0, QueueGauge::default()),
         }
     }
 
@@ -354,21 +356,23 @@ impl DetectorPool {
                 }
             }
             sig => {
-                let label = self.route(&sig);
+                let (label, queued) = self.route(&sig);
                 let worker = &self.workers[label as usize % self.workers.len()];
-                self.detector.shard_queue_delta(label, 1);
+                queued.fetch_add(1, Ordering::Relaxed);
                 let req = PoolRequest::Signal {
                     sig,
                     at,
-                    label,
+                    queued,
                     enqueued: Instant::now(),
                     span: span::current(),
                     reply,
                     done,
                 };
-                if worker.requests.send(req).is_err() {
+                if let Err(unsent) = worker.requests.send(req) {
                     // Pool shut down; balance the gauge.
-                    self.detector.shard_queue_delta(label, -1);
+                    if let PoolRequest::Signal { queued, .. } = unsent.0 {
+                        queued.fetch_sub(1, Ordering::Relaxed);
+                    }
                 } else {
                     self.metrics
                         .queue_depth
@@ -591,6 +595,45 @@ mod tests {
         // alternating a;b pair exactly once.
         assert_eq!(per(s1), 4 * PAIRS, "no s1 pair lost or doubled");
         assert_eq!(per(s2), 4 * PAIRS, "no s2 pair lost or doubled");
+    }
+
+    #[test]
+    fn queue_depth_returns_to_zero_after_a_merge_of_queued_shards() {
+        let det = Arc::new(LocalEventDetector::new(2));
+        det.declare_explicit("a");
+        det.declare_explicit("b");
+        let pool = DetectorPool::spawn(det.clone(), 1);
+        let explicit =
+            |name: &str| Signal::Explicit { name: name.into(), params: vec![], txn: None };
+        // Park the one worker in the first signal's completion callback.
+        let (entered_tx, entered_rx) = bounded::<()>(1);
+        let (release_tx, release_rx) = bounded::<()>(1);
+        let park = move || {
+            let _ = entered_tx.send(());
+            let _ = release_rx.recv();
+        };
+        pool.signal_async_done(explicit("a"), Box::new(park));
+        entered_rx.recv().unwrap();
+        const K: u64 = 16;
+        for i in 0..K {
+            pool.signal_async(explicit(["a", "b"][i as usize % 2]));
+        }
+        // The queue depth of every live shard that has one.
+        let depths = || {
+            let shards = det.stats().shards.into_iter().filter(|s| s.queue_depth > 0);
+            shards.map(|s| (s.shard, s.queue_depth)).collect::<Vec<_>>()
+        };
+        let (a, b) = (det.shard_of_event("a"), det.shard_of_event("b"));
+        assert_eq!(depths(), [(a, K / 2), (b, K / 2)], "one shard per leaf");
+        // DDL merges the two queued shards while their signals wait.
+        det.define_named("s", &parse_event_expr("a ; b").unwrap()).unwrap();
+        let merged = det.shard_of_event("s");
+        assert!([a, b].contains(&merged) && det.shard_of_event("a") == merged);
+        assert_eq!(depths(), [(merged, K)], "the merged shard counts both queues");
+        release_tx.send(()).unwrap();
+        pool.with_paused(|_| ()); // drains the queue
+        assert_eq!(pool.metrics().processed.get(), K + 1);
+        assert_eq!(depths(), [], "every queued signal was taken off its gauge");
     }
 
     #[test]

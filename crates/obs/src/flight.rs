@@ -6,9 +6,11 @@
 //! Recording is allocation-free on the hot path: the ring slots are
 //! preallocated, a record is one atomic fetch-add to claim a sequence
 //! number plus one short per-slot mutex (different slots never contend),
-//! and labels travel as `Arc<str>` clones (refcount bumps) — static
-//! labels are interned once. Torn global order is impossible: slots are
-//! written independently and snapshots sort by sequence number.
+//! and a [`FlightLabel`] is either a `&'static str` or an `Arc<str>`
+//! clone (a refcount bump). A caller recording several events at once
+//! reads the wall clock once for all of them ([`FlightRecorder::record_at`]).
+//! Torn global order is impossible: slots are written independently and
+//! snapshots sort by sequence number.
 //!
 //! Persistence has three triggers:
 //!
@@ -90,6 +92,39 @@ impl FlightKind {
     }
 }
 
+/// The label of a [`FlightEvent`]: a static string, or a shared one
+/// (an event, rule or connection name). Either way it reads as a `str`.
+#[derive(Debug, Clone)]
+pub enum FlightLabel {
+    /// A label fixed at compile time.
+    Static(&'static str),
+    /// A label shared with its owner.
+    Shared(Arc<str>),
+}
+
+impl std::ops::Deref for FlightLabel {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        match self {
+            FlightLabel::Static(s) => s,
+            FlightLabel::Shared(s) => s,
+        }
+    }
+}
+
+impl From<&'static str> for FlightLabel {
+    fn from(s: &'static str) -> Self {
+        FlightLabel::Static(s)
+    }
+}
+
+impl From<Arc<str>> for FlightLabel {
+    fn from(s: Arc<str>) -> Self {
+        FlightLabel::Shared(s)
+    }
+}
+
 /// One recorded notable event.
 #[derive(Debug, Clone)]
 pub struct FlightEvent {
@@ -100,7 +135,7 @@ pub struct FlightEvent {
     /// Event kind.
     pub kind: FlightKind,
     /// Event/rule/fence label.
-    pub label: Arc<str>,
+    pub label: FlightLabel,
     /// Kind-specific detail (usually a timestamp).
     pub a: u64,
     /// Kind-specific detail.
@@ -126,7 +161,6 @@ pub struct FlightRecorder {
     next: AtomicU64,
     slots: Box<[Mutex<Option<FlightEvent>>]>,
     last_dump: AtomicU64,
-    interned: Mutex<Vec<(&'static str, Arc<str>)>>,
 }
 
 impl std::fmt::Debug for FlightRecorder {
@@ -138,7 +172,9 @@ impl std::fmt::Debug for FlightRecorder {
     }
 }
 
-fn unix_us() -> u64 {
+/// Wall-clock microseconds since the unix epoch, the stamp
+/// [`FlightRecorder::record_at`] takes.
+pub fn unix_us() -> u64 {
     SystemTime::now()
         .duration_since(SystemTime::UNIX_EPOCH)
         .map(|d| d.as_micros().min(u64::MAX as u128) as u64)
@@ -153,7 +189,6 @@ impl FlightRecorder {
             next: AtomicU64::new(0),
             slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
             last_dump: AtomicU64::new(0),
-            interned: Mutex::new(Vec::new()),
         }
     }
 
@@ -162,28 +197,23 @@ impl FlightRecorder {
         self.next.load(Ordering::Relaxed)
     }
 
-    /// Records one event. The label is an `Arc` clone — no allocation.
+    /// Records one event, stamped now. The label is an `Arc` clone — no
+    /// allocation.
     pub fn record(&self, kind: FlightKind, label: Arc<str>, a: u64, b: u64) {
-        let seq = self.next.fetch_add(1, Ordering::Relaxed);
-        let slot = (seq % self.slots.len() as u64) as usize;
-        *self.slots[slot].lock() = Some(FlightEvent { seq, unix_us: unix_us(), kind, label, a, b });
+        self.record_at(unix_us(), kind, label.into(), a, b);
     }
 
-    /// Records one event with a static label, interning it once so
-    /// steady-state recording stays allocation-free.
+    /// Records one event with a static label.
     pub fn record_static(&self, kind: FlightKind, label: &'static str, a: u64, b: u64) {
-        let interned = {
-            let mut cache = self.interned.lock();
-            match cache.iter().find(|(k, _)| *k == label) {
-                Some((_, arc)) => arc.clone(),
-                None => {
-                    let arc: Arc<str> = Arc::from(label);
-                    cache.push((label, arc.clone()));
-                    arc
-                }
-            }
-        };
-        self.record(kind, interned, a, b);
+        self.record_at(unix_us(), kind, label.into(), a, b);
+    }
+
+    /// Records one event stamped `unix_us` (from [`unix_us`]), so that
+    /// events recorded together share one clock read.
+    pub fn record_at(&self, unix_us: u64, kind: FlightKind, label: FlightLabel, a: u64, b: u64) {
+        let seq = self.next.fetch_add(1, Ordering::Relaxed);
+        let slot = (seq % self.slots.len() as u64) as usize;
+        *self.slots[slot].lock() = Some(FlightEvent { seq, unix_us, kind, label, a, b });
     }
 
     /// The retained events, oldest first.
@@ -307,11 +337,14 @@ mod tests {
     }
 
     #[test]
-    fn static_labels_intern_to_one_arc() {
+    fn static_labels_need_no_cache() {
         let fr = FlightRecorder::new(8);
         fr.record_static(FlightKind::Fence, "barrier", 0, 0);
-        fr.record_static(FlightKind::Fence, "barrier", 1, 0);
+        fr.record_at(7, FlightKind::RuleFired, label("rule").into(), 1, 0);
         let events = fr.snapshot();
-        assert!(Arc::ptr_eq(&events[0].label, &events[1].label));
+        assert!(matches!(events[0].label, FlightLabel::Static("barrier")));
+        assert_eq!((&*events[1].label, events[1].unix_us), ("rule", 7));
+        let dumped = fr.to_json().to_string();
+        assert!(dumped.contains(r#""kind":"fence","label":"barrier""#), "{dumped}");
     }
 }

@@ -52,7 +52,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 pub use durability::{DurabilityMetrics, RecoveryReport};
-pub use flight::{FlightEvent, FlightKind, FlightRecorder};
+pub use flight::{FlightEvent, FlightKind, FlightLabel, FlightRecorder};
 pub use metrics::{MetricKind, MetricRow};
 pub use net::NetMetrics;
 pub use prom::PromText;
@@ -150,11 +150,12 @@ pub const HISTOGRAM_BUCKETS: usize =
     (HISTOGRAM_MAX_OCTAVE - HISTOGRAM_SUB_BITS + 2) * HISTOGRAM_LINEAR;
 
 /// A fixed-size log-linear histogram of nanosecond samples. Recording is
-/// three relaxed atomic RMWs; snapshots are approximate under
+/// two relaxed atomic RMWs (the sum and the sample's bucket) and a load of
+/// the maximum, which is written only when the sample exceeds it; the
+/// count is the buckets' sum. Snapshots are approximate under
 /// concurrency, which is fine for statistics.
 #[derive(Debug)]
 pub struct Histogram {
-    count: AtomicU64,
     sum: AtomicU64,
     max: AtomicU64,
     buckets: [AtomicU64; HISTOGRAM_BUCKETS],
@@ -184,7 +185,6 @@ pub fn bucket_upper_bound_ns(i: usize) -> u64 {
 impl Histogram {
     pub const fn new() -> Self {
         Histogram {
-            count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             max: AtomicU64::new(0),
             buckets: [const { AtomicU64::new(0) }; HISTOGRAM_BUCKETS],
@@ -207,9 +207,10 @@ impl Histogram {
 
     /// Records one sample, in nanoseconds.
     pub fn record(&self, ns: u64) {
-        self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(ns, Ordering::Relaxed);
-        self.max.fetch_max(ns, Ordering::Relaxed);
+        if ns > self.max.load(Ordering::Relaxed) {
+            self.max.fetch_max(ns, Ordering::Relaxed);
+        }
         self.buckets[Self::bucket_of(ns)].fetch_add(1, Ordering::Relaxed);
     }
 
@@ -225,7 +226,7 @@ impl Histogram {
             *out = b.load(Ordering::Relaxed);
         }
         HistogramSnapshot {
-            count: self.count.load(Ordering::Relaxed),
+            count: buckets.iter().sum(),
             sum: self.sum.load(Ordering::Relaxed),
             max: self.max.load(Ordering::Relaxed),
             buckets,

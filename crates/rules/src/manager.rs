@@ -12,7 +12,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, RwLock, RwLockReadGuard};
 
 use sentinel_detector::{EventId, LocalEventDetector};
 use sentinel_snoop::{CouplingMode, ParamContext, TriggerMode};
@@ -87,6 +87,50 @@ impl RuleOptions {
     }
 }
 
+/// The rule table, slotted by id. Ids come from a counter that starts at
+/// 1, so rule `n` sits in slot `n - 1` and a lookup is an index, not a
+/// hash; a deleted rule leaves its slot empty (ids are never reused).
+#[derive(Default)]
+pub(crate) struct RuleTable {
+    slots: Vec<Option<Rule>>,
+    len: usize,
+}
+
+impl RuleTable {
+    fn slot(id: RuleId) -> usize {
+        id.0.wrapping_sub(1) as usize
+    }
+
+    /// The rule `id`, if it exists.
+    pub(crate) fn get(&self, id: RuleId) -> Option<&Rule> {
+        self.slots.get(Self::slot(id))?.as_ref()
+    }
+
+    fn get_mut(&mut self, id: RuleId) -> Option<&mut Rule> {
+        self.slots.get_mut(Self::slot(id))?.as_mut()
+    }
+
+    fn insert(&mut self, rule: Rule) {
+        let slot = Self::slot(rule.id);
+        if slot >= self.slots.len() {
+            self.slots.resize_with(slot + 1, || None);
+        }
+        if self.slots[slot].replace(rule).is_none() {
+            self.len += 1;
+        }
+    }
+
+    fn remove(&mut self, id: RuleId) -> Option<Rule> {
+        let rule = self.slots.get_mut(Self::slot(id))?.take()?;
+        self.len -= 1;
+        Some(rule)
+    }
+
+    fn values(&self) -> impl Iterator<Item = &Rule> {
+        self.slots.iter().flatten()
+    }
+}
+
 /// The rule manager (one per application, next to its local detector).
 pub struct RuleManager {
     detector: Arc<LocalEventDetector>,
@@ -95,7 +139,7 @@ pub struct RuleManager {
     /// `Release` after the removal, read with `Acquire`, so a reader that
     /// sees the bump sees the rule gone.
     deletions: AtomicU64,
-    rules: RwLock<HashMap<RuleId, Rule>>,
+    rules: RwLock<RuleTable>,
     by_name: RwLock<HashMap<Arc<str>, RuleId>>,
     /// Named, totally ordered priority classes (name -> level).
     priority_classes: RwLock<HashMap<String, u32>>,
@@ -111,7 +155,7 @@ impl RuleManager {
             detector,
             next: AtomicU64::new(1),
             deletions: AtomicU64::new(0),
-            rules: RwLock::new(HashMap::new()),
+            rules: RwLock::default(),
             by_name: RwLock::new(HashMap::new()),
             priority_classes: RwLock::new(HashMap::new()),
             hits: Mutex::default(),
@@ -188,7 +232,7 @@ impl RuleManager {
         };
         self.detector.subscribe(subscribed_event, context, id.0)?;
         self.by_name.write().insert(rule.name.clone(), id);
-        self.rules.write().insert(id, rule);
+        self.rules.write().insert(rule);
         Ok(id)
     }
 
@@ -199,15 +243,20 @@ impl RuleManager {
 
     /// Runs `f` over the rule (read access).
     pub fn with_rule<T>(&self, id: RuleId, f: impl FnOnce(&Rule) -> T) -> Result<T, RuleError> {
-        let rules = self.rules.read();
-        rules.get(&id).map(f).ok_or(RuleError::Unknown(id))
+        self.rules.read().get(id).map(f).ok_or(RuleError::Unknown(id))
+    }
+
+    /// The rule table under its read lock: a dispatch resolves all its
+    /// subscribers in one read.
+    pub(crate) fn table(&self) -> RwLockReadGuard<'_, RuleTable> {
+        self.rules.read()
     }
 
     /// Disables a rule: unsubscribes (the context counter drops; detection
     /// in that context stops if this was the last subscriber).
     pub fn disable(&self, id: RuleId) -> Result<(), RuleError> {
         let mut rules = self.rules.write();
-        let rule = rules.get_mut(&id).ok_or(RuleError::Unknown(id))?;
+        let rule = rules.get_mut(id).ok_or(RuleError::Unknown(id))?;
         if rule.enabled {
             rule.enabled = false;
             self.detector.unsubscribe(rule.subscribed_event, rule.context, id.0)?;
@@ -226,7 +275,7 @@ impl RuleManager {
     /// the originally recorded re-enable cutoff).
     pub fn enable_at(&self, id: RuleId, defined_at: Option<u64>) -> Result<(), RuleError> {
         let mut rules = self.rules.write();
-        let rule = rules.get_mut(&id).ok_or(RuleError::Unknown(id))?;
+        let rule = rules.get_mut(id).ok_or(RuleError::Unknown(id))?;
         if !rule.enabled {
             rule.enabled = true;
             rule.defined_at = defined_at.unwrap_or_else(|| self.detector.clock().tick());
@@ -238,7 +287,7 @@ impl RuleManager {
     /// Deletes a rule entirely.
     pub fn delete(&self, id: RuleId) -> Result<(), RuleError> {
         let mut rules = self.rules.write();
-        let rule = rules.remove(&id).ok_or(RuleError::Unknown(id))?;
+        let rule = rules.remove(id).ok_or(RuleError::Unknown(id))?;
         self.deletions.fetch_add(1, Ordering::Release);
         if rule.enabled {
             self.detector.unsubscribe(rule.subscribed_event, rule.context, id.0)?;
@@ -257,24 +306,24 @@ impl RuleManager {
     /// us to change rule priority categories based on the context").
     pub fn set_priority(&self, id: RuleId, priority: u32) -> Result<(), RuleError> {
         let mut rules = self.rules.write();
-        let rule = rules.get_mut(&id).ok_or(RuleError::Unknown(id))?;
+        let rule = rules.get_mut(id).ok_or(RuleError::Unknown(id))?;
         rule.priority = priority;
         Ok(())
     }
 
     /// Whether a rule is currently enabled.
     pub fn is_enabled(&self, id: RuleId) -> bool {
-        self.rules.read().get(&id).is_some_and(|r| r.enabled)
+        self.rules.read().get(id).is_some_and(|r| r.enabled)
     }
 
     /// Number of defined rules.
     pub fn len(&self) -> usize {
-        self.rules.read().len()
+        self.rules.read().len
     }
 
     /// True when no rules are defined.
     pub fn is_empty(&self) -> bool {
-        self.rules.read().is_empty()
+        self.rules.read().len == 0
     }
 
     /// `(rule name, firings)` for every name that fired, ascending by name.
@@ -284,12 +333,9 @@ impl RuleManager {
         counts.filter(|&(_, n)| n > 0).collect()
     }
 
-    /// Snapshot of `(id, name, enabled)` for tooling.
+    /// Snapshot of `(id, name, enabled)` for tooling, ascending by id.
     pub fn list(&self) -> Vec<(RuleId, Arc<str>, bool)> {
-        let mut out: Vec<_> =
-            self.rules.read().values().map(|r| (r.id, r.name.clone(), r.enabled)).collect();
-        out.sort_by_key(|(id, _, _)| *id);
-        out
+        self.rules.read().values().map(|r| (r.id, r.name.clone(), r.enabled)).collect()
     }
 }
 

@@ -28,13 +28,14 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 
 use sentinel_detector::{Detection, Occurrence};
+use sentinel_obs::flight::FlightKind;
 use sentinel_obs::span::{self, SpanContext, SpanId, TraceId, TraceStore};
 use sentinel_obs::{json, Counter, Field, Histogram, HistogramSnapshot};
 use sentinel_snoop::CouplingMode;
@@ -105,16 +106,15 @@ struct Firing {
 }
 
 /// What every firing of one dispatch shares, read once per dispatch.
-#[derive(Clone)]
+#[derive(Clone, Copy)]
 struct DispatchCtx {
     /// Nesting depth of the firings.
     depth: u32,
     /// The rule manager's deletion count before the rule table was read:
     /// a firing re-checks its rule only if it has moved since.
     deletions: u64,
-    /// The span store, when it is enabled.
-    tracer: Option<Arc<TraceStore>>,
-    savepoints: Option<Arc<SavepointHooks>>,
+    /// Whether the span store is attached and enabled.
+    tracing: bool,
     /// Whether the rule debugger records.
     debug: bool,
 }
@@ -123,6 +123,10 @@ thread_local! {
     /// The rule frame of the rule body currently executing on this thread
     /// (None when application code is running).
     static FRAME: RefCell<Vec<Frame>> = const { RefCell::new(Vec::new()) };
+    /// Empty agenda buffers of this thread's finished dispatches. A
+    /// dispatch takes one and gives it back, so a dispatch nested inside
+    /// a rule action takes another and a steady state allocates none.
+    static AGENDAS: RefCell<Vec<Vec<Firing>>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Savepoint hooks for subtransaction-level recovery: `mark(txn)` records
@@ -226,10 +230,11 @@ pub struct RuleScheduler {
     roots: Mutex<HashMap<u64, SubTxnId>>,
     detached_tx: Sender<DetachedRequest>,
     detached_rx: Receiver<DetachedRequest>,
-    savepoints: Mutex<Option<Arc<SavepointHooks>>>,
+    /// Set once, at construction of the system.
+    savepoints: OnceLock<SavepointHooks>,
     metrics: SchedulerMetrics,
-    /// Optional provenance span store (condition/action spans).
-    span_store: Mutex<Option<Arc<TraceStore>>>,
+    /// Optional provenance span store (condition/action spans), set once.
+    span_store: OnceLock<Arc<TraceStore>>,
 }
 
 impl RuleScheduler {
@@ -248,27 +253,32 @@ impl RuleScheduler {
             roots: Mutex::new(HashMap::new()),
             detached_tx,
             detached_rx,
-            savepoints: Mutex::new(None),
+            savepoints: OnceLock::new(),
             metrics: SchedulerMetrics::default(),
-            span_store: Mutex::new(None),
+            span_store: OnceLock::new(),
         })
     }
 
     /// Attaches a provenance span store; condition/action spans (parented
     /// on the triggering occurrence's detection span) are recorded while
-    /// it is enabled.
+    /// it is enabled. The first store attached stays: later calls are
+    /// ignored.
     pub fn set_trace_store(&self, store: Arc<TraceStore>) {
-        *self.span_store.lock() = Some(store);
+        let _ = self.span_store.set(store);
     }
 
-    /// Reads the observability handles and the deletion count for one
-    /// dispatch at `depth`.
+    /// The span store, when it is attached and enabled.
+    fn tracer(&self) -> Option<&TraceStore> {
+        self.span_store.get().map(|s| &**s).filter(|s| s.is_enabled())
+    }
+
+    /// Reads the tracing and debugging switches and the deletion count for
+    /// one dispatch at `depth`.
     fn dispatch_ctx(&self, depth: u32) -> DispatchCtx {
         DispatchCtx {
             depth,
             deletions: self.manager.deletions(),
-            tracer: self.span_store.lock().clone().filter(|s| s.is_enabled()),
-            savepoints: self.savepoints.lock().clone(),
+            tracing: self.tracer().is_some(),
             debug: self.debugger.enabled(),
         }
     }
@@ -298,9 +308,10 @@ impl RuleScheduler {
 
     /// Installs savepoint hooks (subtransaction-level recovery): a failing
     /// rule body then rolls back its own database writes instead of leaving
-    /// them in the triggering transaction.
+    /// them in the triggering transaction. The first hooks installed stay:
+    /// later calls are ignored.
     pub fn set_savepoint_hooks(&self, hooks: SavepointHooks) {
-        *self.savepoints.lock() = Some(Arc::new(hooks));
+        let _ = self.savepoints.set(hooks);
     }
 
     /// The rule manager.
@@ -337,128 +348,147 @@ impl RuleScheduler {
         }
         let frame = FRAME.with(|f| f.borrow().last().map(|fr| (fr.sub, fr.depth)));
         let ctx = self.dispatch_ctx(frame.map_or(0, |(_, d)| d + 1));
-        let depth = ctx.depth;
-        // The firings that survive the filters, in detection order.
-        let mut agenda: Vec<Firing> = Vec::new();
-        for det in detections {
-            for sub in det.subscribers {
+        let mut agenda = AGENDAS.with(|a| a.borrow_mut().pop()).unwrap_or_default();
+        self.fill_agenda(&ctx, detections, &mut agenda);
+        if !agenda.is_empty() {
+            self.run_agenda(ctx, frame.map(|(sub, _)| sub), &mut agenda);
+        }
+        agenda.clear();
+        AGENDAS.with(|a| a.borrow_mut().push(agenda));
+    }
+
+    /// Resolves every subscriber of `detections` under one read of the
+    /// rule table: filters it, counts and records the firing, queues a
+    /// detached rule and puts the others on `agenda`, in detection order.
+    /// The flight records of one dispatch share one wall-clock read.
+    fn fill_agenda(&self, ctx: &DispatchCtx, detections: Vec<Detection>, agenda: &mut Vec<Firing>) {
+        let flight = sentinel_obs::flight::global();
+        let mut stamp = None;
+        // Firings per coupling mode, added to the counters once.
+        let mut fired = [0u64; 3];
+        let table = self.manager.table();
+        for Detection { context, occurrence, subscribers, .. } in detections {
+            // The last subscriber takes the detection's occurrence; the
+            // others share it.
+            let last = subscribers.len().saturating_sub(1);
+            let mut occurrence = Some(occurrence);
+            for (i, sub) in subscribers.into_iter().enumerate() {
                 let rule_id = RuleId(sub);
-                if depth > MAX_CASCADE_DEPTH {
-                    self.skip(&ctx, rule_id, "cascade depth limit");
+                if ctx.depth > MAX_CASCADE_DEPTH {
+                    self.skip(ctx, rule_id, "cascade depth limit");
                     continue;
                 }
-                let looked = self.manager.with_rule(rule_id, |r| {
-                    if !r.enabled {
-                        return Err("disabled");
-                    }
-                    if !r.accepts(&det.occurrence) {
-                        return Err("trigger mode NOW: pre-definition constituents");
-                    }
-                    r.hits.fetch_add(1, Ordering::Relaxed);
-                    let firing = Firing {
-                        rule: rule_id,
-                        name: r.name.clone(),
-                        priority: r.priority,
-                        condition: r.condition.clone(),
-                        action: r.action.clone(),
-                        occurrence: det.occurrence.clone(),
-                    };
-                    Ok((r.coupling, firing))
-                });
-                let (coupling, firing) = match looked {
-                    Ok(Ok(found)) => found,
-                    Ok(Err(reason)) => {
-                        self.skip(&ctx, rule_id, reason);
-                        continue;
-                    }
-                    Err(_) => continue, // rule deleted concurrently
+                let Some(r) = table.get(rule_id) else {
+                    continue; // rule deleted concurrently
                 };
-                let (name, priority) = (&firing.name, firing.priority);
-                if coupling == CouplingMode::Detached {
-                    // Queue for the detached executor; runs in its own
-                    // top-level transaction.
-                    self.metrics.queued_detached.inc();
-                    sentinel_obs::flight::global().record(
-                        sentinel_obs::flight::FlightKind::RuleFired,
-                        name.clone(),
-                        u64::from(priority),
-                        2,
-                    );
-                    let _ = self
-                        .detached_tx
-                        .send(DetachedRequest { rule: rule_id, occurrence: firing.occurrence });
+                let occ = occurrence.as_ref().expect("only the last subscriber takes it");
+                if !r.enabled {
+                    self.skip(ctx, rule_id, "disabled");
                     continue;
                 }
-                match coupling {
-                    CouplingMode::Deferred => self.metrics.fired_deferred.inc(),
-                    _ => self.metrics.fired_immediate.inc(),
+                if !r.accepts(occ) {
+                    self.skip(ctx, rule_id, "trigger mode NOW: pre-definition constituents");
+                    continue;
                 }
-                sentinel_obs::flight::global().record(
-                    sentinel_obs::flight::FlightKind::RuleFired,
-                    name.clone(),
-                    u64::from(priority),
-                    u64::from(coupling == CouplingMode::Deferred),
+                r.hits.fetch_add(1, Ordering::Relaxed);
+                let coupling = match r.coupling {
+                    CouplingMode::Immediate => 0,
+                    CouplingMode::Deferred => 1,
+                    CouplingMode::Detached => 2,
+                };
+                fired[coupling] += 1;
+                let unix_us = *stamp.get_or_insert_with(sentinel_obs::flight::unix_us);
+                flight.record_at(
+                    unix_us,
+                    FlightKind::RuleFired,
+                    r.name.clone().into(),
+                    u64::from(r.priority),
+                    coupling as u64,
                 );
-                let occ = &firing.occurrence;
-                if ctx.debug {
+                if ctx.debug && r.coupling != CouplingMode::Detached {
                     self.debugger.record(TraceEvent::Triggered {
                         rule: rule_id,
-                        rule_name: name.clone(),
+                        rule_name: r.name.clone(),
                         event: occ.event_name.clone(),
-                        context: det.context,
+                        context,
                         at: occ.at,
-                        depth,
+                        depth: ctx.depth,
                     });
                 }
-                agenda.push(firing);
+                let occ = if i == last { occurrence.take() } else { occurrence.clone() };
+                let occurrence = occ.expect("only the last subscriber takes it");
+                if r.coupling == CouplingMode::Detached {
+                    // Queue for the detached executor; runs in its own
+                    // top-level transaction.
+                    let _ = self.detached_tx.send(DetachedRequest { rule: rule_id, occurrence });
+                    continue;
+                }
+                agenda.push(Firing {
+                    rule: rule_id,
+                    name: r.name.clone(),
+                    priority: r.priority,
+                    condition: r.condition.clone(),
+                    action: r.action.clone(),
+                    occurrence,
+                });
             }
         }
-        if agenda.is_empty() {
-            return;
+        let m = &self.metrics;
+        for (counter, n) in
+            [&m.fired_immediate, &m.fired_deferred, &m.queued_detached].iter().zip(fired)
+        {
+            if n > 0 {
+                counter.add(n);
+            }
         }
-        // Priority classes, highest first; a stable sort keeps detection
-        // order within a class.
-        agenda.sort_by_key(|f| std::cmp::Reverse(f.priority));
+    }
+
+    /// Executes a non-empty agenda by priority class, highest first, each
+    /// firing as a subtransaction of the caller's subtransaction (nested
+    /// triggering) or of the root of the occurrence's top-level
+    /// transaction. Leaves `agenda` empty on the inline path.
+    fn run_agenda(
+        self: &Arc<Self>,
+        ctx: DispatchCtx,
+        caller: Option<SubTxnId>,
+        agenda: &mut Vec<Firing>,
+    ) {
+        // A stable sort keeps detection order within a class; an agenda
+        // already in order (one class, the common case) is left alone.
+        if !agenda.windows(2).all(|w| w[0].priority >= w[1].priority) {
+            agenda.sort_by_key(|f| std::cmp::Reverse(f.priority));
+        }
         {
             let mut per_priority = self.metrics.per_priority.lock();
             for class in agenda.chunk_by(|a, b| a.priority == b.priority) {
                 *per_priority.entry(class[0].priority).or_default() += class.len() as u64;
             }
         }
-
-        // Anchor: the caller's subtransaction (nested triggering) or the
-        // root subtransaction of the occurrence's top-level transaction.
-        // Firings under the no-transaction root are reaped as soon as
-        // they resolve: that root never sees a transaction end, so its
-        // tree would otherwise grow by one dead node per firing.
-        let (parent, reap) = match frame {
-            Some((sub, _)) => (sub, false),
-            None => {
-                let txn = agenda.iter().find_map(|f| f.occurrence.txn).unwrap_or(NO_TXN);
-                (self.root_for(txn), txn == NO_TXN)
-            }
-        };
+        let parent = caller.unwrap_or_else(|| {
+            self.root_for(agenda.iter().find_map(|f| f.occurrence.txn).unwrap_or(NO_TXN))
+        });
 
         // Priority classes execute serially (highest first); rules within a
         // class execute concurrently (threaded) or in order (inline).
         //
-        // Nested triggering (frame present) always executes *inline on the
-        // current rule thread*: this is the paper's depth-first execution —
-        // the nested rule completes before its triggering action returns,
-        // under the still-active parent subtransaction. (A pool worker must
-        // also never quiesce the pool it runs on.)
-        let pool = self.pool.as_ref().filter(|_| frame.is_none());
+        // Nested triggering (a caller subtransaction) always executes
+        // *inline on the current rule thread*: this is the paper's
+        // depth-first execution — the nested rule completes before its
+        // triggering action returns, under the still-active parent
+        // subtransaction. (A pool worker must also never quiesce the pool
+        // it runs on.)
+        let pool = self.pool.as_ref().filter(|_| caller.is_none());
         let Some(pool) = pool else {
-            for firing in agenda {
-                self.execute_rule(firing, parent, reap, &ctx);
+            for firing in agenda.drain(..) {
+                self.execute_rule(firing, parent, &ctx);
             }
             return;
         };
         for class in agenda.chunk_by(|a, b| a.priority == b.priority) {
             for firing in class {
-                let (sched, firing, ctx) = (self.clone(), firing.clone(), ctx.clone());
+                let (sched, firing) = (self.clone(), firing.clone());
                 pool.submit(i64::from(firing.priority), move || {
-                    sched.execute_rule(firing, parent, reap, &ctx);
+                    sched.execute_rule(firing, parent, &ctx);
                 });
             }
             // Suspend the application until this class (and every rule
@@ -468,17 +498,12 @@ impl RuleScheduler {
         }
     }
 
-    /// Runs one rule body as a subtransaction of `parent`. With `reap`
-    /// set (txn-less firings under the eternal no-transaction root) the
-    /// subtransaction's bookkeeping is dropped as soon as it resolves.
-    fn execute_rule(
-        self: &Arc<Self>,
-        firing: Firing,
-        parent: SubTxnId,
-        reap: bool,
-        ctx: &DispatchCtx,
-    ) {
-        let Firing { rule: rule_id, name: rule_name, condition, action, occurrence, .. } = firing;
+    /// Runs one rule body as a subtransaction of `parent`. The
+    /// subtransaction leaves the tree as it commits or aborts, so a tree
+    /// holds its root and the firings still running, one per nesting
+    /// level.
+    fn execute_rule(&self, firing: Firing, parent: SubTxnId, ctx: &DispatchCtx) {
+        let Firing { rule: rule_id, name, condition, action, occurrence, .. } = firing;
         let depth = ctx.depth;
         let Ok(sub) = self.nested.begin_sub(parent) else {
             // Parent already resolved (e.g. transaction ended while queued).
@@ -490,42 +515,41 @@ impl RuleScheduler {
         if self.manager.deletions() != ctx.deletions
             && self.manager.with_rule(rule_id, |_| ()).is_err()
         {
-            let _ = self.nested.abort_sub(sub);
-            if reap {
-                self.nested.reap_sub(sub);
-            }
+            let _ = self.nested.finish_sub(sub, false);
             return;
         }
+        let txn = occurrence.txn;
         let invocation = RuleInvocation {
             rule: rule_id,
-            rule_name: rule_name.clone(),
-            occurrence: occurrence.clone(),
+            rule_name: name,
+            occurrence,
             depth,
-            txn: occurrence.txn,
+            txn,
             subtxn: Some(sub),
         };
         FRAME.with(|f| f.borrow_mut().push(Frame { sub, depth }));
-        let detector = self.manager.detector().clone();
-        let hooks = ctx.savepoints.as_ref();
-        let savepoint =
-            hooks.zip(occurrence.txn).and_then(|(h, txn)| (h.mark)(txn).map(|m| (txn, m)));
-        let tracer = ctx.tracer.as_deref();
-        let occ_span = occurrence.span;
+        let detector = self.manager.detector();
+        let hooks = self.savepoints.get();
+        let savepoint = hooks.zip(txn).and_then(|(h, txn)| (h.mark)(txn).map(|m| (txn, m)));
+        let tracer = if ctx.tracing { self.tracer() } else { None };
+        let span = |s: &TraceStore, kind| {
+            let (trace, parent) = span_anchor(s, invocation.occurrence.span);
+            s.start(trace, parent, kind, invocation.rule_name.clone())
+        };
         let result = catch_unwind(AssertUnwindSafe(|| {
             // Conditions are side-effect free: suppress event signalling
             // while the condition runs (the paper's global flag).
             detector.set_signaling(false);
-            let cond_handle = tracer.map(|s| {
-                let (trace, parent) = span_anchor(s, occ_span);
-                s.start(trace, parent, "condition", rule_name.clone())
-            });
+            let cond_handle = tracer.map(|s| span(s, "condition"));
+            // Three clock reads: the condition's end is the action's start.
             let started = Instant::now();
             let satisfied = {
                 // Storage I/O the condition performs tags this span.
                 let _guard = cond_handle.as_ref().map(|h| span::push_current(h.ctx));
                 (condition)(&invocation)
             };
-            self.metrics.condition_ns.record_duration(started.elapsed());
+            let evaluated = Instant::now();
+            self.metrics.condition_ns.record_duration(evaluated - started);
             detector.set_signaling(true);
             if let (Some(s), Some(h)) = (tracer, cond_handle) {
                 s.finish(h, depth, vec![("satisfied", Field::Bool(satisfied))]);
@@ -534,18 +558,14 @@ impl RuleScheduler {
                 self.debugger.record(TraceEvent::Condition { rule: rule_id, satisfied, depth });
             }
             if satisfied {
-                let action_handle = tracer.map(|s| {
-                    let (trace, parent) = span_anchor(s, occ_span);
-                    s.start(trace, parent, "action", rule_name.clone())
-                });
-                let started = Instant::now();
+                let action_handle = tracer.map(|s| span(s, "action"));
                 {
                     // Events the action raises (cascades) and I/O it
                     // performs attach to this span via the ambient stack.
                     let _guard = action_handle.as_ref().map(|h| span::push_current(h.ctx));
                     (action)(&invocation);
                 }
-                self.metrics.action_ns.record_duration(started.elapsed());
+                self.metrics.action_ns.record_duration(evaluated.elapsed());
                 if let (Some(s), Some(h)) = (tracer, action_handle) {
                     s.finish(h, depth, Vec::new());
                 }
@@ -557,29 +577,24 @@ impl RuleScheduler {
         FRAME.with(|f| {
             f.borrow_mut().pop();
         });
-        match result {
-            Ok(()) => {
-                let _ = self.nested.commit_sub(sub);
-            }
-            Err(_) => {
-                self.metrics.panics.inc();
-                detector.set_signaling(true);
-                let _ = self.nested.abort_sub(sub);
-                // Subtransaction-level recovery: undo the body's writes.
-                if let (Some(h), Some((txn, mark))) = (hooks, savepoint) {
-                    (h.rollback)(txn, mark);
-                }
-                if ctx.debug {
-                    self.debugger.record(TraceEvent::Skipped {
-                        rule: rule_id,
-                        reason: "rule body panicked; subtransaction aborted",
-                        depth,
-                    });
-                }
-            }
+        let committed = result.is_ok();
+        if !committed {
+            self.metrics.panics.inc();
+            detector.set_signaling(true);
         }
-        if reap {
-            self.nested.reap_sub(sub);
+        let _ = self.nested.finish_sub(sub, committed);
+        if !committed {
+            // Subtransaction-level recovery: undo the body's writes.
+            if let (Some(h), Some((txn, mark))) = (hooks, savepoint) {
+                (h.rollback)(txn, mark);
+            }
+            if ctx.debug {
+                self.debugger.record(TraceEvent::Skipped {
+                    rule: rule_id,
+                    reason: "rule body panicked; subtransaction aborted",
+                    depth,
+                });
+            }
         }
     }
 
@@ -852,6 +867,56 @@ mod tests {
         fx.signal("void f()");
         assert!(fx.sched.nested().live_count() > 0);
         fx.sched.on_txn_end(1, true);
+        assert_eq!(fx.sched.nested().live_count(), 0);
+    }
+
+    #[test]
+    fn a_firing_leaves_the_tree_when_it_resolves() {
+        // 64 signals x 4 rules in one transaction: the tree holds the root
+        // and the running firing, never one node per firing.
+        let fx = fixture(ExecutionMode::Inline);
+        let most = Arc::new(AtomicUsize::new(0));
+        for i in 0..4 {
+            let (nested, most) = (fx.sched.nested().clone(), most.clone());
+            let watch: ActionFn = Arc::new(move |_| {
+                most.fetch_max(nested.live_count(), SeqCst);
+            });
+            fx.rule(&format!("R{i}"), "ev", watch, RuleOptions::default());
+        }
+        for _ in 0..64 {
+            fx.signal("void f()");
+            assert!(fx.sched.nested().live_count() <= 2);
+        }
+        assert_eq!(most.load(SeqCst), 2, "the root and the running firing");
+        assert_eq!(fx.sched.stats().fired_immediate, 256);
+        fx.sched.on_txn_end(1, true);
+        assert_eq!(fx.sched.nested().live_count(), 0);
+    }
+
+    #[test]
+    fn a_cascade_holds_one_node_per_level() {
+        // Level i's rule raises level i + 1; inside the deepest action the
+        // tree is the root plus five running subtransactions.
+        let fx = fixture(ExecutionMode::Inline);
+        for level in 0..=5 {
+            fx.det.declare_explicit(&format!("level{level}"));
+        }
+        let deepest = Arc::new(Mutex::new(None));
+        for level in 0..5 {
+            let action: ActionFn = if level < 4 {
+                let (det, sched) = (fx.det.clone(), fx.sched.clone());
+                let next = format!("level{}", level + 1);
+                Arc::new(move |_| sched.dispatch(det.signal_explicit(&next, vec![], Some(1))))
+            } else {
+                let (nested, deepest) = (fx.sched.nested().clone(), deepest.clone());
+                Arc::new(move |inv| *deepest.lock() = Some((inv.depth, nested.live_count())))
+            };
+            fx.rule(&format!("cascade{level}"), &format!("level{level}"), action, prio(1));
+        }
+        fx.sched.dispatch(fx.det.signal_explicit("level0", vec![], Some(1)));
+        assert_eq!(*deepest.lock(), Some((4, 6)), "depth 4 is the fifth level");
+        assert_eq!(fx.sched.nested().live_count(), 1, "only the root is left");
+        fx.sched.on_txn_end(1, false);
         assert_eq!(fx.sched.nested().live_count(), 0);
     }
 

@@ -13,6 +13,7 @@
 //! ([`NestedLockManager::inherit`]); on abort they are released.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
@@ -45,6 +46,10 @@ struct State {
 /// Nested lock manager shared by all rule threads of an application.
 pub struct NestedLockManager {
     state: Mutex<State>,
+    /// Subtransactions holding at least one lock (`state.held.len()`,
+    /// stored under the mutex). While it reads 0, inheriting or releasing
+    /// has nothing to move and returns without taking the mutex.
+    holders: AtomicUsize,
     wakeup: Condvar,
     timeout: Duration,
 }
@@ -64,7 +69,12 @@ impl NestedLockManager {
 
     /// Explicit wait bound.
     pub fn with_timeout(timeout: Duration) -> Self {
-        NestedLockManager { state: Mutex::new(State::default()), wakeup: Condvar::new(), timeout }
+        NestedLockManager {
+            state: Mutex::new(State::default()),
+            holders: AtomicUsize::new(0),
+            wakeup: Condvar::new(),
+            timeout,
+        }
     }
 
     fn grantable(
@@ -104,6 +114,7 @@ impl NestedLockManager {
                     *entry = LockMode::Exclusive;
                 }
                 st.held.entry(holder).or_default().insert(resource);
+                self.holders.store(st.held.len(), Ordering::Release);
                 return Ok(());
             }
             st.waiters += 1;
@@ -117,6 +128,10 @@ impl NestedLockManager {
 
     /// Transfers all of `child`'s locks to `parent` (commit inheritance).
     pub fn inherit(&self, child: SubTxnId, parent: SubTxnId) {
+        // Nobody holds a lock, so nobody waits for one either.
+        if self.holders.load(Ordering::Acquire) == 0 {
+            return;
+        }
         let mut st = self.state.lock();
         if let Some(resources) = st.held.remove(&child) {
             for r in &resources {
@@ -130,6 +145,7 @@ impl NestedLockManager {
                 }
             }
             st.held.entry(parent).or_default().extend(resources);
+            self.holders.store(st.held.len(), Ordering::Release);
         }
         if st.waiters > 0 {
             self.wakeup.notify_all();
@@ -138,8 +154,12 @@ impl NestedLockManager {
 
     /// Releases everything `holder` has (abort, or commit of a root).
     pub fn release_all(&self, holder: SubTxnId) {
+        if self.holders.load(Ordering::Acquire) == 0 {
+            return;
+        }
         let mut st = self.state.lock();
         if let Some(resources) = st.held.remove(&holder) {
+            self.holders.store(st.held.len(), Ordering::Release);
             for r in resources {
                 if let Some(res) = st.resources.get_mut(&r) {
                     res.holders.remove(&holder);
@@ -243,6 +263,24 @@ mod tests {
             let granted = waiter.join().unwrap();
             assert!(granted - released < Duration::from_millis(500), "inherit = {inherit}");
         }
+    }
+
+    #[test]
+    fn a_lockless_commit_beside_a_lock_holder_keeps_the_holders_locks() {
+        // Tree: root 1, children 2 (no lock) and 3 (a lock).
+        let lm = NestedLockManager::with_timeout(Duration::from_millis(40));
+        lm.inherit(SubTxnId(2), SubTxnId(1)); // nothing held: the early return
+        lm.lock(SubTxnId(3), &anc(&[3, 1]), 9, LockMode::Exclusive).unwrap();
+        lm.inherit(SubTxnId(2), SubTxnId(1)); // 2 commits, holding nothing
+        lm.release_all(SubTxnId(2));
+        assert_eq!(lm.active_resources(), 1, "3 still holds its lock");
+        assert!(lm.lock(SubTxnId(4), &anc(&[4, 1]), 9, LockMode::Shared).is_err(), "held by 3");
+        lm.inherit(SubTxnId(3), SubTxnId(1)); // 3 commits: 1 inherits
+        lm.lock(SubTxnId(4), &anc(&[4, 1]), 9, LockMode::Shared).unwrap();
+        lm.release_all(SubTxnId(4));
+        lm.release_all(SubTxnId(1)); // the root commits
+        assert_eq!(lm.active_resources(), 0);
+        assert_eq!(lm.holders.load(Ordering::Relaxed), 0);
     }
 
     #[test]

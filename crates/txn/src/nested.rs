@@ -12,9 +12,16 @@
 //! * abort of a subtransaction aborts its still-active descendants first;
 //! * aborting/committing a node with an active child directly is an error
 //!   for commit (children must resolve first) and a cascade for abort.
+//!
+//! A resolved node stays in the table until its tree is forgotten
+//! ([`NestedTxnManager::forget_tree`]) unless it is finished with
+//! [`NestedTxnManager::finish_sub`], which resolves and removes it at
+//! once. The rule scheduler finishes every rule subtransaction that way,
+//! so a tree holds only its root and the subtransactions still running.
 
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -72,6 +79,30 @@ impl fmt::Display for NestedError {
 
 impl std::error::Error for NestedError {}
 
+/// Hashes a [`SubTxnId`] with one multiply. Ids are drawn from a counter,
+/// so they only need spreading over the table, not SipHash's resistance
+/// to chosen keys.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0.rotate_left(8) ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
+type NodeMap = HashMap<SubTxnId, SubInfo, BuildHasherDefault<IdHasher>>;
+
 #[derive(Debug)]
 struct SubInfo {
     parent: Option<SubTxnId>,
@@ -86,7 +117,7 @@ struct SubInfo {
 /// threads).
 pub struct NestedTxnManager {
     next: AtomicU64,
-    nodes: Mutex<HashMap<SubTxnId, SubInfo>>,
+    nodes: Mutex<NodeMap>,
     locks: Arc<NestedLockManager>,
 }
 
@@ -101,7 +132,7 @@ impl NestedTxnManager {
     pub fn new() -> Self {
         NestedTxnManager {
             next: AtomicU64::new(1),
-            nodes: Mutex::new(HashMap::new()),
+            nodes: Mutex::new(NodeMap::default()),
             locks: Arc::new(NestedLockManager::new()),
         }
     }
@@ -130,25 +161,15 @@ impl NestedTxnManager {
     /// Begins a subtransaction under `parent`.
     pub fn begin_sub(&self, parent: SubTxnId) -> Result<SubTxnId, NestedError> {
         let mut nodes = self.nodes.lock();
-        let (top, depth) = {
-            let p = nodes.get(&parent).ok_or(NestedError::Unknown(parent))?;
-            if p.state != SubTxnState::Active {
-                return Err(NestedError::ParentNotActive(parent));
-            }
-            (p.top, p.depth + 1)
-        };
+        let p = nodes.get_mut(&parent).ok_or(NestedError::Unknown(parent))?;
+        if p.state != SubTxnState::Active {
+            return Err(NestedError::ParentNotActive(parent));
+        }
         let id = SubTxnId(self.next.fetch_add(1, Ordering::Relaxed));
-        nodes.insert(
-            id,
-            SubInfo {
-                parent: Some(parent),
-                top,
-                state: SubTxnState::Active,
-                children: Vec::new(),
-                depth,
-            },
-        );
-        nodes.get_mut(&parent).expect("checked above").children.push(id);
+        p.children.push(id);
+        let (top, depth) = (p.top, p.depth + 1);
+        let state = SubTxnState::Active;
+        nodes.insert(id, SubInfo { parent: Some(parent), top, state, children: Vec::new(), depth });
         Ok(id)
     }
 
@@ -188,78 +209,108 @@ impl NestedTxnManager {
     /// Commits `id` into its parent: effects become the parent's, locks are
     /// inherited by the parent (anti-inheritance for roots: released).
     pub fn commit_sub(&self, id: SubTxnId) -> Result<(), NestedError> {
-        let parent = {
-            let mut nodes = self.nodes.lock();
-            let info = nodes.get(&id).ok_or(NestedError::Unknown(id))?;
-            if info.state != SubTxnState::Active {
-                return Err(NestedError::NotActive(id));
-            }
-            if info
-                .children
-                .iter()
-                .any(|c| nodes.get(c).is_some_and(|n| n.state == SubTxnState::Active))
-            {
-                return Err(NestedError::ActiveChild(id));
-            }
-            let parent = info.parent;
-            nodes.get_mut(&id).expect("present").state = SubTxnState::Committed;
-            parent
-        };
-        match parent {
-            Some(p) => self.locks.inherit(id, p),
-            None => self.locks.release_all(id),
-        }
+        let parent = Self::mark_committed(&mut self.nodes.lock(), id)?;
+        self.hand_over_locks(id, parent);
         Ok(())
     }
 
     /// Aborts `id`, cascading to its active descendants first.
     pub fn abort_sub(&self, id: SubTxnId) -> Result<(), NestedError> {
-        // Collect the subtree bottom-up.
-        let to_abort = {
-            let mut nodes = self.nodes.lock();
-            let info = nodes.get(&id).ok_or(NestedError::Unknown(id))?;
-            if info.state != SubTxnState::Active {
-                return Err(NestedError::NotActive(id));
-            }
-            let mut order = Vec::new();
-            let mut stack = vec![id];
-            while let Some(n) = stack.pop() {
-                if nodes.get(&n).is_some_and(|i| i.state == SubTxnState::Active) {
-                    order.push(n);
-                    stack.extend(nodes.get(&n).map(|i| i.children.clone()).unwrap_or_default());
-                }
-            }
-            for n in &order {
-                nodes.get_mut(n).expect("collected above").state = SubTxnState::Aborted;
-            }
-            order
-        };
-        // Deepest first so children release before parents.
-        for n in to_abort.into_iter().rev() {
-            self.locks.release_all(n);
+        let aborted = Self::mark_aborted(&mut self.nodes.lock(), id)?;
+        self.release_aborted(aborted);
+        Ok(())
+    }
+
+    /// Commits `id` (`committed`) or aborts it, as [`Self::commit_sub`]
+    /// and [`Self::abort_sub`] do, and removes it and its descendants from
+    /// the table under the same acquisition of the node-table lock,
+    /// unlinking it from its parent. A commit refused for an active child
+    /// leaves the node in place.
+    pub fn finish_sub(&self, id: SubTxnId, committed: bool) -> Result<(), NestedError> {
+        let mut nodes = self.nodes.lock();
+        if committed {
+            // Removed at once, so never marked committed.
+            let parent = Self::check_commit(&nodes, id)?;
+            Self::remove_subtree(&mut nodes, id);
+            drop(nodes);
+            self.hand_over_locks(id, parent);
+        } else {
+            let aborted = Self::mark_aborted(&mut nodes, id)?;
+            Self::remove_subtree(&mut nodes, id);
+            drop(nodes);
+            self.release_aborted(aborted);
         }
         Ok(())
     }
 
-    /// Removes the bookkeeping of one *resolved* (committed or aborted)
-    /// subtransaction and its descendants, unlinking it from its
-    /// parent's child list. Used for rule subtransactions under the
-    /// long-lived no-transaction root: that root never sees a
-    /// transaction end, so without eager reaping it accretes one dead
-    /// node per rule firing for the life of the process. No-op while
-    /// `id` is still active.
-    pub fn reap_sub(&self, id: SubTxnId) {
-        let mut nodes = self.nodes.lock();
-        let Some(info) = nodes.get(&id) else { return };
-        if info.state == SubTxnState::Active {
-            return;
+    /// Marks `id` committed; returns its parent.
+    fn mark_committed(nodes: &mut NodeMap, id: SubTxnId) -> Result<Option<SubTxnId>, NestedError> {
+        let parent = Self::check_commit(nodes, id)?;
+        nodes.get_mut(&id).expect("checked").state = SubTxnState::Committed;
+        Ok(parent)
+    }
+
+    /// Whether `id` may commit (it is active and no child is); returns
+    /// its parent.
+    fn check_commit(nodes: &NodeMap, id: SubTxnId) -> Result<Option<SubTxnId>, NestedError> {
+        let info = nodes.get(&id).ok_or(NestedError::Unknown(id))?;
+        if info.state != SubTxnState::Active {
+            return Err(NestedError::NotActive(id));
         }
-        if let Some(p) = info.parent {
-            if let Some(pi) = nodes.get_mut(&p) {
-                pi.children.retain(|c| *c != id);
+        if info
+            .children
+            .iter()
+            .any(|c| nodes.get(c).is_some_and(|n| n.state == SubTxnState::Active))
+        {
+            return Err(NestedError::ActiveChild(id));
+        }
+        Ok(info.parent)
+    }
+
+    /// Marks `id` and its active descendants aborted; returns them,
+    /// parents before children.
+    fn mark_aborted(nodes: &mut NodeMap, id: SubTxnId) -> Result<Vec<SubTxnId>, NestedError> {
+        let info = nodes.get(&id).ok_or(NestedError::Unknown(id))?;
+        if info.state != SubTxnState::Active {
+            return Err(NestedError::NotActive(id));
+        }
+        let mut order = Vec::new();
+        let mut stack = vec![id];
+        while let Some(n) = stack.pop() {
+            if let Some(info) = nodes.get_mut(&n).filter(|i| i.state == SubTxnState::Active) {
+                info.state = SubTxnState::Aborted;
+                order.push(n);
+                stack.extend_from_slice(&info.children);
             }
         }
-        let mut stack = vec![id];
+        Ok(order)
+    }
+
+    /// Commit's lock rule: the parent inherits, a root releases.
+    fn hand_over_locks(&self, id: SubTxnId, parent: Option<SubTxnId>) {
+        match parent {
+            Some(p) => self.locks.inherit(id, p),
+            None => self.locks.release_all(id),
+        }
+    }
+
+    /// Releases the locks of aborted nodes, deepest first so children
+    /// release before parents.
+    fn release_aborted(&self, aborted: Vec<SubTxnId>) {
+        for n in aborted.into_iter().rev() {
+            self.locks.release_all(n);
+        }
+    }
+
+    /// Removes `id` and its descendants, unlinking `id` from its parent.
+    fn remove_subtree(nodes: &mut NodeMap, id: SubTxnId) {
+        let Some(info) = nodes.remove(&id) else { return };
+        if let Some(parent) = info.parent.and_then(|p| nodes.get_mut(&p)) {
+            parent.children.retain(|c| *c != id);
+        }
+        // The removed node's child list is the work stack: empty, as a
+        // finished rule subtransaction's is, it costs no allocation.
+        let mut stack = info.children;
         while let Some(n) = stack.pop() {
             if let Some(info) = nodes.remove(&n) {
                 stack.extend(info.children);
@@ -270,13 +321,7 @@ impl NestedTxnManager {
     /// Removes all bookkeeping for the tree rooted at `root` (after the
     /// top-level transaction finishes).
     pub fn forget_tree(&self, root: SubTxnId) {
-        let mut nodes = self.nodes.lock();
-        let mut stack = vec![root];
-        while let Some(n) = stack.pop() {
-            if let Some(info) = nodes.remove(&n) {
-                stack.extend(info.children);
-            }
-        }
+        Self::remove_subtree(&mut self.nodes.lock(), root);
     }
 
     /// Number of live (tracked) subtransactions — diagnostics.
@@ -354,6 +399,45 @@ mod tests {
         let anc_sib: std::collections::HashSet<_> = m.ancestry(sib).into_iter().collect();
         // …but CAN take it because the holder (root) is its ancestor.
         m.locks().lock(sib, &anc_sib, 55, LockMode::Exclusive).unwrap();
+    }
+
+    #[test]
+    fn finish_sub_resolves_and_removes_the_node() {
+        let m = NestedTxnManager::new();
+        let root = m.begin_top(1);
+        let c = m.begin_sub(root).unwrap();
+        let g = m.begin_sub(c).unwrap();
+        assert_eq!(m.finish_sub(c, true), Err(NestedError::ActiveChild(c)), "child still active");
+        assert_eq!(m.live_count(), 3, "a refused commit leaves the node in place");
+        m.finish_sub(g, true).unwrap();
+        m.finish_sub(c, true).unwrap();
+        assert_eq!((m.state(c), m.live_count()), (None, 1));
+        // The root keeps no dead child: it commits, and a new child begins.
+        let d = m.begin_sub(root).unwrap();
+        let e = m.begin_sub(d).unwrap();
+        m.finish_sub(d, false).unwrap();
+        assert_eq!((m.state(e), m.live_count()), (None, 1), "abort removes the subtree");
+        assert_eq!(m.finish_sub(d, true), Err(NestedError::Unknown(d)));
+        m.commit_sub(root).unwrap();
+        m.forget_tree(root);
+        assert_eq!(m.live_count(), 0);
+    }
+
+    #[test]
+    fn finished_subtransactions_hand_their_locks_on() {
+        let m = NestedTxnManager::new();
+        let root = m.begin_top(1);
+        let (c, sib) = (m.begin_sub(root).unwrap(), m.begin_sub(root).unwrap());
+        let anc: std::collections::HashSet<_> = m.ancestry(c).into_iter().collect();
+        m.locks().lock(c, &anc, 7, LockMode::Exclusive).unwrap();
+        m.finish_sub(c, true).unwrap();
+        // The root inherited the lock: its child takes it.
+        let anc_sib: std::collections::HashSet<_> = m.ancestry(sib).into_iter().collect();
+        m.locks().lock(sib, &anc_sib, 7, LockMode::Exclusive).unwrap();
+        m.finish_sub(sib, false).unwrap();
+        assert_eq!(m.locks().active_resources(), 1, "the root's inherited lock remains");
+        m.commit_sub(root).unwrap();
+        assert_eq!(m.locks().active_resources(), 0, "a root's commit releases");
     }
 
     #[test]

@@ -454,6 +454,41 @@ fn an_explicit_signal_nothing_consumes_allocates_nothing() {
 }
 
 #[test]
+fn a_warmed_up_dispatch_of_counting_rules_allocates_nothing() {
+    // Four immediate rules that only count, on one explicit event, fired
+    // inside one transaction. Detection runs outside the count; the
+    // dispatch itself (rule lookup, agenda, subtransactions, savepoints,
+    // flight records, histograms) allocates nothing once warmed up.
+    let s = Sentinel::in_memory();
+    s.declare_explicit("tick").unwrap();
+    let fired = Arc::new(AtomicU64::new(0));
+    for i in 0..4 {
+        let fired = fired.clone();
+        let count = Arc::new(move |_: &RuleInvocation| {
+            fired.fetch_add(1, Ordering::Relaxed);
+        });
+        s.define_rule(&format!("count{i}"), "tick", Arc::new(|_| true), count, Default::default())
+            .unwrap();
+    }
+    let txn = s.begin().unwrap();
+    let detect = || s.detector().signal_explicit("tick", Vec::new(), Some(txn.0));
+    for _ in 0..8 {
+        s.scheduler().dispatch(detect());
+    }
+    let rounds = 32;
+    let mut n = 0;
+    for _ in 0..rounds {
+        let dets = detect();
+        assert_eq!(dets.iter().map(|d| d.subscribers.len()).sum::<usize>(), 4);
+        n += allocations(|| s.scheduler().dispatch(dets));
+    }
+    assert_eq!(fired.load(Ordering::Relaxed), 4 * (8 + rounds));
+    assert_eq!(n, 0, "allocations of {rounds} dispatches of four firings");
+    assert!(s.scheduler().nested().live_count() <= 1, "only the transaction's root is left");
+    s.commit(txn).unwrap();
+}
+
+#[test]
 fn decoders_reserve_no_more_than_their_input_could_encode() {
     // A 20-byte checkpoint or replication snapshot: magic, version 2, a
     // clock, and a node count of u32::MAX with no node behind it.
